@@ -20,6 +20,17 @@ of named slice workloads (``repro.scenarios``) and the ``python -m repro``
 command line (``repro.cli``).
 """
 
+import os
+import sys
+
+# One level of parallelism: the engine's ``sharded`` executor already runs
+# one process per core, and the surrogates multiply matrices far too small
+# to gain from BLAS threads, which then only spin and synchronise.  This has
+# to happen before NumPy loads its BLAS; a value the user set still wins.
+if "numpy" not in sys.modules:
+    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_variable, "1")
+
 from repro.core.atlas import Atlas, AtlasConfig
 from repro.core.spaces import ConfigurationSpace, SimulationParameterSpace
 from repro.prototype.slice_manager import SLA

@@ -145,11 +145,13 @@ class MeasurementCache:
 
     def __len__(self) -> int:
         """Number of cached results."""
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
         """Whether ``key`` has a cached result."""
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
 
     def attach_store(self, store: "ResultStore | None") -> None:
         """Attach (or detach, with ``None``) the persistent second tier."""
@@ -173,7 +175,8 @@ class MeasurementCache:
                 value = self.store.get(key)
             except Exception:
                 value = None
-                self.stats.store_errors += 1
+                with self._lock:
+                    self.stats.store_errors += 1
             if value is not None:
                 with self._lock:
                     self.stats.store_hits += 1
@@ -203,7 +206,8 @@ class MeasurementCache:
             try:
                 self.store.put(key, result)
             except Exception:
-                self.stats.store_errors += 1
+                with self._lock:
+                    self.stats.store_errors += 1
 
     def clear(self) -> None:
         """Drop every in-memory entry and reset the counters.

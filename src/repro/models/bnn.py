@@ -34,6 +34,19 @@ def softplus_grad(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-values))
 
 
+def _sum_draws(stack: np.ndarray) -> np.ndarray:
+    """Sum a per-draw stack over its leading axis as a running total from zero.
+
+    ``np.sum(stack, axis=0)`` switches to pairwise summation for some shapes
+    (e.g. eight or more draws of a one-output bias), which changes the last
+    bits; adding the draws one after another in draw order never does.
+    """
+    total = np.zeros(stack.shape[1:])
+    for draw in stack:
+        total += draw
+    return total
+
+
 class _SampledNetwork:
     """A single weight draw from the posterior, usable as a deterministic function.
 
@@ -118,13 +131,8 @@ class BayesianNeuralNetwork:
         self._rng = np.random.default_rng(seed)
         self._x_scaler = StandardScaler()
         self._y_scaler = StandardScaler()
-        self.weight_mu: list[np.ndarray] = []
-        self.weight_rho: list[np.ndarray] = []
-        self.bias_mu: list[np.ndarray] = []
-        self.bias_rho: list[np.ndarray] = []
         self._init_parameters()
-        parameters = self.weight_mu + self.bias_mu + self.weight_rho + self.bias_rho
-        self._optimizer = make_optimizer(optimizer, parameters, learning_rate)
+        self._optimizer = make_optimizer(optimizer, [self._mu, self._rho], learning_rate)
         self.loss_history: list[float] = []
         self._fitted = False
 
@@ -134,38 +142,88 @@ class BayesianNeuralNetwork:
         return list(zip(dims[:-1], dims[1:]))
 
     def _init_parameters(self) -> None:
-        initial_rho = -4.0  # softplus(-4) ~ 0.018: small initial posterior std
+        # Every per-parameter quantity (mu, rho, sigma, one draw's noise, one
+        # draw's gradient) is a flat vector laid out layer by layer, weight
+        # before bias, so the elementwise work of a step is a handful of
+        # whole-vector operations; _layers() gives the per-layer views.
+        self._segments: list[tuple[slice, tuple[int, int], slice]] = []
+        offset = 0
         for fan_in, fan_out in self._layer_sizes():
-            limit = np.sqrt(2.0 / fan_in)
-            self.weight_mu.append(self._rng.normal(0.0, limit, size=(fan_in, fan_out)))
-            self.weight_rho.append(np.full((fan_in, fan_out), initial_rho))
-            self.bias_mu.append(np.zeros(fan_out))
-            self.bias_rho.append(np.full(fan_out, initial_rho))
+            weight_end = offset + fan_in * fan_out
+            self._segments.append(
+                (slice(offset, weight_end), (fan_in, fan_out), slice(weight_end, weight_end + fan_out))
+            )
+            offset = weight_end + fan_out
+        self._n_params = offset
+        self._mu = np.zeros(offset)
+        self._rho = np.full(offset, -4.0)  # softplus(-4) ~ 0.018: small initial posterior std
+        for weight_mu in self.weight_mu:
+            limit = np.sqrt(2.0 / weight_mu.shape[0])
+            weight_mu[...] = self._rng.normal(0.0, limit, size=weight_mu.shape)
+
+    def _layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer views of a flat ``(..., n_params)`` array.
+
+        Weights come back as ``(..., fan_in, fan_out)`` and biases as
+        ``(..., fan_out)``; writing to a view writes to ``flat``.
+        """
+        lead = flat.shape[:-1]
+        weights = [flat[..., weight].reshape(*lead, *shape) for weight, shape, _ in self._segments]
+        biases = [flat[..., bias] for _, _, bias in self._segments]
+        return weights, biases
+
+    @property
+    def weight_mu(self) -> list[np.ndarray]:
+        """Posterior means of the weights, one ``(fan_in, fan_out)`` view per layer."""
+        return self._layers(self._mu)[0]
+
+    @property
+    def bias_mu(self) -> list[np.ndarray]:
+        """Posterior means of the biases, one ``(fan_out,)`` view per layer."""
+        return self._layers(self._mu)[1]
+
+    @property
+    def weight_rho(self) -> list[np.ndarray]:
+        """Weight ``rho`` (posterior std ``softplus(rho)``), one view per layer."""
+        return self._layers(self._rho)[0]
+
+    @property
+    def bias_rho(self) -> list[np.ndarray]:
+        """Bias ``rho`` (posterior std ``softplus(rho)``), one view per layer."""
+        return self._layers(self._rho)[1]
 
     # --------------------------------------------------------------- internals
-    def _sample_layer_weights(self) -> tuple[list, list, list, list]:
-        """Draw weights via the reparameterisation trick, keeping the noise."""
-        weights, biases, weight_eps, bias_eps = [], [], [], []
-        for w_mu, w_rho, b_mu, b_rho in zip(
-            self.weight_mu, self.weight_rho, self.bias_mu, self.bias_rho
-        ):
-            eps_w = self._rng.standard_normal(w_mu.shape)
-            eps_b = self._rng.standard_normal(b_mu.shape)
-            weights.append(w_mu + softplus(w_rho) * eps_w)
-            biases.append(b_mu + softplus(b_rho) * eps_b)
-            weight_eps.append(eps_w)
-            bias_eps.append(eps_b)
-        return weights, biases, weight_eps, bias_eps
+    def _sample_layer_weights(
+        self, n_draws: int, sigma: np.ndarray | None = None
+    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+        """Draw ``n_draws`` weight sets via the reparameterisation trick.
+
+        Returns per-layer stacks of weights ``(S, fan_in, fan_out)`` and
+        biases ``(S, fan_out)``, plus the ``(S, n_params)`` noise that
+        produced them.  The noise comes from one ``standard_normal`` call
+        laid out draw-major, then layer by layer, weight before bias: the
+        order a loop over draws and layers would consume the generator in.
+        """
+        if sigma is None:
+            sigma = softplus(self._rho)
+        noise = self._rng.standard_normal((n_draws, self._n_params))
+        weights, biases = self._layers(self._mu + sigma * noise)
+        return weights, biases, noise
 
     def _forward(
         self, inputs: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
     ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+        """Forward pass for a weight stack ``(S, fan_in, fan_out)`` or one weight set.
+
+        ``inputs`` is ``(n, input_dim)``; with stacked weights every
+        activation, and the output, gains a leading draw axis ``S``.
+        """
         activations = [inputs]
         pre_activations = []
         hidden = inputs
         last = len(weights) - 1
         for index, (weight, bias) in enumerate(zip(weights, biases)):
-            pre = hidden @ weight + bias
+            pre = hidden @ weight + bias[..., None, :]
             pre_activations.append(pre)
             hidden = pre if index == last else relu(pre)
             activations.append(hidden)
@@ -177,40 +235,37 @@ class BayesianNeuralNetwork:
         weights: list[np.ndarray],
         activations: list[np.ndarray],
         pre_activations: list[np.ndarray],
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        weight_grads = [np.zeros_like(w) for w in weights]
-        bias_grads = [np.zeros_like(b) for b in self.bias_mu]
+    ) -> np.ndarray:
+        """Per-draw data-term gradients w.r.t. the drawn weights, ``(S, n_params)``."""
+        grads = np.empty((len(output_grad), self._n_params))
+        weight_grads, bias_grads = self._layers(grads)
         grad = output_grad
         for index in range(len(weights) - 1, -1, -1):
-            weight_grads[index] = activations[index].T @ grad
-            bias_grads[index] = grad.sum(axis=0)
+            weight_grads[index][...] = np.swapaxes(activations[index], -1, -2) @ grad
+            bias_grads[index][...] = grad.sum(axis=-2)
             if index > 0:
-                grad = (grad @ weights[index].T) * relu_grad(pre_activations[index - 1])
-        return weight_grads, bias_grads
-
-    def _kl_term_and_grads(self) -> tuple[float, list, list, list, list]:
-        """Closed-form KL(q || prior) and its gradients w.r.t. mu and rho."""
-        kl_total = 0.0
-        mu_w_grads, rho_w_grads, mu_b_grads, rho_b_grads = [], [], [], []
-        prior_var = self.prior_sigma**2
-        for w_mu, w_rho, b_mu, b_rho in zip(
-            self.weight_mu, self.weight_rho, self.bias_mu, self.bias_rho
-        ):
-            for mu, rho, mu_grads, rho_grads in (
-                (w_mu, w_rho, mu_w_grads, rho_w_grads),
-                (b_mu, b_rho, mu_b_grads, rho_b_grads),
-            ):
-                sigma = softplus(rho)
-                kl = np.sum(
-                    np.log(self.prior_sigma / sigma)
-                    + (sigma**2 + mu**2) / (2.0 * prior_var)
-                    - 0.5
+                grad = (grad @ np.swapaxes(weights[index], -1, -2)) * relu_grad(
+                    pre_activations[index - 1]
                 )
-                kl_total += float(kl)
-                mu_grads.append(mu / prior_var)
-                d_sigma = sigma / prior_var - 1.0 / sigma
-                rho_grads.append(d_sigma * softplus_grad(rho))
-        return kl_total, mu_w_grads, rho_w_grads, mu_b_grads, rho_b_grads
+        return grads
+
+    def _kl_term_and_grads(
+        self, sigma: np.ndarray, sigma_grad: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Closed-form KL(q || prior) and its gradients w.r.t. mu and rho.
+
+        Takes ``softplus(rho)`` and its derivative as computed for the step,
+        so neither is evaluated twice.  The KL is summed per layer's weights,
+        then biases, in layer order.
+        """
+        prior_var = self.prior_sigma**2
+        terms = np.log(self.prior_sigma / sigma) + (sigma**2 + self._mu**2) / (2.0 * prior_var) - 0.5
+        kl_total = 0.0
+        for weight, _, bias in self._segments:
+            kl_total += float(np.sum(terms[weight]))
+            kl_total += float(np.sum(terms[bias]))
+        rho_grad = (sigma / prior_var - 1.0 / sigma) * sigma_grad
+        return kl_total, self._mu / prior_var, rho_grad
 
     # -------------------------------------------------------------------- API
     def fit(
@@ -237,6 +292,7 @@ class BayesianNeuralNetwork:
         kl_weight = self.kl_weight if self.kl_weight is not None else 1.0 / max(n_samples, 1)
         noise_var = self.noise_sigma**2
 
+        scale = 1.0 / self.n_mc_samples
         for _ in range(epochs):
             order = self._rng.permutation(n_samples)
             epoch_loss = 0.0
@@ -245,48 +301,27 @@ class BayesianNeuralNetwork:
                 batch_x = x_std[batch_idx]
                 batch_y = y_std[batch_idx]
 
-                mu_w_acc = [np.zeros_like(w) for w in self.weight_mu]
-                rho_w_acc = [np.zeros_like(w) for w in self.weight_rho]
-                mu_b_acc = [np.zeros_like(b) for b in self.bias_mu]
-                rho_b_acc = [np.zeros_like(b) for b in self.bias_rho]
-                batch_loss = 0.0
-
-                for _ in range(self.n_mc_samples):
-                    weights, biases, weight_eps, bias_eps = self._sample_layer_weights()
-                    prediction, activations, pre_activations = self._forward(
-                        batch_x, weights, biases
-                    )
-                    error = prediction - batch_y
-                    nll = float(np.sum(error**2) / (2.0 * noise_var))
-                    batch_loss += nll
-                    output_grad = error / noise_var / len(batch_x) * n_samples / n_batches
-                    weight_grads, bias_grads = self._backward(
-                        output_grad, weights, activations, pre_activations
-                    )
-                    for layer in range(len(weights)):
-                        mu_w_acc[layer] += weight_grads[layer]
-                        rho_w_acc[layer] += (
-                            weight_grads[layer]
-                            * weight_eps[layer]
-                            * softplus_grad(self.weight_rho[layer])
-                        )
-                        mu_b_acc[layer] += bias_grads[layer]
-                        rho_b_acc[layer] += (
-                            bias_grads[layer]
-                            * bias_eps[layer]
-                            * softplus_grad(self.bias_rho[layer])
-                        )
-
-                scale = 1.0 / self.n_mc_samples
-                kl, kl_mu_w, kl_rho_w, kl_mu_b, kl_rho_b = self._kl_term_and_grads()
-                gradients = (
-                    [scale * g + kl_weight * k for g, k in zip(mu_w_acc, kl_mu_w)]
-                    + [scale * g + kl_weight * k for g, k in zip(mu_b_acc, kl_mu_b)]
-                    + [scale * g + kl_weight * k for g, k in zip(rho_w_acc, kl_rho_w)]
-                    + [scale * g + kl_weight * k for g, k in zip(rho_b_acc, kl_rho_b)]
+                # One step: all n_mc_samples draws go through the network as
+                # one stack, then their gradients are summed over the draw axis.
+                sigma = softplus(self._rho)
+                sigma_grad = softplus_grad(self._rho)
+                weights, biases, noise = self._sample_layer_weights(self.n_mc_samples, sigma)
+                prediction, activations, pre_activations = self._forward(
+                    batch_x, weights, biases
                 )
-                self._optimizer.step(gradients)
-                epoch_loss += batch_loss * scale + kl_weight * kl
+                error = prediction - batch_y
+                nll = np.sum(error**2, axis=(1, 2)) / (2.0 * noise_var)
+                output_grad = error / noise_var / len(batch_x) * n_samples / n_batches
+                data_grad = self._backward(output_grad, weights, activations, pre_activations)
+                kl, kl_mu_grad, kl_rho_grad = self._kl_term_and_grads(sigma, sigma_grad)
+                self._optimizer.step(
+                    [
+                        scale * _sum_draws(data_grad) + kl_weight * kl_mu_grad,
+                        scale * _sum_draws(data_grad * noise * sigma_grad) + kl_weight * kl_rho_grad,
+                    ]
+                )
+                # Python's sum adds the draws' losses left to right from zero.
+                epoch_loss += sum(nll.tolist()) * scale + kl_weight * kl
             self.loss_history.append(epoch_loss / n_samples)
         self._fitted = True
         return self
@@ -296,11 +331,8 @@ class BayesianNeuralNetwork:
         self._require_fitted()
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         x_std = self._x_scaler.transform(x)
-        draws = np.zeros((n_samples, len(x), self.output_dim))
-        for index in range(n_samples):
-            weights, biases, _, _ = self._sample_layer_weights()
-            prediction, _, _ = self._forward(x_std, weights, biases)
-            draws[index] = prediction
+        weights, biases, _ = self._sample_layer_weights(n_samples)
+        draws, _, _ = self._forward(x_std, weights, biases)
         mean_std_units = draws.mean(axis=0)
         std_std_units = draws.std(axis=0)
         mean = self._y_scaler.inverse_transform(mean_std_units)
@@ -312,8 +344,13 @@ class BayesianNeuralNetwork:
     def sample_function(self) -> _SampledNetwork:
         """Draw one deterministic function from the posterior (Thompson sampling)."""
         self._require_fitted()
-        weights, biases, _, _ = self._sample_layer_weights()
-        return _SampledNetwork(weights, biases, self._x_scaler, self._y_scaler)
+        weights, biases, _ = self._sample_layer_weights(1)
+        return _SampledNetwork(
+            [weight[0] for weight in weights],
+            [bias[0] for bias in biases],
+            self._x_scaler,
+            self._y_scaler,
+        )
 
     def sample_predict(self, inputs) -> np.ndarray:
         """Evaluate a single posterior function draw on ``inputs``."""

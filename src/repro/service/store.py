@@ -21,7 +21,9 @@ process restarts and is shared across concurrent worker processes:
   reported as a miss — never returned.
 * **Size-bounded LRU eviction** — the store evicts least-recently-used
   blobs (file mtime, refreshed on every hit) once ``max_bytes`` is
-  exceeded; the entry just written is always protected.
+  exceeded; the entry just written is always protected.  ``put`` rescans
+  the tree only once this handle's writes since its last scan exceed half
+  the headroom that scan saw, so a put costs O(1) far from the budget.
 * **Crash recovery** — temp files whose writer pid is dead are reaped on
   open, so a SIGKILL mid-``put`` leaves no debris and loses at most the
   entry being written.
@@ -239,6 +241,10 @@ class ResultStore:
         self._tmp.mkdir(parents=True, exist_ok=True)
         self._seq = count()
         self._lock = Lock()
+        # Eviction bookkeeping, under _lock: total bytes the last scan left on
+        # disk (None before the first scan) and bytes put since that scan.
+        self._scanned_total: int | None = None
+        self._unscanned_bytes = 0
         meta = self.root / "meta.json"
         if not meta.exists():
             self._atomic_write(meta, json.dumps({"schema": STORE_SCHEMA}).encode() + b"\n")
@@ -266,6 +272,16 @@ class ResultStore:
         atomic rename, then the LRU budget is enforced — protecting the
         entry just written, which is therefore always retrievable
         immediately after ``put`` returns.
+
+        Enforcing the budget means a scan of the whole store, so ``put``
+        only scans once the bytes this handle has written since its last
+        scan exceed half the headroom (``max_bytes`` minus the total) that
+        scan saw.  The store cannot grow past the budget without this
+        handle's own writes crossing that line, so a single writer makes
+        exactly the eviction decisions of a scan on every put.  With
+        several writers, another writer's bytes are seen at this handle's
+        next scan (and at that writer's own scans); a direct
+        :meth:`evict_if_needed` call always scans.
         """
         digest = key_digest(key)
         payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
@@ -298,8 +314,19 @@ class ResultStore:
             raise
         self.stats.puts += 1
         self.stats.bytes_written += len(blob)
-        self.evict_if_needed(protect=(digest,))
+        if self._scan_due(len(blob)):
+            self.evict_if_needed(protect=(digest,))
         return digest
+
+    def _scan_due(self, written: int) -> bool:
+        """Count ``written`` bytes; whether ``put`` should rescan the store now."""
+        if self.max_bytes is None:
+            return False
+        with self._lock:
+            self._unscanned_bytes += written
+            if self._scanned_total is None:
+                return True
+            return self._unscanned_bytes > (self.max_bytes - self._scanned_total) / 2
 
     # ------------------------------------------------------------------- get
     def get(self, key: Any) -> Any | None:
@@ -421,6 +448,8 @@ class ResultStore:
                 total -= size
                 evicted += 1
             self.stats.evictions += evicted
+            self._scanned_total = total
+            self._unscanned_bytes = 0
             return evicted
 
     # ------------------------------------------------------------- recovery

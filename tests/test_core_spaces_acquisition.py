@@ -1,5 +1,9 @@
 """Tests for the search spaces, acquisition functions and adaptive penalisation."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -131,6 +135,34 @@ class TestAcquisitionFunctions:
         scores = probability_of_improvement([0.0, 2.0], [1.0, 1.0], best=1.0)
         assert np.all((scores >= 0) & (scores <= 1))
         assert scores[1] > scores[0]
+
+    def test_ei_and_pi_are_bitwise_equal_to_scipy_stats(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(0)
+        mean = rng.normal(0.0, 5.0, size=2000)
+        std = np.abs(rng.normal(0.0, 2.0, size=2000))
+        std[:10] = 0.0
+        z = (mean - 0.3 - 0.01) / np.maximum(std, 1e-12)
+        expected_ei = (mean - 0.3 - 0.01) * stats.norm.cdf(z) + np.maximum(
+            std, 1e-12
+        ) * stats.norm.pdf(z)
+        assert expected_improvement(mean, std, best=0.3).tobytes() == expected_ei.tobytes()
+        assert (
+            probability_of_improvement(mean, std, best=0.3).tobytes()
+            == stats.norm.cdf(z).tobytes()
+        )
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parent.parent,
+            env={"PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_ucb_adds_scaled_uncertainty(self):
         scores = upper_confidence_bound([1.0], [0.5], beta=4.0)

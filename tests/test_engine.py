@@ -8,10 +8,15 @@ auto-seeding, and the deterministic ``seed=None`` stream of the simulator.
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from repro.engine import (
+    CacheStats,
     Environment,
     MeasurementCache,
     MeasurementEngine,
@@ -192,6 +197,50 @@ class TestMeasurementCache:
     def test_invalid_max_entries_raises(self):
         with pytest.raises(ValueError):
             MeasurementCache(max_entries=0)
+
+    def test_store_errors_are_counted_exactly_under_threads(self):
+        @dataclass
+        class Result:
+            latencies_ms: np.ndarray = field(default_factory=lambda: np.zeros(3))
+            stage_breakdown_ms: dict = field(default_factory=dict)
+
+        class BrokenStore:
+            def get(self, key):
+                raise OSError("store unavailable")
+
+            def put(self, key, value):
+                raise OSError("store unavailable")
+
+        class SlowStats(CacheStats):
+            # Reading the counter yields the GIL, so an unlocked
+            # ``store_errors += 1`` loses counts instead of racing rarely.
+            @property
+            def store_errors(self):
+                value = self._store_errors
+                time.sleep(0)
+                return value
+
+            @store_errors.setter
+            def store_errors(self, value):
+                self._store_errors = value
+
+        cache = MeasurementCache(store=BrokenStore(), stats=SlowStats())
+        threads, rounds = 8, 200
+
+        def hammer(worker):
+            for index in range(rounds):
+                key = (worker, index)
+                assert cache.get(key) is None
+                cache.put(key, Result())
+                assert key in cache
+                assert len(cache) >= 1
+
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(hammer, range(threads)))
+        # Every get and every put hit the broken store exactly once.
+        assert cache.stats.store_errors == 2 * threads * rounds
+        assert cache.stats.misses == threads * rounds
+        assert len(cache) == threads * rounds
 
 
 class TestRealNetworkThroughEngine:

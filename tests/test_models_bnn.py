@@ -1,9 +1,15 @@
 """Tests for the Bayesian neural network (Bayes-by-Backprop) surrogate."""
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.models.bnn import BayesianNeuralNetwork, softplus, softplus_grad
+from repro.models.optimizers import make_optimizer
 
 
 class TestSoftplus:
@@ -110,3 +116,218 @@ class TestBayesianNeuralNetwork:
         assert not model.is_fitted
         model.fit(np.zeros((4, 1)), np.zeros(4), epochs=2)
         assert model.is_fitted
+
+
+# --------------------------------------------------------------------------
+# Oracle: the per-draw training loop the stacked implementation replaced.
+# It draws, runs and differentiates one Monte-Carlo weight set at a time; the
+# stacked fit must reproduce it bit for bit.
+def _reference_sample(model):
+    weights, biases, weight_eps, bias_eps = [], [], [], []
+    for w_mu, w_rho, b_mu, b_rho in zip(
+        model.weight_mu, model.weight_rho, model.bias_mu, model.bias_rho
+    ):
+        eps_w = model._rng.standard_normal(w_mu.shape)
+        eps_b = model._rng.standard_normal(b_mu.shape)
+        weights.append(w_mu + softplus(w_rho) * eps_w)
+        biases.append(b_mu + softplus(b_rho) * eps_b)
+        weight_eps.append(eps_w)
+        bias_eps.append(eps_b)
+    return weights, biases, weight_eps, bias_eps
+
+
+def _reference_forward(inputs, weights, biases):
+    activations, pre_activations, hidden = [inputs], [], inputs
+    for index, (weight, bias) in enumerate(zip(weights, biases)):
+        pre = hidden @ weight + bias
+        pre_activations.append(pre)
+        hidden = pre if index == len(weights) - 1 else np.maximum(pre, 0.0)
+        activations.append(hidden)
+    return hidden, activations, pre_activations
+
+
+def _reference_backward(output_grad, weights, activations, pre_activations):
+    weight_grads = [None] * len(weights)
+    bias_grads = [None] * len(weights)
+    grad = output_grad
+    for index in range(len(weights) - 1, -1, -1):
+        weight_grads[index] = activations[index].T @ grad
+        bias_grads[index] = grad.sum(axis=0)
+        if index > 0:
+            grad = (grad @ weights[index].T) * (pre_activations[index - 1] > 0.0).astype(float)
+    return weight_grads, bias_grads
+
+
+def _reference_kl(model):
+    kl_total, grads = 0.0, ([], [], [], [])
+    prior_var = model.prior_sigma**2
+    for w_mu, w_rho, b_mu, b_rho in zip(
+        model.weight_mu, model.weight_rho, model.bias_mu, model.bias_rho
+    ):
+        for mu, rho, mu_grads, rho_grads in (
+            (w_mu, w_rho, grads[0], grads[1]),
+            (b_mu, b_rho, grads[2], grads[3]),
+        ):
+            sigma = softplus(rho)
+            kl_total += float(
+                np.sum(
+                    np.log(model.prior_sigma / sigma)
+                    + (sigma**2 + mu**2) / (2.0 * prior_var)
+                    - 0.5
+                )
+            )
+            mu_grads.append(mu / prior_var)
+            rho_grads.append((sigma / prior_var - 1.0 / sigma) * softplus_grad(rho))
+    return (kl_total, *grads)
+
+
+def _reference_fit(model, inputs, targets, epochs, batch_size):
+    x = np.atleast_2d(np.asarray(inputs, dtype=float))
+    y = np.asarray(targets, dtype=float).reshape(len(x), -1)
+    model._x_scaler.fit(x)
+    model._y_scaler.fit(y)
+    x_std, y_std = model._x_scaler.transform(x), model._y_scaler.transform(y)
+    n_samples = len(x_std)
+    batch_size = max(1, min(batch_size, n_samples))
+    n_batches = int(np.ceil(n_samples / batch_size))
+    kl_weight = 1.0 / n_samples
+    noise_var = model.noise_sigma**2
+    # Adam over one array per layer and kind, as the model used to hold them;
+    # the views write through to the model's parameters.
+    optimizer = make_optimizer(
+        "adam", model.weight_mu + model.bias_mu + model.weight_rho + model.bias_rho, 1e-2
+    )
+    for _ in range(epochs):
+        order = model._rng.permutation(n_samples)
+        epoch_loss = 0.0
+        for start in range(0, n_samples, batch_size):
+            batch_x = x_std[order[start : start + batch_size]]
+            batch_y = y_std[order[start : start + batch_size]]
+            mu_w = [np.zeros_like(w) for w in model.weight_mu]
+            rho_w = [np.zeros_like(w) for w in model.weight_rho]
+            mu_b = [np.zeros_like(b) for b in model.bias_mu]
+            rho_b = [np.zeros_like(b) for b in model.bias_rho]
+            batch_loss = 0.0
+            for _ in range(model.n_mc_samples):
+                weights, biases, weight_eps, bias_eps = _reference_sample(model)
+                prediction, activations, pre_activations = _reference_forward(
+                    batch_x, weights, biases
+                )
+                error = prediction - batch_y
+                batch_loss += float(np.sum(error**2) / (2.0 * noise_var))
+                output_grad = error / noise_var / len(batch_x) * n_samples / n_batches
+                weight_grads, bias_grads = _reference_backward(
+                    output_grad, weights, activations, pre_activations
+                )
+                for layer in range(len(weights)):
+                    mu_w[layer] += weight_grads[layer]
+                    rho_w[layer] += (
+                        weight_grads[layer]
+                        * weight_eps[layer]
+                        * softplus_grad(model.weight_rho[layer])
+                    )
+                    mu_b[layer] += bias_grads[layer]
+                    rho_b[layer] += (
+                        bias_grads[layer] * bias_eps[layer] * softplus_grad(model.bias_rho[layer])
+                    )
+            scale = 1.0 / model.n_mc_samples
+            kl, kl_mu_w, kl_rho_w, kl_mu_b, kl_rho_b = _reference_kl(model)
+            optimizer.step(
+                [scale * g + kl_weight * k for g, k in zip(mu_w, kl_mu_w)]
+                + [scale * g + kl_weight * k for g, k in zip(mu_b, kl_mu_b)]
+                + [scale * g + kl_weight * k for g, k in zip(rho_w, kl_rho_w)]
+                + [scale * g + kl_weight * k for g, k in zip(rho_b, kl_rho_b)]
+            )
+            epoch_loss += batch_loss * scale + kl_weight * kl
+        model.loss_history.append(epoch_loss / n_samples)
+    model._fitted = True
+
+
+def _reference_predict(model, inputs, n_samples):
+    x_std = model._x_scaler.transform(np.atleast_2d(np.asarray(inputs, dtype=float)))
+    draws = np.zeros((n_samples, len(x_std), model.output_dim))
+    for index in range(n_samples):
+        weights, biases, _, _ = _reference_sample(model)
+        draws[index] = _reference_forward(x_std, weights, biases)[0]
+    mean = model._y_scaler.inverse_transform(draws.mean(axis=0))
+    std = model._y_scaler.inverse_transform_std(draws.std(axis=0))
+    return (mean[:, 0], std[:, 0]) if model.output_dim == 1 else (mean, std)
+
+
+def _assert_bitwise_equal(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestStackedDrawsMatchPerDrawLoop:
+    # Eight draws is where np.sum would turn pairwise on a one-output bias.
+    @pytest.mark.parametrize("n_mc_samples", [1, 2, 3, 8])
+    @pytest.mark.parametrize("output_dim", [1, 2])
+    def test_fit_and_predict_are_bitwise_equal(self, n_mc_samples, output_dim):
+        rng = np.random.default_rng(10 * n_mc_samples + output_dim)
+        x = rng.uniform(-1, 1, size=(45, 3))
+        y = np.column_stack([np.sin(2.0 * x[:, 0]) + x[:, 1], x[:, 2] ** 2])[:, :output_dim]
+
+        def build():
+            return BayesianNeuralNetwork(
+                input_dim=3,
+                hidden_layers=(12, 7),
+                output_dim=output_dim,
+                n_mc_samples=n_mc_samples,
+                seed=4,
+            )
+
+        stacked, oracle = build(), build()
+        # 45 rows in batches of 16: two full minibatches and a ragged one.
+        stacked.fit(x, y, epochs=6, batch_size=16)
+        _reference_fit(oracle, x, y, epochs=6, batch_size=16)
+
+        _assert_bitwise_equal(stacked.weight_mu, oracle.weight_mu)
+        _assert_bitwise_equal(stacked.weight_rho, oracle.weight_rho)
+        _assert_bitwise_equal(stacked.bias_mu, oracle.bias_mu)
+        _assert_bitwise_equal(stacked.bias_rho, oracle.bias_rho)
+        assert stacked.loss_history == oracle.loss_history
+
+        probe = rng.uniform(-1.5, 1.5, size=(20, 3))
+        _assert_bitwise_equal(
+            stacked.predict(probe, n_samples=5), _reference_predict(oracle, probe, 5)
+        )
+        draw = stacked.sample_predict(probe)
+        weights, biases, _, _ = _reference_sample(oracle)
+        expected = oracle._y_scaler.inverse_transform(
+            _reference_forward(oracle._x_scaler.transform(probe), weights, biases)[0]
+        )
+        _assert_bitwise_equal([draw], [expected[:, 0] if output_dim == 1 else expected])
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_environment_after(script: str, **environment: str) -> dict:
+    report = f"import os; print({{v: os.environ.get(v) for v in {_BLAS_VARIABLES!r}}})"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{script}; {report}"],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parent.parent,
+        env={"PYTHONPATH": "src", **environment},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip())
+
+
+class TestBlasThreadDefault:
+    def test_import_defaults_every_variable_to_one_thread(self):
+        assert _blas_environment_after("import repro") == dict.fromkeys(_BLAS_VARIABLES, "1")
+
+    def test_a_value_the_user_set_wins(self):
+        seen = _blas_environment_after("import repro", OPENBLAS_NUM_THREADS="2")
+        assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def test_nothing_changes_once_numpy_is_loaded(self):
+        # NumPy's BLAS has read the variables by then, so setting them would
+        # change only child processes, not the one that asked.
+        seen = _blas_environment_after("import numpy, repro")
+        assert seen == dict.fromkeys(_BLAS_VARIABLES)

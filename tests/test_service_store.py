@@ -2,13 +2,16 @@
 
 Covers the store's contracts in isolation: canonical key encoding (typed,
 deterministic, process-independent), blob round-trip identity, eviction
-never dropping the entry just written, corruption detection, and N
+never dropping the entry just written, headroom-gated eviction scans making
+the decisions of a scan on every put, corruption detection, and N
 processes hammering one store directory with reconcilable cost accounting.
 """
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -138,8 +141,6 @@ def test_lru_eviction_prefers_cold_entries(tmp_path):
     for index in range(6):
         store.put(("lru", index), blob)
     # Age everything artificially, then touch entry 0 so it is the warmest.
-    import os
-
     for path, _, _ in store.entries():
         os.utime(path, (1, 1))
     assert store.get(("lru", 0)) is not None
@@ -275,3 +276,62 @@ def test_concurrent_processes_share_one_store_and_reconcile(tmp_path):
         assert engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed) is not None
     assert engine.executed_requests == 0
     assert cache.stats.store_hits == 16
+
+
+class _ScanEveryPutStore(ResultStore):
+    """Reference: the store as it was, rescanning the whole tree on every put."""
+
+    def put(self, key, value):
+        digest = super().put(key, value)
+        self.evict_if_needed(protect=(digest,))
+        return digest
+
+
+store_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "put", "put", "get", "evict"]),
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=0, max_value=600),
+    ),
+    max_size=40,
+)
+
+
+@given(store_ops, st.integers(min_value=300, max_value=4_000))
+@settings(max_examples=40, deadline=None)
+def test_headroom_gated_scans_match_scan_on_every_put(ops, max_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = [
+            ResultStore(Path(tmp) / "gated", max_bytes=max_bytes),
+            _ScanEveryPutStore(Path(tmp) / "reference", max_bytes=max_bytes),
+        ]
+        for tick, (op, index, size) in enumerate(ops, start=1):
+            key = ("gated", index)
+            for store in stores:
+                if op == "put":
+                    store.put(key, b"x" * size)
+                elif op == "get":
+                    store.get(key)
+                else:
+                    store.evict_if_needed()
+                # Coarse filesystem clocks would tie mtimes differently in
+                # the two stores; a logical clock keeps their LRU order equal.
+                path = store.path_for(key_digest(key))
+                if op != "evict" and path.exists():
+                    os.utime(path, ns=(tick, tick))
+            gated, reference = ({path.name for path, _, _ in s.entries()} for s in stores)
+            assert gated == reference
+            assert stores[0].stats.evictions == stores[1].stats.evictions
+
+
+def test_puts_far_below_the_budget_scan_once(tmp_path, monkeypatch):
+    store = ResultStore(tmp_path / "store", max_bytes=10**9)
+    scans = []
+    original = store.evict_if_needed
+    monkeypatch.setattr(
+        store, "evict_if_needed", lambda protect=(): scans.append(protect) or original(protect)
+    )
+    for index in range(50):
+        store.put(("far", index), np.zeros(16))
+    assert len(scans) == 1
+    assert store.entry_count() == 50
