@@ -10,7 +10,7 @@ passes over contiguous shards — and the adaptive ``auto`` policy, verifying
 sharded results are **byte-identical** to the whole-batch vectorized pass.
 The numbers are printed as tables *and* written to ``BENCH_engine.json`` at
 the repository root — the machine-readable perf trajectory CI uploads on
-every push (schema ``atlas-bench-engine/2``, documented in
+every push (schema ``atlas-bench-engine/3``, documented in
 ``docs/performance.md``), including the *effective* per-executor worker
 counts and the persistent-pool reuse counters (no per-batch respawn).
 
@@ -70,7 +70,7 @@ REQUIRED_SHARDED_PARITY = 0.9
 #: Where the machine-readable results land (the repository root).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Schema identifier of the emitted JSON (bump on breaking changes).
-BENCH_SCHEMA = "atlas-bench-engine/2"
+BENCH_SCHEMA = "atlas-bench-engine/3"
 
 _CONFIG = SliceConfig(bandwidth_ul=10, bandwidth_dl=5, backhaul_bw=10, cpu_ratio=0.8)
 
@@ -96,9 +96,10 @@ def _timed(engine: MeasurementEngine, requests: list[MeasurementRequest]):
     return time.perf_counter() - start, results
 
 
-def _timed_best(engine: MeasurementEngine, requests: list[MeasurementRequest], repeats: int = 2):
+def _timed_best(engine: MeasurementEngine, requests: list[MeasurementRequest], repeats: int = 5):
     # Best-of-N wall clock: the large-batch passes are fast enough (~0.1 s)
-    # that a single stray scheduler tick shifts a ratio by 10%+.
+    # that a single stray scheduler tick shifts a ratio by 10%+; on a shared
+    # 2-core host best-of-2 still put the sharded ratio anywhere in 1.1–1.9x.
     best_s, best_results = _timed(engine, requests)
     for _ in range(repeats - 1):
         wall_s, results = _timed(engine, requests)
@@ -235,13 +236,12 @@ def test_engine_throughput(scale):
     for a, b in zip(store_cold_results, store_warm_results):
         assert np.array_equal(a.latencies_ms, b.latencies_ms)
 
-    # Persistent pools: the process/sharded batches above reused warm pools
-    # instead of respawning one per batch (creations stay far below
-    # dispatches; reinitialisations only happen on environment change).
+    # Persistent pools: the process/sharded batches above reused one warm
+    # pool instead of respawning one per batch.
     pools_after = pool_diagnostics()
     pool_summary = {
         key: pools_after[key] - pools_before.get(key, 0)
-        for key in ("pools_created", "pools_reinitialized", "batches_dispatched")
+        for key in ("pools_created", "batches_dispatched")
     }
     pool_summary["live_pools"] = pools_after["live_pools"]
     if pool_summary["batches_dispatched"] > 0:
@@ -249,7 +249,6 @@ def test_engine_throughput(scale):
             f"expected one persistent pool, saw {pool_summary['pools_created']} creations "
             f"across {pool_summary['batches_dispatched']} dispatches"
         )
-        assert pool_summary["pools_reinitialized"] == 0
 
     process_speedup = serial_s / process_s if process_s > 0 else float("inf")
     vectorized_speedup = serial_s / vectorized_s if vectorized_s > 0 else float("inf")

@@ -1,8 +1,8 @@
 """Legacy setup shim.
 
-The offline environment has no ``wheel`` package, so PEP 517 editable
-installs fail; ``pip install -e . --no-use-pep517 --no-build-isolation``
-falls back to this file.  All project metadata lives in ``pyproject.toml``.
+All project metadata lives in ``pyproject.toml``; this file only serves
+tools that still call ``setup.py`` directly (``python setup.py --name``
+prints ``repro``).  ``pip install .`` builds through ``pyproject.toml``.
 """
 
 from setuptools import setup

@@ -38,17 +38,32 @@ Determinism and shard invariance
 
     This per-lane seed-stream slicing is a load-bearing contract: it means
     any *partition* of a batch evaluates byte-identically to the whole
-    batch — lanes that outlive their shard-mates merely stop producing
-    finite frames, and the extra blocks a longer-lived composition draws
-    are never consumed by a finished lane's result.  The ``sharded`` engine
-    executor (``repro/engine/executors.py``) relies on exactly this to
-    split one large batch across worker processes, each running this
+    batch.  Two rules make it hold.  A lane stops at its first frame that
+    is not generated within its run and stays stopped, even if a later
+    completion (spikes make completions non-monotone) would trigger a frame
+    in time again — so a lane ends where it would end alone, however long
+    its batch-mates run.  And the extra blocks a longer-lived composition
+    draws are never consumed by a stopped lane's result.  The ``sharded``
+    engine executor (``repro/engine/executors.py``) relies on exactly this
+    to split one large batch across worker processes, each running this
     vectorized pass over its shard, with results byte-identical to the
     single whole-batch pass; ``tests/test_engine_sharded.py`` gates the
-    equivalence on every catalog scenario.  Sharding also has a second,
-    less obvious win: a shard groups fewer lanes under one "longest lane",
-    so short-lane shards exit their block loop earlier instead of idling
-    until the global longest lane completes.
+    equivalence on every catalog scenario and ``tests/test_sim_batch.py``
+    checks every lane of generated mixed batches against its one-lane
+    batch.  Sharding also has a second, less obvious win: a shard groups
+    fewer lanes under one "longest lane", so short-lane shards exit their
+    block loop earlier instead of idling until the global longest lane
+    completes.
+
+Narrow and wide batches
+    The recurrence has two implementations with the same arithmetic.  Wide
+    batches step all lanes at once, one ``(N,)``-wide NumPy operation per
+    server per frame (:class:`_ArrayLoop`).  Batches of at most
+    :data:`_NARROW_LANES` lanes step one lane at a time on Python floats
+    (:class:`_LaneLoop`): at N=1 a NumPy call costs more than the
+    arithmetic it performs.  Both perform the same IEEE additions and
+    maxima of finite or ``+inf`` values (never NaN, so ``a if a > b else
+    b`` equals ``np.maximum``), so the two paths agree bit for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +97,12 @@ __all__ = ["simulate_batch"]
 #: random-draw schedule: changing it re-shuffles the vectorized streams
 #: (like changing a seed derivation would), so treat it as a constant.
 _BLOCK_FRAMES = 256
+
+#: Batches of at most this many lanes step the recurrence lane by lane on
+#: Python floats (:class:`_LaneLoop`); wider ones keep the array loop
+#: (:class:`_ArrayLoop`).  Set from the measured crossover on a 2-core x86
+#: host (see ``docs/performance.md``); either side produces the same bits.
+_NARROW_LANES = 8
 
 #: Hard cap on frame indices per batch — a runaway guard, far above any
 #: realistic closed-loop run (the paper's 60 s runs complete ~10^3 frames).
@@ -175,6 +196,164 @@ def _sample_distance(
     return np.where(random_walk, walked, distance_m)
 
 
+#: Per-frame timestamps the recurrence records, in the row order of a
+#: block's ``(len(_TIMELINE), N, _BLOCK_FRAMES)`` timeline array.
+_TIMELINE = (
+    "created", "arr_ul", "start_ul", "fin_ul", "arr_core", "arr_edge",
+    "fin_edge", "arr_ran_dl", "start_dl", "completed",
+)
+
+
+class _ArrayLoop:
+    """The closed-loop recurrence over all lanes at once, ``(N,)`` vectors per frame.
+
+    ``step`` consumes one block of per-frame service times (``rows``, each
+    ``(N, _BLOCK_FRAMES)``), writes the block's timestamps into
+    ``timeline`` and returns how many frame indices the block produced:
+    ``_BLOCK_FRAMES`` while some lane is still running, fewer once every
+    lane has stopped.
+    """
+
+    def __init__(self, traffic: np.ndarray, duration: np.ndarray) -> None:
+        n = duration.size
+        self.traffic = traffic
+        self.duration = duration
+        self.lanes = np.arange(n)
+        # Per-server "previous service finished at" state of the Lindley
+        # recurrence, in pipeline order (UE uplink ... UE downlink).
+        self.fin = [np.zeros(n) for _ in range(7)]
+        self.completed = np.full((n, _BLOCK_FRAMES), np.inf)
+        self.alive = np.ones(n, dtype=bool)
+
+    def step(self, start: int, rows: tuple, timeline: np.ndarray) -> int:
+        (loading_s, ul_service, bh_ul_service, bh_ul_post, core_ul_post, compute_s,
+         core_dl_post, bh_dl_service, bh_dl_post, dl_service, spike_s) = rows
+        fin_ul, fin_bh_ul, fin_core_ul, fin_edge, fin_core_dl, fin_bh_dl, fin_dl = self.fin
+        (out_created, out_arr_ul, out_start_ul, out_fin_ul, out_arr_core, out_arr_edge,
+         out_fin_edge, out_arr_ran_dl, out_start_dl, out_completed) = timeline
+        if start + _BLOCK_FRAMES > self.completed.shape[1]:
+            self.completed = np.concatenate(
+                [self.completed, np.full_like(self.completed, np.inf)], axis=1
+            )
+        completed_mat, alive, lanes = self.completed, self.alive, self.lanes
+        traffic, duration = self.traffic, self.duration
+        produced = _BLOCK_FRAMES
+
+        for j in range(_BLOCK_FRAMES):
+            g = start + j
+            window = g - traffic
+            recycled = completed_mat[lanes, np.maximum(window, 0)]
+            created = np.where(window < 0, g * 0.005, recycled)
+            # A frame is generated only if its triggering event fires within
+            # the run.  A lane stops at its first frame that is not, and inf
+            # marks its frames from there on: it poisons every downstream
+            # timestamp of the lane.
+            alive &= created <= duration
+            if not alive.any():
+                produced = j
+                break
+            created = np.where(alive, created, np.inf)
+
+            arr_ul = created + loading_s[:, j]
+            start_ul = np.maximum(arr_ul, fin_ul)
+            fin_ul = start_ul + ul_service[:, j]
+            fin_bh_ul = np.maximum(fin_ul, fin_bh_ul) + bh_ul_service[:, j]
+            arr_core = fin_bh_ul + bh_ul_post[:, j]
+            fin_core_ul = np.maximum(arr_core, fin_core_ul) + _CORE_SERVICE_S
+            arr_edge = fin_core_ul + core_ul_post[:, j]
+            start_edge = np.maximum(arr_edge, fin_edge)
+            fin_edge = start_edge + compute_s[:, j]
+            fin_core_dl = np.maximum(fin_edge, fin_core_dl) + _CORE_SERVICE_S
+            arr_bh_dl = fin_core_dl + core_dl_post[:, j]
+            fin_bh_dl = np.maximum(arr_bh_dl, fin_bh_dl) + bh_dl_service[:, j]
+            arr_ran_dl = fin_bh_dl + bh_dl_post[:, j]
+            start_dl = np.maximum(arr_ran_dl, fin_dl)
+            fin_dl = start_dl + dl_service[:, j]
+            completed = fin_dl + spike_s[:, j]
+
+            completed_mat[:, g] = completed
+            out_created[:, j] = created
+            out_arr_ul[:, j] = arr_ul
+            out_start_ul[:, j] = start_ul
+            out_fin_ul[:, j] = fin_ul
+            out_arr_core[:, j] = arr_core
+            out_arr_edge[:, j] = arr_edge
+            out_fin_edge[:, j] = fin_edge
+            out_arr_ran_dl[:, j] = arr_ran_dl
+            out_start_dl[:, j] = start_dl
+            out_completed[:, j] = completed
+
+        self.fin = [fin_ul, fin_bh_ul, fin_core_ul, fin_edge, fin_core_dl, fin_bh_dl, fin_dl]
+        return produced
+
+
+class _LaneLoop:
+    """The same recurrence one lane at a time on Python floats (narrow batches).
+
+    Each lane carries its seven server states and its completion history as
+    Python floats across blocks and ``break``s at its first frame not
+    generated within its run; its timeline rows from there on are ``inf``,
+    exactly what the array loop records for a stopped lane.  Same ``step``
+    contract as :class:`_ArrayLoop`.
+    """
+
+    def __init__(self, traffic: np.ndarray, duration: np.ndarray) -> None:
+        self.traffic = traffic.tolist()
+        self.duration = duration.tolist()
+        # (completion history, server states) per lane; None once stopped.
+        self.lanes: list[tuple[list[float], tuple] | None] = [
+            ([], (0.0,) * 7) for _ in self.duration
+        ]
+
+    def step(self, start: int, rows: tuple, timeline: np.ndarray) -> int:
+        rows_as_lists = [row.tolist() for row in rows]
+        produced = 0
+        for lane, state in enumerate(self.lanes):
+            frames = []
+            if state is not None:
+                history, (f_ul, f_bh_ul, f_core_ul, f_edge, f_core_dl, f_bh_dl, f_dl) = state
+                (loading, ul_service, bh_ul_service, bh_ul_post, core_ul_post, compute,
+                 core_dl_post, bh_dl_service, bh_dl_post, dl_service, spike) = [
+                    row[lane] for row in rows_as_lists
+                ]
+                traffic, duration = self.traffic[lane], self.duration[lane]
+                for j in range(_BLOCK_FRAMES):
+                    g = start + j
+                    created = history[g - traffic] if g >= traffic else g * 0.005
+                    if not created <= duration:
+                        state = None
+                        break
+                    arr_ul = created + loading[j]
+                    start_ul = arr_ul if arr_ul > f_ul else f_ul
+                    f_ul = start_ul + ul_service[j]
+                    f_bh_ul = (f_ul if f_ul > f_bh_ul else f_bh_ul) + bh_ul_service[j]
+                    arr_core = f_bh_ul + bh_ul_post[j]
+                    f_core_ul = (arr_core if arr_core > f_core_ul else f_core_ul) + _CORE_SERVICE_S
+                    arr_edge = f_core_ul + core_ul_post[j]
+                    f_edge = (arr_edge if arr_edge > f_edge else f_edge) + compute[j]
+                    f_core_dl = (f_edge if f_edge > f_core_dl else f_core_dl) + _CORE_SERVICE_S
+                    arr_bh_dl = f_core_dl + core_dl_post[j]
+                    f_bh_dl = (arr_bh_dl if arr_bh_dl > f_bh_dl else f_bh_dl) + bh_dl_service[j]
+                    arr_ran_dl = f_bh_dl + bh_dl_post[j]
+                    start_dl = arr_ran_dl if arr_ran_dl > f_dl else f_dl
+                    f_dl = start_dl + dl_service[j]
+                    completed = f_dl + spike[j]
+                    history.append(completed)
+                    frames.append((
+                        created, arr_ul, start_ul, f_ul, arr_core, arr_edge, f_edge,
+                        arr_ran_dl, start_dl, completed,
+                    ))
+                else:
+                    state = (history, (f_ul, f_bh_ul, f_core_ul, f_edge, f_core_dl, f_bh_dl, f_dl))
+                self.lanes[lane] = state
+            count = len(frames)
+            if count:
+                timeline[:, lane, :count] = np.array(frames).T
+            timeline[:, lane, count:] = np.inf
+            produced = max(produced, count)
+        return produced
+
+
 def simulate_batch(
     configs: Sequence[SliceConfig],
     scenarios: Sequence["Scenario"],
@@ -251,27 +430,11 @@ def simulate_batch(
     post_uniforms = np.stack([rng.random(8) for rng in rngs])  # (N, 8)
 
     # ----------------------------------------------------- closed-loop rollout
-    lanes = np.arange(n)
-    # Per-server "previous service finished at" state of the Lindley recurrence.
-    fin_ul = np.zeros(n)
-    fin_bh_ul = np.zeros(n)
-    fin_core_ul = np.zeros(n)
-    fin_edge = np.zeros(n)
-    fin_core_dl = np.zeros(n)
-    fin_bh_dl = np.zeros(n)
-    fin_dl = np.zeros(n)
-
-    completed_mat = np.full((n, _BLOCK_FRAMES), np.inf)
+    recurrence = (_LaneLoop if n <= _NARROW_LANES else _ArrayLoop)(traffic, duration)
     blocks: list[dict[str, np.ndarray]] = []
     total_frames = 0
-    done = False
 
-    while not done:
-        start = total_frames
-        if start + _BLOCK_FRAMES > completed_mat.shape[1]:
-            completed_mat = np.concatenate(
-                [completed_mat, np.full((n, completed_mat.shape[1]), np.inf)], axis=1
-            )
+    while True:
         normals = np.stack([rng.standard_normal((10, _BLOCK_FRAMES)) for rng in rngs])
         uniforms = np.stack([rng.random((10, _BLOCK_FRAMES)) for rng in rngs])
 
@@ -361,62 +524,20 @@ def simulate_batch(
             0.0,
         )
 
-        block = {
-            name: np.empty((n, _BLOCK_FRAMES))
-            for name in (
-                "created", "arr_ul", "start_ul", "fin_ul", "arr_core", "arr_edge",
-                "fin_edge", "arr_ran_dl", "start_dl", "completed",
-            )
-        }
-        block["ul_error"] = ul_error
-        block["dl_error"] = dl_error
-
-        for j in range(_BLOCK_FRAMES):
-            g = start + j
-            window = g - traffic
-            recycled = completed_mat[lanes, np.maximum(window, 0)]
-            created = np.where(window < 0, g * 0.005, recycled)
-            # A frame is generated only if its triggering event fires within
-            # the run; inf marks "never generated" and poisons all downstream
-            # timestamps of the lane, which by the closed loop has no later
-            # frames either.
-            created = np.where(created <= duration, created, np.inf)
-            if not np.any(np.isfinite(created)):
-                done = True
-                block = {name: values[:, :j] for name, values in block.items()}
-                break
-
-            arr_ul = created + loading_s[:, j]
-            start_ul = np.maximum(arr_ul, fin_ul)
-            fin_ul = start_ul + ul_service[:, j]
-            fin_bh_ul = np.maximum(fin_ul, fin_bh_ul) + bh_ul_service[:, j]
-            arr_core = fin_bh_ul + bh_ul_post[:, j]
-            fin_core_ul = np.maximum(arr_core, fin_core_ul) + _CORE_SERVICE_S
-            arr_edge = fin_core_ul + core_ul_post[:, j]
-            start_edge = np.maximum(arr_edge, fin_edge)
-            fin_edge = start_edge + compute_s[:, j]
-            fin_core_dl = np.maximum(fin_edge, fin_core_dl) + _CORE_SERVICE_S
-            arr_bh_dl = fin_core_dl + core_dl_post[:, j]
-            fin_bh_dl = np.maximum(arr_bh_dl, fin_bh_dl) + bh_dl_service[:, j]
-            arr_ran_dl = fin_bh_dl + bh_dl_post[:, j]
-            start_dl = np.maximum(arr_ran_dl, fin_dl)
-            fin_dl = start_dl + dl_service[:, j]
-            completed = fin_dl + spike_s[:, j]
-
-            completed_mat[:, g] = completed
-            block["created"][:, j] = created
-            block["arr_ul"][:, j] = arr_ul
-            block["start_ul"][:, j] = start_ul
-            block["fin_ul"][:, j] = fin_ul
-            block["arr_core"][:, j] = arr_core
-            block["arr_edge"][:, j] = arr_edge
-            block["fin_edge"][:, j] = fin_edge
-            block["arr_ran_dl"][:, j] = arr_ran_dl
-            block["start_dl"][:, j] = start_dl
-            block["completed"][:, j] = completed
-            total_frames += 1
-
+        timeline_block = np.empty((len(_TIMELINE), n, _BLOCK_FRAMES))
+        produced = recurrence.step(
+            total_frames,
+            (loading_s, ul_service, bh_ul_service, bh_ul_post, core_ul_post, compute_s,
+             core_dl_post, bh_dl_service, bh_dl_post, dl_service, spike_s),
+            timeline_block,
+        )
+        block = {name: values[:, :produced] for name, values in zip(_TIMELINE, timeline_block)}
+        block["ul_error"] = ul_error[:, :produced]
+        block["dl_error"] = dl_error[:, :produced]
         blocks.append(block)
+        total_frames += produced
+        if produced < _BLOCK_FRAMES:
+            break
         if total_frames >= _MAX_FRAMES:  # pragma: no cover - runaway guard
             raise RuntimeError(
                 f"vectorized batch exceeded {_MAX_FRAMES} frame indices; "

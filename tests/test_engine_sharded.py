@@ -13,7 +13,7 @@ Four contracts are pinned here:
 * **Adaptive selection** — :func:`choose_executor` and the ``auto`` kind
   pick serial/vectorized for tiny batches and sharded/process for large
   batches on multi-core machines, and the persistent worker pools are
-  reused across batches and engines rather than respawned.
+  reused across batches, engines and environments rather than respawned.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from repro.engine import (
 )
 from repro.engine import executors as executors_module
 from repro.engine.executors import AutoExecutor, ShardedExecutor
-from repro.scenarios import list_scenarios
-from repro.sim.config import SliceConfig
+from repro.scenarios import get_scenario, list_scenarios
 from repro.sim.network import NetworkSimulator
 from repro.sim.scenario import Scenario
 
@@ -119,6 +118,29 @@ class TestShardedEquivalence:
             assert _results_identical(a, b)
         # Domain-manager history is still recorded in the parent process.
         assert len(real.applied_history) == len(requests)
+
+    def test_mixed_duration_real_network_batch(self):
+        # Equal-length lanes all stop together; mixed lengths are where a
+        # shard ends sooner than the whole batch.  The 10-s lane (seed 31)
+        # has a frame that would trigger in time again after its first gap;
+        # its shard ends at the gap, the whole batch runs on with the 40-s
+        # lane, and both must still report the lane as it runs alone.
+        workload = get_scenario("mmtc-telemetry").primary
+        requests = [
+            MeasurementRequest(
+                config=workload.deployed_config, duration=duration, traffic=traffic, seed=seed
+            )
+            for duration, traffic, seed in (
+                (4.0, 2, 1), (6.0, 1, 5), (10.0, None, 31),
+                (40.0, None, 999), (25.0, 3, 2), (15.0, 4, 6),
+            )
+        ]
+        vectorized = MeasurementEngine(
+            workload.make_real_network(seed=1), executor="vectorized", cache=False
+        ).run_batch(requests)
+        sharded = _sharded_engine(workload.make_real_network(seed=1), shards=2).run_batch(requests)
+        for a, b in zip(vectorized, sharded):
+            assert _results_identical(a, b)
 
 
 class TestShardCountDeterminism:
@@ -306,29 +328,27 @@ class TestPersistentPools:
         shutdown_worker_pools()
         assert pool_diagnostics()["live_pools"] == 0
 
-    def test_environment_change_reinitializes_the_pool_once(self, default_config):
+    def test_environment_change_reuses_the_pool(self, default_config):
         shutdown_worker_pools()
         scenario = Scenario(traffic=1, duration_s=10.0)
         first = NetworkSimulator(scenario=scenario, seed=1)
         second = NetworkSimulator(scenario=scenario, seed=2)
         serial = MeasurementEngine(second, executor="serial", cache=False)
         expected = serial.run_batch(_requests(default_config, n=4))
-        before = pool_diagnostics()["pools_reinitialized"]
         MeasurementEngine(first, executor="process", max_workers=2, cache=False).run_batch(
             _requests(default_config, n=4)
         )
+        created = pool_diagnostics()["pools_created"]
         engine = MeasurementEngine(second, executor="process", max_workers=2, cache=False)
         results = engine.run_batch(_requests(default_config, n=4))
-        assert pool_diagnostics()["pools_reinitialized"] == before + 1
-        # The re-initialised workers hold the *new* environment: results are
-        # byte-identical to serial execution against it.
+        assert pool_diagnostics()["pools_created"] == created
+        # The workers hold no environment: the new one travels with each
+        # chunk, so results are byte-identical to serial execution against it.
         for a, b in zip(expected, results):
             assert _results_identical(a, b)
         shutdown_worker_pools()
 
-    def test_process_executor_still_byte_identical_after_initializer_move(
-        self, simulator, default_config
-    ):
+    def test_process_executor_byte_identical_to_serial(self, simulator, default_config):
         requests = _requests(default_config, n=5)
         serial = MeasurementEngine(simulator, executor="serial", cache=False).run_batch(requests)
         process = MeasurementEngine(

@@ -5,20 +5,27 @@ scenario (the two paths sample the same distributions but consume their
 random streams in a different order, so agreement is statistical, within
 tolerance — see :mod:`repro.sim.batch`), exact equivalence of the vectorized
 LTE helpers against their scalar counterparts, per-request determinism under
-arbitrary batch composition, the ``vectorized`` engine executor (partial
-cache hits, per-request scenario/params overrides, scalar fallback for
-environments without the batch hook, the real network's ``prepare_batch``
-resolution), and the batched multi-slice round API.
+arbitrary batch composition (every lane of a generated mixed batch equals
+its one-lane batch, and the narrow per-lane and wide array recurrences
+agree bit for bit), the ``vectorized`` engine executor (partial cache hits,
+per-request scenario/params overrides, scalar fallback for environments
+without the batch hook, the real network's ``prepare_batch`` resolution),
+and the batched multi-slice round API.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import MeasurementCache, MeasurementEngine, MeasurementRequest
 from repro.prototype.testbed import RealNetwork
-from repro.scenarios import list_scenarios
+from repro.scenarios import get_scenario, list_scenarios
+from repro.sim import batch as batch_module
 from repro.sim import lte
 from repro.sim.config import SliceConfig
 from repro.sim.multislice import ResourceBudget, SliceRun
@@ -52,6 +59,13 @@ def _results_equal(a, b) -> bool:
         and a.ul_throughput_mbps == b.ul_throughput_mbps
         and a.ul_packet_error_rate == b.ul_packet_error_rate
         and a.stage_breakdown_ms == b.stage_breakdown_ms
+    )
+
+
+def _identical(a, b) -> bool:
+    """Every ``SimulationResult`` field equal, the latencies bit for bit."""
+    return a.latencies_ms.tobytes() == b.latencies_ms.tobytes() and all(
+        getattr(a, f.name) == getattr(b, f.name) for f in fields(a) if f.name != "latencies_ms"
     )
 
 
@@ -194,6 +208,71 @@ class TestBatchDeterminism:
 
     def test_empty_batch_returns_empty_list(self, simulator):
         assert simulator.run_batch([]) == []
+
+
+# --------------------------------------------------------------------------
+# Lane stop and composition invariance, on both recurrence paths.
+# --------------------------------------------------------------------------
+class TestLaneStop:
+    @pytest.mark.parametrize("narrow_lanes", [0, 10**6], ids=["wide", "narrow"])
+    def test_stopped_lane_never_restarts(self, narrow_lanes, monkeypatch):
+        # Completion spikes make completions non-monotone: the 10-s lane's
+        # first frame not generated in time is followed by one whose trigger
+        # completes in time again.  Alone, the batch ends at the gap; next to
+        # a 40-s lane the lane used to run on and count that frame (154).
+        monkeypatch.setattr(batch_module, "_NARROW_LANES", narrow_lanes)
+        workload = get_scenario("mmtc-telemetry").primary
+        requests = [
+            MeasurementRequest(config=workload.deployed_config, duration=10.0, seed=31),
+            MeasurementRequest(config=workload.deployed_config, duration=40.0, seed=999),
+        ]
+        simulator, resolved = workload.make_real_network(seed=1).prepare_batch(requests)
+        [alone] = simulator.run_requests(resolved[:1])
+        paired = simulator.run_requests(resolved)[0]
+        assert (alone.frames_generated, alone.frames_completed) == (153, 150)
+        assert _identical(paired, alone)
+
+
+_lanes = st.lists(
+    st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),  # normalized config
+        st.floats(2.0, 40.0),  # duration (s)
+        st.integers(1, 4),  # traffic
+        st.integers(0, 2**31 - 1),  # seed
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(
+    spec=st.sampled_from(list_scenarios()),
+    real=st.booleans(),
+    lanes=_lanes,
+)
+@settings(max_examples=25, deadline=None)
+def test_every_lane_equals_its_one_lane_batch_on_both_paths(spec, real, lanes):
+    workload = spec.primary
+    requests = [
+        MeasurementRequest(
+            config=SliceConfig.from_normalized(vector), duration=duration, traffic=traffic,
+            seed=seed,
+        )
+        for vector, duration, traffic, seed in lanes
+    ]
+    if real:
+        simulator, requests = workload.make_real_network(seed=1).prepare_batch(requests)
+    else:
+        simulator = workload.make_simulator(seed=3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch_module, "_NARROW_LANES", 0)
+        wide = simulator.run_requests(requests)
+        patch.setattr(batch_module, "_NARROW_LANES", len(requests))
+        narrow = simulator.run_requests(requests)
+        alone = [simulator.run_requests([request])[0] for request in requests]
+    for index, (a, b, c) in enumerate(zip(wide, narrow, alone)):
+        assert _identical(a, b), f"lane {index}: narrow and wide paths differ"
+        assert _identical(a, c), f"lane {index}: differs from its one-lane batch"
 
 
 # --------------------------------------------------------------------------
