@@ -27,9 +27,10 @@ Side effects
 
 from __future__ import annotations
 
+import os
 import weakref
 from threading import Lock
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import SimulationResult
     from repro.sim.parameters import SimulationParameters
 
-__all__ = ["MeasurementEngine", "engine_telemetry"]
+__all__ = ["MeasurementEngine", "engine_telemetry", "fold_engine_telemetry"]
 
 
 class _EngineTelemetry:
@@ -75,6 +76,12 @@ class _EngineTelemetry:
             self.executed_requests += count
             self.sim_seconds += sim_seconds
 
+    def fold(self, delta: Mapping[str, float]) -> None:
+        with self._lock:
+            self.executed_requests += int(delta["executed_requests"])
+            self.submitted_batches += int(delta["submitted_batches"])
+            self.sim_seconds += float(delta["sim_seconds"])
+
     def snapshot(self) -> dict[str, float]:
         with self._lock:
             return {
@@ -83,8 +90,17 @@ class _EngineTelemetry:
                 "sim_seconds": self.sim_seconds,
             }
 
+    def _renew_lock(self) -> None:
+        self._lock = Lock()
+
 
 _TELEMETRY = _EngineTelemetry()
+# Eval replay workers record into these counters after a fork.  The fork
+# copies the lock in whatever state another thread of the parent left it,
+# so each child starts with a fresh one.  (Platforms without fork have no
+# hook and no replay pool.)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_TELEMETRY._renew_lock)
 
 
 def engine_telemetry() -> dict[str, float]:
@@ -96,6 +112,17 @@ def engine_telemetry() -> dict[str, float]:
     lifetime; cost accounting diffs two snapshots rather than resetting.
     """
     return _TELEMETRY.snapshot()
+
+
+def fold_engine_telemetry(delta: Mapping[str, float]) -> None:
+    """Add counters measured in another process into this process's counters.
+
+    ``delta`` holds the :func:`engine_telemetry` keys, as a difference of
+    two snapshots taken in that process.  The eval harness folds in each
+    replay worker's delta, so the parent's telemetry (and every cost
+    ledger or trace reading it) counts work its forked workers did.
+    """
+    _TELEMETRY.fold(delta)
 
 
 class MeasurementEngine:

@@ -115,20 +115,23 @@ def check_determinism(
     """Replay the first seed of every case and demand byte-identical metrics.
 
     A fresh :class:`EvalRunner` (same executor choice, no output directory)
-    reruns each case's first seed; the canonical metric bytes of the rerun
-    must match the original run exactly.
+    reruns every case's first seed in one
+    :meth:`~repro.evalharness.runner.EvalRunner.run_seeds` pass, forked
+    over the replay pool where the host allows; the canonical metric bytes
+    of each rerun must match the original run exactly.
     """
     rerunner = EvalRunner(
         executor=runner.executor,
         max_workers=runner.max_workers,
         latency_bias_ms=runner.latency_bias_ms,
     )
+    checked = [case_result for case_result in case_results if case_result.seed_results]
+    replays = rerunner.run_seeds(
+        [(case_result.case, case_result.seed_results[0].seed) for case_result in checked]
+    )
     failures: list[GateFailure] = []
-    for case_result in case_results:
-        if not case_result.seed_results:
-            continue
+    for case_result, replayed in zip(checked, replays):
         first = case_result.seed_results[0]
-        replayed = rerunner.run_seed(case_result.case, first.seed)
         original_bytes = canonical_metrics_bytes(first.metrics)
         replayed_bytes = canonical_metrics_bytes(replayed.metrics)
         if original_bytes != replayed_bytes:

@@ -28,9 +28,16 @@ runs byte for byte — and rests on three decisions:
 
 All measurements of one environment go out as a **single**
 :class:`~repro.engine.engine.MeasurementEngine` batch, so the replay
-parallelises/vectorizes exactly like production traffic; multi-slice cases
-batch every contended round through
-:func:`repro.sim.multislice.run_contended_batch`.
+vectorizes exactly like production traffic; multi-slice cases batch every
+contended round through :func:`repro.sim.multislice.run_contended_batch`.
+
+Scheduling
+    Because a replay is a pure function of its ``(case, seed)``, a pass
+    maps every replay over a process pool forked for that pass
+    (:meth:`EvalRunner.run_seeds`): one replay per task, one vectorized
+    engine pass per batch inside each worker.  Runs with a store or a real
+    tracer, with an executor other than ``auto``, or on one usable core
+    replay in-process instead, case by case (:meth:`EvalRunner.replay_workers`).
 
 Fault injection
     ``latency_bias_ms`` adds a constant offset to every *real-network*
@@ -44,12 +51,16 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from repro.engine.engine import MeasurementEngine
+from repro.engine.engine import MeasurementEngine, engine_telemetry, fold_engine_telemetry
+from repro.engine.executors import available_parallelism, default_executor_kind
 from repro.engine.protocol import MeasurementRequest
 from repro.engine.replay import VectorReplayEnvironment
 from repro.evalharness.dataset import EvalCase
@@ -195,7 +206,8 @@ class EvalRunner:
     out_dir:
         Root of the run layout; ``None`` keeps results in memory only.
     max_workers:
-        Worker bound for the parallel executor kinds.
+        Worker bound: the size cap of the replay pool and, on the
+        in-process path, of the engines' parallel executor kinds.
     latency_bias_ms:
         Fault-injection offset added to real-network latencies before
         scoring (gate self-tests only — see the module docstring).
@@ -531,9 +543,66 @@ class EvalRunner:
             "sim_real_symmetric_kl": score_sim_to_real_kl(sim_latencies, real_latencies),
         }
 
+    # -------------------------------------------------------------- scheduling
+    def replay_workers(self, n_jobs: int) -> int:
+        """Size of the replay pool for a pass of ``n_jobs`` replays (1: in-process).
+
+        The pool gets min(usable cores, ``max_workers``, ``n_jobs``)
+        workers.  These runners always replay in-process instead:
+
+        * those with a store or a real tracer, because the cost ledger and
+          the ``eval.seed`` spans read counters local to this process;
+        * those whose executor resolves to anything but ``auto``, because an
+          explicit kind asks for its own scheduling;
+        * those on a platform without ``fork``.
+        """
+        from repro.service.tracer import NullTracer
+
+        kind = self.executor if self.executor is not None else default_executor_kind()
+        if (
+            self.store is not None
+            or not isinstance(self.tracer, NullTracer)
+            or kind != "auto"
+            or "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            return 1
+        workers = min(available_parallelism(), n_jobs)
+        if self.max_workers is not None:
+            workers = min(workers, self.max_workers)
+        return max(1, workers)
+
+    def run_seeds(self, jobs: Iterable[tuple[EvalCase, int]]) -> list[SeedRunResult]:
+        """Replay ``(case, seed)`` jobs; results come back in job order.
+
+        With :meth:`replay_workers` above 1, the jobs are mapped over a
+        process pool forked for this call, so every worker replays with this
+        runner exactly as it is (subclasses and patches included).  Workers
+        run their engines inline (``auto`` with one worker resolves to
+        ``vectorized``), so shard pools never nest inside the replay pool,
+        and each worker's engine telemetry is folded into this process's.
+        Replays are pure functions of ``(case, seed)``, so the metrics and
+        events are the same on both paths; only the per-seed executor
+        record's ``resolved`` field can differ.
+        """
+        jobs = list(jobs)
+        workers = self.replay_workers(len(jobs))
+        if workers < 2:
+            return [self.run_seed(case, seed) for case, seed in jobs]
+        results = []
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_replay_worker,
+            initargs=(self, jobs),
+        ) as pool:
+            for result, telemetry in pool.map(_replay_job, range(len(jobs))):
+                fold_engine_telemetry(telemetry)
+                results.append(result)
+        return results
+
     # ------------------------------------------------------------------ layout
     def run_case(self, case: EvalCase) -> CaseResult:
-        """Replay every seed of one case, writing its run directories."""
+        """Replay every seed of one case in-process, writing its run directories."""
         result = CaseResult(case=case)
         for seed in case.seeds:
             seed_result = self.run_seed(case, seed)
@@ -543,8 +612,24 @@ class EvalRunner:
         return result
 
     def run_cases(self, cases) -> list[CaseResult]:
-        """Replay a sequence of cases in order."""
-        return [self.run_case(case) for case in cases]
+        """Replay a sequence of cases, writing the run layout in case/seed order.
+
+        One pooled :meth:`run_seeds` pass over every ``(case, seed)`` when
+        :meth:`replay_workers` allows it, else case by case in-process.
+        """
+        cases = list(cases)
+        jobs = [(case, seed) for case in cases for seed in case.seeds]
+        if self.replay_workers(len(jobs)) < 2:
+            return [self.run_case(case) for case in cases]
+        replays = iter(self.run_seeds(jobs))
+        results = []
+        for case in cases:
+            result = CaseResult(case=case, seed_results=[next(replays) for _ in case.seeds])
+            if self.out_dir is not None:
+                for seed_result in result.seed_results:
+                    self._write_seed_run(seed_result)
+            results.append(result)
+        return results
 
     def _write_seed_run(self, seed_result: SeedRunResult) -> None:
         run_dir = (
@@ -560,3 +645,26 @@ class EvalRunner:
         with open(run_dir / "events.jsonl", "w") as handle:
             for event in seed_result.events:
                 handle.write(json.dumps(_sanitize(event), sort_keys=True) + "\n")
+
+
+# ------------------------------------------------------------- replay pool
+#: The runner and jobs of this replay-pool worker, installed by the pool
+#: initializer.  The pool forks, so neither is pickled.
+_WORKER_JOBS: "tuple[EvalRunner, list[tuple[EvalCase, int]]] | None" = None
+
+
+def _start_replay_worker(runner: EvalRunner, jobs: list[tuple[EvalCase, int]]) -> None:
+    global _WORKER_JOBS
+    # The replay pool already fills the cores: with one worker per engine,
+    # ``auto`` runs every batch inline instead of forking a shard pool.
+    runner.max_workers = 1
+    _WORKER_JOBS = (runner, jobs)
+
+
+def _replay_job(index: int) -> tuple[SeedRunResult, dict[str, float]]:
+    """Replay job ``index``; return its result and its engine telemetry delta."""
+    runner, jobs = _WORKER_JOBS
+    before = engine_telemetry()
+    result = runner.run_seed(*jobs[index])
+    after = engine_telemetry()
+    return result, {key: after[key] - before[key] for key in after}

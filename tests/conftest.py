@@ -58,3 +58,27 @@ def default_config() -> SliceConfig:
 def sla() -> SLA:
     """The paper's default SLA (300 ms, 0.9 availability)."""
     return SLA(latency_threshold_ms=300.0, availability=0.9)
+
+
+@pytest.fixture
+def replay_pool(monkeypatch) -> list[int]:
+    """Run the test as if the host had two usable cores, even on a one-core host.
+
+    Eval runners then fork two-worker replay pools, and engines outside
+    them shard.  Returns the list that the size of every replay pool forked
+    during the test is appended to.
+    """
+    import repro.engine.executors as executors_module
+    import repro.evalharness.runner as runner_module
+
+    for module in (executors_module, runner_module):
+        monkeypatch.setattr(module, "available_parallelism", lambda: 2)
+    sizes: list[int] = []
+
+    class RecordingPool(runner_module.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", RecordingPool)
+    return sizes

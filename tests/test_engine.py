@@ -8,6 +8,7 @@ auto-seeding, and the deterministic ``seed=None`` stream of the simulator.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,9 +22,11 @@ from repro.engine import (
     MeasurementCache,
     MeasurementEngine,
     MeasurementRequest,
+    engine_telemetry,
     make_executor,
     shared_cache,
 )
+from repro.engine.engine import _TELEMETRY, fold_engine_telemetry
 from repro.prototype.testbed import RealNetwork
 from repro.sim.network import NetworkSimulator
 from repro.sim.parameters import SimulationParameters
@@ -338,3 +341,24 @@ class TestStageDeterminismAcrossExecutors:
         assert [r.parameters for r in serial_result.history] == [
             r.parameters for r in thread_result.history
         ]
+
+
+class TestEngineTelemetry:
+    def test_fold_adds_a_delta_measured_elsewhere(self):
+        before = engine_telemetry()
+        fold_engine_telemetry({"executed_requests": 3, "submitted_batches": 2, "sim_seconds": 18.0})
+        after = engine_telemetry()
+        assert {key: after[key] - before[key] for key in after} == {
+            "executed_requests": 3,
+            "submitted_batches": 2,
+            "sim_seconds": 18.0,
+        }
+
+    def test_forked_child_gets_a_fresh_lock(self):
+        # The parent holds the lock across the fork, as another thread might.
+        with _TELEMETRY._lock:
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if _TELEMETRY._lock.acquire(timeout=5) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

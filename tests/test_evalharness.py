@@ -13,7 +13,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine.engine import MeasurementEngine
+import repro.evalharness.runner as runner_module
+from repro.engine.engine import MeasurementEngine, engine_telemetry
 from repro.engine.protocol import MeasurementRequest
 from repro.engine.replay import VectorReplayEnvironment
 from repro.evalharness import (
@@ -23,7 +24,9 @@ from repro.evalharness import (
     EvalCase,
     EvalDatasetError,
     EvalRunner,
+    build_report,
     canonical_metrics_bytes,
+    canonical_results_bytes,
     check_coverage,
     load_cases,
     parse_cases_yaml,
@@ -31,6 +34,9 @@ from repro.evalharness import (
 )
 from repro.prototype.testbed import RealNetwork
 from repro.scenarios import get_scenario, scenario_names
+from repro.service.costs import CostLedger
+from repro.service.store import ResultStore
+from repro.service.tracer import Tracer, read_trace
 from repro.sim.config import CONFIG_BOUNDS, SliceConfig
 from repro.sim.network import NetworkSimulator
 from repro.sim.parameters import SimulationParameters
@@ -350,3 +356,79 @@ class TestCrossExecutorIdentity:
         assert records["sharded"]["kind"] == "sharded"
         assert records["auto"]["kind"] == "auto"
         assert records["auto"]["resolved"] in ("serial", "vectorized", "sharded")
+
+
+class TestReplayPool:
+    """Pooled replays: the in-process bytes, folded telemetry, in-process ledgers."""
+
+    # A static case, a hostile case and the multi-slice case, two seeds each.
+    # The static case's 9-lane batches shard outside the pool.
+    CASES = (
+        small_case(seeds=(0, 1), measurements=3, usage_ladder=(0.9, 1.0, 1.1)),
+        small_case(scenario="traffic-drift", seeds=(0, 1)),
+        small_case(scenario="mixed-enterprise", seeds=(0, 1), measurements=1),
+    )
+    JOBS = [(case.case_id, seed) for case in CASES for seed in case.seeds]
+
+    def run(self, runner):
+        """Run the cases; return their results and the executed-request delta."""
+        before = engine_telemetry()["executed_requests"]
+        results = runner.run_cases(self.CASES)
+        return results, engine_telemetry()["executed_requests"] - before
+
+    def test_pool_size(self, replay_pool):
+        assert EvalRunner(executor="auto").replay_workers(6) == 2
+        assert EvalRunner(executor="auto", max_workers=1).replay_workers(6) == 1
+        assert EvalRunner(executor="auto").replay_workers(1) == 1
+        assert EvalRunner(executor="sharded").replay_workers(6) == 1
+
+    def test_pooled_run_matches_the_in_process_run(self, tmp_path, replay_pool, monkeypatch):
+        pooled, pooled_executed = self.run(
+            EvalRunner(executor="auto", max_workers=2, out_dir=tmp_path / "pooled")
+        )
+        assert replay_pool == [2]
+        monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
+        local, local_executed = self.run(
+            EvalRunner(executor="auto", max_workers=2, out_dir=tmp_path / "local")
+        )
+        assert replay_pool == [2]
+
+        assert canonical_results_bytes(build_report(pooled)) == canonical_results_bytes(
+            build_report(local)
+        )
+        assert pooled_executed == local_executed > 0
+        runs = sorted(path.parent for path in (tmp_path / "local").rglob("result.json"))
+        assert len(runs) == len(self.JOBS)
+        for local_run in runs:
+            pooled_run = tmp_path / "pooled" / local_run.relative_to(tmp_path / "local")
+            events = (pooled_run / "events.jsonl").read_bytes()
+            assert events and events == (local_run / "events.jsonl").read_bytes()
+            pooled_payload = json.loads((pooled_run / "result.json").read_text())
+            local_payload = json.loads((local_run / "result.json").read_text())
+            assert pooled_payload["executor"] == {"kind": "auto", "resolved": "vectorized"}
+            pooled_payload["executor"] = local_payload["executor"]
+            assert pooled_payload == local_payload
+        static = tmp_path / "local" / "test" / "urllc-control" / "seed=0" / "result.json"
+        assert json.loads(static.read_text())["executor"]["resolved"] == "sharded"
+
+    def test_store_backed_runner_stays_in_process_with_an_exact_ledger(
+        self, tmp_path, replay_pool
+    ):
+        store = ResultStore(tmp_path / "store")
+        runner = EvalRunner(executor="auto", max_workers=2, store=store)
+        ledger = CostLedger(cache=runner.cache, store=store)
+        _, executed = self.run(runner)
+        costs = ledger.finish()
+        assert replay_pool == []
+        assert costs["engine_requests"] == executed == costs["cache"]["misses"] > 0
+        assert costs["store"]["puts"] == costs["cache"]["misses"]
+
+    def test_traced_runner_stays_in_process_with_a_span_per_replay(self, tmp_path, replay_pool):
+        with Tracer(tmp_path / "trace.jsonl") as tracer:
+            self.run(EvalRunner(executor="auto", max_workers=2, tracer=tracer))
+        spans = [
+            record for record in read_trace(tmp_path / "trace.jsonl")
+            if record["kind"] == "span" and record["name"] == "eval.seed"
+        ]
+        assert [(span["attrs"]["case"], span["attrs"]["seed"]) for span in spans] == self.JOBS
+        assert replay_pool == []

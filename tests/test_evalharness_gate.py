@@ -92,8 +92,12 @@ class TestDeterminismCheck:
         results = runner.run_cases([small_case()])
         assert check_determinism(runner, results) == []
 
-    def test_detects_a_nondeterministic_replay(self, monkeypatch):
-        """Mutation smoke: break replay determinism, the gate must notice."""
+    def test_detects_a_nondeterministic_replay(self, monkeypatch, replay_pool):
+        """Mutation smoke: break replay determinism, the gate must notice.
+
+        Two cases, so the rerun forks the replay pool and drifts in its
+        workers.
+        """
 
         class DriftingRunner(EvalRunner):
             def run_seed(self, case, seed):
@@ -111,12 +115,14 @@ class TestDeterminismCheck:
                     latency_bias_ms=result.latency_bias_ms,
                 )
 
-        runner = EvalRunner()
-        results = runner.run_cases([small_case()])
+        cases = [small_case(), small_case(scenario="embb-video")]
+        runner = EvalRunner(executor="auto", max_workers=2)
+        results = runner.run_cases(cases)
         monkeypatch.setattr(gate_module, "EvalRunner", DriftingRunner)
         failures = check_determinism(runner, results)
-        assert len(failures) == 1
-        assert failures[0].kind == "determinism"
+        assert replay_pool == [2, 2]  # the run and the rerun each forked the pool
+        assert [failure.case for failure in failures] == [case.case_id for case in cases]
+        assert all(failure.kind == "determinism" for failure in failures)
         assert "no longer deterministic" in failures[0].message
 
 
