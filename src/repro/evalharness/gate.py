@@ -11,8 +11,9 @@ booleans:
     change is a regression or the envelope needs recalibrating.
 
 ``determinism``
-    The first seed of every case is replayed a second time through a fresh
-    runner and must reproduce byte-identical canonical metrics
+    The first seed of every case, and the pass's last replay, are replayed
+    a second time through a fresh runner and must reproduce byte-identical
+    canonical metrics
     (:func:`repro.evalharness.runner.canonical_metrics_bytes`).  Because
     the runner pins every measurement to the vectorized numerics family,
     this holds across *all* executor kinds — any mismatch means real
@@ -112,13 +113,21 @@ def check_envelopes(case_results: Sequence[CaseResult]) -> list[GateFailure]:
 def check_determinism(
     runner: EvalRunner, case_results: Sequence[CaseResult]
 ) -> list[GateFailure]:
-    """Replay the first seed of every case and demand byte-identical metrics.
+    """Rerun every case's first seed and the pass's last replay; demand identical bytes.
 
     A fresh :class:`EvalRunner` (same executor choice, no output directory)
-    reruns every case's first seed in one
-    :meth:`~repro.evalharness.runner.EvalRunner.run_seeds` pass, forked
-    over the replay pool where the host allows; the canonical metric bytes
-    of each rerun must match the original run exactly.
+    reruns every case's first seed and the pass's last replay; the
+    canonical metric bytes of each rerun must match the original run
+    exactly.
+
+    The pass's first replay ran before any other replay of the pass in its
+    process (a fresh replay worker, or this one).  So the last replay
+    reruns first, in this process, and the first seeds follow in one
+    :meth:`~repro.evalharness.runner.EvalRunner.run_seeds` pass forked
+    after it.  The first case's first seed then reruns after more replays
+    in its process than it ran after the first time, so a replay that
+    leaks state through the process (legacy ``np.random`` draws, a mutated
+    shared object) fails the check whether or not the pass was pooled.
     """
     rerunner = EvalRunner(
         executor=runner.executor,
@@ -126,13 +135,19 @@ def check_determinism(
         latency_bias_ms=runner.latency_bias_ms,
     )
     checked = [case_result for case_result in case_results if case_result.seed_results]
+    if not checked:
+        return []
+    targets = [(case_result, case_result.seed_results[0]) for case_result in checked]
+    if len(checked[-1].seed_results) > 1:
+        targets.append((checked[-1], checked[-1].seed_results[-1]))
+    last_case, last = targets[-1]
+    last_replay = rerunner.run_seed(last_case.case, last.seed)
     replays = rerunner.run_seeds(
-        [(case_result.case, case_result.seed_results[0].seed) for case_result in checked]
+        [(case_result.case, seed_result.seed) for case_result, seed_result in targets[:-1]]
     )
     failures: list[GateFailure] = []
-    for case_result, replayed in zip(checked, replays):
-        first = case_result.seed_results[0]
-        original_bytes = canonical_metrics_bytes(first.metrics)
+    for (case_result, original), replayed in zip(targets, [*replays, last_replay]):
+        original_bytes = canonical_metrics_bytes(original.metrics)
         replayed_bytes = canonical_metrics_bytes(replayed.metrics)
         if original_bytes != replayed_bytes:
             failures.append(
@@ -140,7 +155,7 @@ def check_determinism(
                     kind="determinism",
                     case=case_result.case.case_id,
                     message=(
-                        f"{case_result.case.case_id} seed={first.seed}: replay produced "
+                        f"{case_result.case.case_id} seed={original.seed}: replay produced "
                         f"different metrics ({replayed_bytes.decode()} != "
                         f"{original_bytes.decode()}); the replay pipeline is no longer "
                         "deterministic"

@@ -36,8 +36,8 @@ Scheduling
     maps every replay over a process pool forked for that pass
     (:meth:`EvalRunner.run_seeds`): one replay per task, one vectorized
     engine pass per batch inside each worker.  Runs with a store or a real
-    tracer, with an executor other than ``auto``, or on one usable core
-    replay in-process instead, case by case (:meth:`EvalRunner.replay_workers`).
+    tracer, with the ``process`` executor, or on one usable core replay
+    in-process instead, one after another (:meth:`EvalRunner.replay_workers`).
 
 Fault injection
     ``latency_bias_ms`` adds a constant offset to every *real-network*
@@ -552,8 +552,11 @@ class EvalRunner:
 
         * those with a store or a real tracer, because the cost ledger and
           the ``eval.seed`` spans read counters local to this process;
-        * those whose executor resolves to anything but ``auto``, because an
-          explicit kind asks for its own scheduling;
+        * those whose executor resolves to ``process``: its engines send
+          every batch of two or more requests to a process pool even with
+          one worker, so each replay worker would fork a pool of its own,
+          and such a pass never finishes (the workers wait on their own
+          pools at exit);
         * those on a platform without ``fork``.
         """
         from repro.service.tracer import NullTracer
@@ -562,7 +565,7 @@ class EvalRunner:
         if (
             self.store is not None
             or not isinstance(self.tracer, NullTracer)
-            or kind != "auto"
+            or kind == "process"
             or "fork" not in multiprocessing.get_all_start_methods()
         ):
             return 1
@@ -577,12 +580,13 @@ class EvalRunner:
         With :meth:`replay_workers` above 1, the jobs are mapped over a
         process pool forked for this call, so every worker replays with this
         runner exactly as it is (subclasses and patches included).  Workers
-        run their engines inline (``auto`` with one worker resolves to
-        ``vectorized``), so shard pools never nest inside the replay pool,
-        and each worker's engine telemetry is folded into this process's.
-        Replays are pure functions of ``(case, seed)``, so the metrics and
-        events are the same on both paths; only the per-seed executor
-        record's ``resolved`` field can differ.
+        run their engines with one worker (``auto`` resolves to
+        ``vectorized``, ``sharded`` plans one shard), so shard pools never
+        nest inside the replay pool, and each worker's engine telemetry is
+        folded into this process's.  Replays are pure functions of
+        ``(case, seed)``, so the metrics and events are the same on both
+        paths; only an ``auto`` executor record's ``resolved`` field can
+        differ.
         """
         jobs = list(jobs)
         workers = self.replay_workers(len(jobs))
@@ -602,33 +606,24 @@ class EvalRunner:
 
     # ------------------------------------------------------------------ layout
     def run_case(self, case: EvalCase) -> CaseResult:
-        """Replay every seed of one case in-process, writing its run directories."""
-        result = CaseResult(case=case)
-        for seed in case.seeds:
-            seed_result = self.run_seed(case, seed)
-            result.seed_results.append(seed_result)
-            if self.out_dir is not None:
-                self._write_seed_run(seed_result)
-        return result
+        """Replay every seed of one case, writing its run directories."""
+        return self.run_cases([case])[0]
 
     def run_cases(self, cases) -> list[CaseResult]:
-        """Replay a sequence of cases, writing the run layout in case/seed order.
+        """Replay a sequence of cases in one :meth:`run_seeds` pass.
 
-        One pooled :meth:`run_seeds` pass over every ``(case, seed)`` when
-        :meth:`replay_workers` allows it, else case by case in-process.
+        The run layout is written in case/seed order once every replay is back.
         """
         cases = list(cases)
-        jobs = [(case, seed) for case in cases for seed in case.seeds]
-        if self.replay_workers(len(jobs)) < 2:
-            return [self.run_case(case) for case in cases]
-        replays = iter(self.run_seeds(jobs))
-        results = []
-        for case in cases:
-            result = CaseResult(case=case, seed_results=[next(replays) for _ in case.seeds])
-            if self.out_dir is not None:
+        replays = iter(self.run_seeds([(case, seed) for case in cases for seed in case.seeds]))
+        results = [
+            CaseResult(case=case, seed_results=[next(replays) for _ in case.seeds])
+            for case in cases
+        ]
+        if self.out_dir is not None:
+            for result in results:
                 for seed_result in result.seed_results:
                     self._write_seed_run(seed_result)
-            results.append(result)
         return results
 
     def _write_seed_run(self, seed_result: SeedRunResult) -> None:
@@ -656,7 +651,8 @@ _WORKER_JOBS: "tuple[EvalRunner, list[tuple[EvalCase, int]]] | None" = None
 def _start_replay_worker(runner: EvalRunner, jobs: list[tuple[EvalCase, int]]) -> None:
     global _WORKER_JOBS
     # The replay pool already fills the cores: with one worker per engine,
-    # ``auto`` runs every batch inline instead of forking a shard pool.
+    # ``auto`` and ``sharded`` run every batch inline instead of forking a
+    # shard pool.
     runner.max_workers = 1
     _WORKER_JOBS = (runner, jobs)
 

@@ -378,18 +378,27 @@ class TestReplayPool:
 
     def test_pool_size(self, replay_pool):
         assert EvalRunner(executor="auto").replay_workers(6) == 2
+        assert EvalRunner(executor="sharded").replay_workers(6) == 2
         assert EvalRunner(executor="auto", max_workers=1).replay_workers(6) == 1
         assert EvalRunner(executor="auto").replay_workers(1) == 1
-        assert EvalRunner(executor="sharded").replay_workers(6) == 1
+        assert EvalRunner(executor="process").replay_workers(6) == 1
 
-    def test_pooled_run_matches_the_in_process_run(self, tmp_path, replay_pool, monkeypatch):
+    @pytest.mark.parametrize(
+        "executor, pooled_record",
+        [("auto", {"kind": "auto", "resolved": "vectorized"}),
+         ("sharded", {"kind": "sharded", "resolved": "sharded"})],
+        ids=["auto", "sharded"],
+    )
+    def test_pooled_run_matches_the_in_process_run(
+        self, tmp_path, replay_pool, monkeypatch, executor, pooled_record
+    ):
         pooled, pooled_executed = self.run(
-            EvalRunner(executor="auto", max_workers=2, out_dir=tmp_path / "pooled")
+            EvalRunner(executor=executor, max_workers=2, out_dir=tmp_path / "pooled")
         )
         assert replay_pool == [2]
         monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
         local, local_executed = self.run(
-            EvalRunner(executor="auto", max_workers=2, out_dir=tmp_path / "local")
+            EvalRunner(executor=executor, max_workers=2, out_dir=tmp_path / "local")
         )
         assert replay_pool == [2]
 
@@ -405,7 +414,7 @@ class TestReplayPool:
             assert events and events == (local_run / "events.jsonl").read_bytes()
             pooled_payload = json.loads((pooled_run / "result.json").read_text())
             local_payload = json.loads((local_run / "result.json").read_text())
-            assert pooled_payload["executor"] == {"kind": "auto", "resolved": "vectorized"}
+            assert pooled_payload["executor"] == pooled_record
             pooled_payload["executor"] = local_payload["executor"]
             assert pooled_payload == local_payload
         static = tmp_path / "local" / "test" / "urllc-control" / "seed=0" / "result.json"

@@ -8,8 +8,10 @@ assert the gate fails each time with an actionable message.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import repro.evalharness.gate as gate_module
@@ -36,6 +38,13 @@ WIDE = {
     "avg_qoe_regret": Envelope(-10.0, 10.0),
     "sim_real_symmetric_kl": Envelope(0.0, 1000.0),
 }
+
+
+def shifted(result: SeedRunResult, offset: float) -> SeedRunResult:
+    """``result`` with ``offset`` added to its p95 latency."""
+    metrics = dict(result.metrics)
+    metrics["latency_p95_ms"] += offset
+    return dataclasses.replace(result, metrics=metrics)
 
 
 def small_case(**changes) -> EvalCase:
@@ -92,38 +101,59 @@ class TestDeterminismCheck:
         results = runner.run_cases([small_case()])
         assert check_determinism(runner, results) == []
 
-    def test_detects_a_nondeterministic_replay(self, monkeypatch, replay_pool):
+    @pytest.mark.parametrize("max_workers, pools", [(2, [2, 2]), (1, [])], ids=["pooled", "in-process"])
+    def test_detects_a_nondeterministic_replay(self, monkeypatch, replay_pool, max_workers, pools):
         """Mutation smoke: break replay determinism, the gate must notice.
 
-        Two cases, so the rerun forks the replay pool and drifts in its
-        workers.
+        Three cases, so on the pooled path the rerun forks the replay pool
+        and drifts in its workers.
         """
 
         class DriftingRunner(EvalRunner):
             def run_seed(self, case, seed):
-                result = super().run_seed(case, seed)
-                drifted = dict(result.metrics)
-                drifted["latency_p95_ms"] += 0.5  # numerics drift on rerun
-                return SeedRunResult(
-                    case_id=result.case_id,
-                    group=result.group,
-                    scenario=result.scenario,
-                    seed=result.seed,
-                    executor=result.executor,
-                    metrics=drifted,
-                    events=result.events,
-                    latency_bias_ms=result.latency_bias_ms,
-                )
+                return shifted(super().run_seed(case, seed), 0.5)  # numerics drift on rerun
 
-        cases = [small_case(), small_case(scenario="embb-video")]
-        runner = EvalRunner(executor="auto", max_workers=2)
+        cases = [small_case(), small_case(scenario="embb-video"), small_case(scenario="embb-bursty")]
+        runner = EvalRunner(executor="auto", max_workers=max_workers)
         results = runner.run_cases(cases)
         monkeypatch.setattr(gate_module, "EvalRunner", DriftingRunner)
         failures = check_determinism(runner, results)
-        assert replay_pool == [2, 2]  # the run and the rerun each forked the pool
+        assert replay_pool == pools  # pooled: the run and the rerun each forked the pool
         assert [failure.case for failure in failures] == [case.case_id for case in cases]
         assert all(failure.kind == "determinism" for failure in failures)
         assert "no longer deterministic" in failures[0].message
+
+    @pytest.mark.parametrize(
+        "cases, max_workers, pools",
+        [
+            ([small_case(seeds=(0, 1))], 2, [2]),
+            ([small_case(), small_case(scenario="embb-video"), small_case(scenario="embb-bursty")],
+             2, [2, 2]),
+            ([small_case(), small_case(scenario="embb-video")], 1, []),
+        ],
+        ids=["pooled-one-case", "pooled", "in-process"],
+    )
+    def test_detects_state_leaked_through_the_process(
+        self, monkeypatch, replay_pool, cases, max_workers, pools
+    ):
+        """Mutation smoke: a replay that reads state its process carries over.
+
+        Legacy ``np.random`` state survives a fork, so a fresh replay worker
+        draws what the parent would.  The pass's first replay runs first in
+        its process; its rerun must not, or the leak goes unseen.
+        """
+
+        class LeakingRunner(EvalRunner):
+            def run_seed(self, case, seed):
+                return shifted(super().run_seed(case, seed), np.random.random())
+
+        monkeypatch.setattr(gate_module, "EvalRunner", LeakingRunner)
+        runner = LeakingRunner(executor="auto", max_workers=max_workers)
+        failures = check_determinism(runner, runner.run_cases(cases))
+        assert replay_pool == pools
+        assert failures and all(failure.kind == "determinism" for failure in failures)
+        assert failures[0].case == cases[0].case_id
+        assert "seed=0" in failures[0].message
 
 
 class TestRunGate:
