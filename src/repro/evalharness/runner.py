@@ -580,7 +580,7 @@ class EvalRunner:
         With :meth:`replay_workers` above 1, the jobs are mapped over a
         process pool forked for this call, so every worker replays with this
         runner exactly as it is (subclasses and patches included).  Workers
-        run their engines with one worker (``auto`` resolves to
+        build their engines with ``max_workers`` 1 (``auto`` resolves to
         ``vectorized``, ``sharded`` plans one shard), so shard pools never
         nest inside the replay pool, and each worker's engine telemetry is
         folded into this process's.  Replays are pure functions of
