@@ -59,9 +59,11 @@ later stages.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
 from typing import Sequence
 
@@ -69,7 +71,14 @@ from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrai
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
-from repro.engine.executors import EXECUTOR_ENV_VAR, EXECUTOR_KINDS
+from repro.engine.cache import shared_cache
+from repro.engine.executors import (
+    EXECUTOR_ENV_VAR,
+    EXECUTOR_KINDS,
+    available_parallelism,
+    default_executor_kind,
+)
+from repro.engine.forkpool import fork_map, pool_size
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 from repro.experiments.scenarios import collect_online_dataset
 from repro.scenarios import (
@@ -182,6 +191,7 @@ def _stage2(
         "best_usage": policy.best_usage,
         "best_qoe": policy.best_qoe,
         "best_config": list(policy.best_config.to_array()),
+        "_best_config": policy.best_config,
         "_policy": policy,
         "_simulator": simulator,
     }
@@ -346,6 +356,62 @@ def _run_workload(
     return summary
 
 
+def _run_slices(
+    spec: ScenarioSpec,
+    stage: str,
+    scale: ExperimentScale,
+    duration: float,
+    seed: int,
+    faults: str = "off",
+    tracer=None,
+) -> list[dict]:
+    """Run the requested stages on every slice of ``spec``; summaries in slice order.
+
+    Each summary is :func:`_jsonable` apart from ``_config``, the
+    configuration the slice's stages learned (``None`` without stage 2 or
+    3), which the optimised contended round deploys.  Slices share nothing
+    before that round, so each slice's pipeline runs whole in a fork-pool
+    worker (:func:`repro.engine.forkpool.fork_map`, one worker per usable
+    core and slice), which captures its stdout; this process writes it in
+    slice order, so the output bytes are those of an in-process run.
+
+    Runs with a ``tracer`` (service jobs, one ``job.slice`` span per slice)
+    or with a store attached to the shared cache run the slices in-process,
+    one after another, because the spans and the cost ledger read counters
+    local to this process; so do the runs
+    :func:`~repro.engine.forkpool.pool_size` keeps in-process.
+    """
+    stages = {"1", "2", "3"} if stage == "all" else {stage}
+
+    def run_slice(workload: SliceWorkload) -> dict:
+        span = (
+            tracer.span("job.slice", scenario=spec.name, slice=workload.name, stage=stage)
+            if tracer is not None
+            else nullcontext()
+        )
+        with span:
+            summary = _run_workload(workload, spec, stages, scale, duration, seed, faults=faults)
+        learned = summary.get("stage3", summary.get("stage2", {})).get("_best_config")
+        return {**_jsonable(summary), "_config": learned}
+
+    def run_captured(workload: SliceWorkload) -> tuple[dict, str]:
+        with redirect_stdout(io.StringIO()) as output:
+            summary = run_slice(workload)
+        return summary, output.getvalue()
+
+    if tracer is not None or shared_cache().store is not None:
+        workers = 1
+    else:
+        workers = pool_size(len(spec.slices), available_parallelism(), default_executor_kind())
+    if workers < 2:
+        return [run_slice(workload) for workload in spec.slices]
+    summaries = []
+    for summary, output in fork_map(run_captured, spec.slices, workers):
+        sys.stdout.write(output)
+        summaries.append(summary)
+    return summaries
+
+
 # ------------------------------------------------------------------- commands
 def cmd_list_scenarios(args: argparse.Namespace) -> int:
     """Print the catalog as one line per entry."""
@@ -446,31 +512,25 @@ def cmd_run(args: argparse.Namespace) -> int:
                 spec.slice_runs(seed=args.seed + 9000), budget=spec.budget, duration=duration
             )
             _print_multislice_round(before, "contended round (deployed configurations):")
-        for workload in spec.slices:
-            summary["slices"].append(
-                _run_workload(
-                    workload, spec, stages, scale, duration, seed=args.seed, faults=args.faults
-                )
-            )
+        summary["slices"] = _run_slices(
+            spec, args.stage, scale, duration, args.seed, faults=args.faults
+        )
         # An "optimised" contended round only makes sense when a stage that
         # produces configurations actually ran; stage 1 alone learns
         # simulation parameters, not allocations.
         if spec.is_multislice and stages & {"2", "3"}:
-            learned_runs = []
-            for index, (workload, slice_summary) in enumerate(zip(spec.slices, summary["slices"])):
-                if "stage3" in slice_summary:
-                    config = slice_summary["stage3"]["_best_config"]
-                else:
-                    config = slice_summary["stage2"]["_policy"].best_config
-                learned_runs.append(
-                    SliceRun(
-                        name=workload.name,
-                        config=config,
-                        scenario=workload.scenario,
-                        sla=workload.sla,
-                        seed=args.seed + 9100 + index,
-                    )
+            learned_runs = [
+                SliceRun(
+                    name=workload.name,
+                    config=slice_summary["_config"],
+                    scenario=workload.scenario,
+                    sla=workload.sla,
+                    seed=args.seed + 9100 + index,
                 )
+                for index, (workload, slice_summary) in enumerate(
+                    zip(spec.slices, summary["slices"])
+                )
+            ]
             real_network = spec.primary.make_real_network(seed=args.seed + 1)
             after = real_network.measure_slices(
                 learned_runs, budget=spec.budget, duration=duration

@@ -40,6 +40,7 @@ from repro.engine.executors import (
     default_executor_kind,
     make_executor,
 )
+from repro.engine.forkpool import in_pool_worker
 from repro.engine.protocol import Environment, MeasurementRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,10 +96,10 @@ class _EngineTelemetry:
 
 
 _TELEMETRY = _EngineTelemetry()
-# Eval replay workers record into these counters after a fork.  The fork
+# Fork-pool workers record into these counters after a fork.  The fork
 # copies the lock in whatever state another thread of the parent left it,
 # so each child starts with a fresh one.  (Platforms without fork have no
-# hook and no replay pool.)
+# hook and no fork pool.)
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_TELEMETRY._renew_lock)
 
@@ -118,8 +119,8 @@ def fold_engine_telemetry(delta: Mapping[str, float]) -> None:
     """Add counters measured in another process into this process's counters.
 
     ``delta`` holds the :func:`engine_telemetry` keys, as a difference of
-    two snapshots taken in that process.  The eval harness folds in each
-    replay worker's delta, so the parent's telemetry (and every cost
+    two snapshots taken in that process.  :func:`repro.engine.forkpool.fork_map`
+    folds in each job's delta, so the parent's telemetry (and every cost
     ledger or trace reading it) counts work its forked workers did.
     """
     _TELEMETRY.fold(delta)
@@ -151,7 +152,8 @@ class MeasurementEngine:
         concurrency cap of ``auto``'s per-batch choice).  Defaults to the
         machine's available parallelism; stages pass their
         ``parallel_queries`` budget here so the paper's scale knobs map
-        directly onto real concurrency.
+        directly onto real concurrency.  Engines built in a fork-pool
+        worker (:mod:`repro.engine.forkpool`) always get one worker.
     cache:
         ``True`` (default) uses the process-wide shared cache, ``False``
         disables caching, and a :class:`MeasurementCache` instance gives the
@@ -170,6 +172,10 @@ class MeasurementEngine:
     ) -> None:
         self.environment = environment
         self.executor_kind = executor if executor is not None else default_executor_kind()
+        if in_pool_worker():
+            # The fork pool already fills the cores; a pool of this
+            # engine's own would nest inside it.
+            max_workers = 1
         self.max_workers = (
             max(1, int(max_workers)) if max_workers is not None else available_parallelism()
         )

@@ -33,11 +33,13 @@ contended round through :func:`repro.sim.multislice.run_contended_batch`.
 
 Scheduling
     Because a replay is a pure function of its ``(case, seed)``, a pass
-    maps every replay over a process pool forked for that pass
-    (:meth:`EvalRunner.run_seeds`): one replay per task, one vectorized
-    engine pass per batch inside each worker.  Runs with a store or a real
-    tracer, with the ``process`` executor, or on one usable core replay
-    in-process instead, one after another (:meth:`EvalRunner.replay_workers`).
+    maps every replay over a fork pool started for that pass
+    (:meth:`EvalRunner.run_seeds`, through the shared
+    :func:`repro.engine.forkpool.fork_map`): one replay per task, one
+    vectorized engine pass per batch inside each worker.  Runs with a store
+    or a real tracer, with the ``process`` executor, or on one usable core
+    replay in-process instead, one after another
+    (:meth:`EvalRunner.replay_workers`).
 
 Fault injection
     ``latency_bias_ms`` adds a constant offset to every *real-network*
@@ -51,16 +53,15 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from repro.engine.engine import MeasurementEngine, engine_telemetry, fold_engine_telemetry
+from repro.engine.engine import MeasurementEngine
 from repro.engine.executors import available_parallelism, default_executor_kind
+from repro.engine.forkpool import fork_map, pool_size
 from repro.engine.protocol import MeasurementRequest
 from repro.engine.replay import VectorReplayEnvironment
 from repro.evalharness.dataset import EvalCase
@@ -548,61 +549,36 @@ class EvalRunner:
         """Size of the replay pool for a pass of ``n_jobs`` replays (1: in-process).
 
         The pool gets min(usable cores, ``max_workers``, ``n_jobs``)
-        workers.  These runners always replay in-process instead:
-
-        * those with a store or a real tracer, because the cost ledger and
-          the ``eval.seed`` spans read counters local to this process;
-        * those whose executor resolves to ``process``: its engines send
-          every batch of two or more requests to a process pool even with
-          one worker, so each replay worker would fork a pool of its own,
-          and such a pass never finishes (the workers wait on their own
-          pools at exit);
-        * those on a platform without ``fork``.
+        workers.  Runners with a store or a real tracer always replay
+        in-process, because the cost ledger and the ``eval.seed`` spans read
+        counters local to this process; so do those whose executor resolves
+        to ``process`` and those on a platform without ``fork``
+        (:func:`repro.engine.forkpool.pool_size`).
         """
         from repro.service.tracer import NullTracer
 
-        kind = self.executor if self.executor is not None else default_executor_kind()
-        if (
-            self.store is not None
-            or not isinstance(self.tracer, NullTracer)
-            or kind == "process"
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
+        if self.store is not None or not isinstance(self.tracer, NullTracer):
             return 1
-        workers = min(available_parallelism(), n_jobs)
+        cores = available_parallelism()
         if self.max_workers is not None:
-            workers = min(workers, self.max_workers)
-        return max(1, workers)
+            cores = min(cores, self.max_workers)
+        kind = self.executor if self.executor is not None else default_executor_kind()
+        return pool_size(n_jobs, cores, kind)
 
     def run_seeds(self, jobs: Iterable[tuple[EvalCase, int]]) -> list[SeedRunResult]:
         """Replay ``(case, seed)`` jobs; results come back in job order.
 
-        With :meth:`replay_workers` above 1, the jobs are mapped over a
-        process pool forked for this call, so every worker replays with this
-        runner exactly as it is (subclasses and patches included).  Workers
-        build their engines with ``max_workers`` 1 (``auto`` resolves to
-        ``vectorized``, ``sharded`` plans one shard), so shard pools never
-        nest inside the replay pool, and each worker's engine telemetry is
-        folded into this process's.  Replays are pure functions of
-        ``(case, seed)``, so the metrics and events are the same on both
-        paths; only an ``auto`` executor record's ``resolved`` field can
-        differ.
+        With :meth:`replay_workers` above 1, each replay runs whole in a
+        worker of a fork pool started for this call
+        (:func:`repro.engine.forkpool.fork_map`), with this runner exactly
+        as it is (subclasses and patches included); engines built there run
+        every batch inline, and their telemetry is folded into this
+        process's.  Replays are pure functions of ``(case, seed)``, so the
+        metrics and events are the same on both paths; only an ``auto``
+        executor record's ``resolved`` field can differ.
         """
         jobs = list(jobs)
-        workers = self.replay_workers(len(jobs))
-        if workers < 2:
-            return [self.run_seed(case, seed) for case, seed in jobs]
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_replay_worker,
-            initargs=(self, jobs),
-        ) as pool:
-            for result, telemetry in pool.map(_replay_job, range(len(jobs))):
-                fold_engine_telemetry(telemetry)
-                results.append(result)
-        return results
+        return list(fork_map(lambda job: self.run_seed(*job), jobs, self.replay_workers(len(jobs))))
 
     # ------------------------------------------------------------------ layout
     def run_case(self, case: EvalCase) -> CaseResult:
@@ -640,27 +616,3 @@ class EvalRunner:
         with open(run_dir / "events.jsonl", "w") as handle:
             for event in seed_result.events:
                 handle.write(json.dumps(_sanitize(event), sort_keys=True) + "\n")
-
-
-# ------------------------------------------------------------- replay pool
-#: The runner and jobs of this replay-pool worker, installed by the pool
-#: initializer.  The pool forks, so neither is pickled.
-_WORKER_JOBS: "tuple[EvalRunner, list[tuple[EvalCase, int]]] | None" = None
-
-
-def _start_replay_worker(runner: EvalRunner, jobs: list[tuple[EvalCase, int]]) -> None:
-    global _WORKER_JOBS
-    # The replay pool already fills the cores: with one worker per engine,
-    # ``auto`` and ``sharded`` run every batch inline instead of forking a
-    # shard pool.
-    runner.max_workers = 1
-    _WORKER_JOBS = (runner, jobs)
-
-
-def _replay_job(index: int) -> tuple[SeedRunResult, dict[str, float]]:
-    """Replay job ``index``; return its result and its engine telemetry delta."""
-    runner, jobs = _WORKER_JOBS
-    before = engine_telemetry()
-    result = runner.run_seed(*jobs[index])
-    after = engine_telemetry()
-    return result, {key: after[key] - before[key] for key in after}

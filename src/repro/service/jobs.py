@@ -29,7 +29,9 @@ Two job kinds execute through the existing measurement pipeline:
     knobs) on one catalog entry.  Engines inside the stages use the
     process-wide shared cache, which the daemon backs with the persistent
     store, so repeated stage runs share measurements across jobs *and*
-    daemon restarts.
+    daemon restarts.  The slices run in-process, one after another, even
+    where the CLI would fork a slice pool: the job's spans and cost ledger
+    read counters local to the daemon process.
 ``eval``
     The evaluation harness (``group``/``scenario``/``seeds``/``executor``/
     ``determinism``) with the job's own run layout; its engines use a
@@ -219,7 +221,6 @@ def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> 
     scenario_spec = get_scenario(str(params["scenario"]))
     scale = get_scale(params.get("scale"))
     stage = str(params.get("stage", "all"))
-    stages = {"1", "2", "3"} if stage == "all" else {stage}
     seed = int(params.get("seed", 0))
     faults = str(params.get("faults", "off"))
     duration = params.get("duration")
@@ -230,16 +231,10 @@ def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> 
         os.environ[EXECUTOR_ENV_VAR] = str(params["executor"])
     ledger = CostLedger(cache=shared_cache(), store=store)
     try:
-        slices = []
-        for workload in scenario_spec.slices:
-            with tracer.span(
-                "job.slice", scenario=scenario_spec.name, slice=workload.name, stage=stage
-            ):
-                slices.append(
-                    _cli._run_workload(
-                        workload, scenario_spec, stages, scale, duration, seed, faults=faults
-                    )
-                )
+        # The tracer keeps the slices in-process, one job.slice span each.
+        slices = _cli._run_slices(
+            scenario_spec, stage, scale, duration, seed, faults=faults, tracer=tracer
+        )
     finally:
         if params.get("executor") is not None:
             if previous_executor is None:

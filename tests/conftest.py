@@ -61,24 +61,37 @@ def sla() -> SLA:
 
 
 @pytest.fixture
+def child_env() -> dict[str, str]:
+    """Environment of a Python subprocess started from the repository root.
+
+    The child imports the package from ``src`` and writes no bytecode there:
+    a tree with bytecode imports faster, which would skew later timings.
+    """
+    return {"PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+@pytest.fixture
 def replay_pool(monkeypatch) -> list[int]:
     """Run the test as if the host had two usable cores, even on a one-core host.
 
-    Eval runners then fork two-worker replay pools, and engines outside
-    them shard.  Returns the list that the size of every replay pool forked
+    Eval runners and multi-slice ``run`` commands then fork two-worker
+    pools, and engines outside them shard.  Returns the list that the size
+    of every fork pool (:func:`repro.engine.forkpool.fork_map`) started
     during the test is appended to.
     """
+    import repro.cli as cli_module
     import repro.engine.executors as executors_module
+    import repro.engine.forkpool as forkpool_module
     import repro.evalharness.runner as runner_module
 
-    for module in (executors_module, runner_module):
+    for module in (executors_module, runner_module, cli_module):
         monkeypatch.setattr(module, "available_parallelism", lambda: 2)
     sizes: list[int] = []
 
-    class RecordingPool(runner_module.ProcessPoolExecutor):
+    class RecordingPool(forkpool_module.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(forkpool_module, "ProcessPoolExecutor", RecordingPool)
     return sizes

@@ -11,8 +11,12 @@ import json
 
 import pytest
 
+import repro.cli as cli_module
 from repro.cli import build_parser, main
-from repro.scenarios import scenario_names
+from repro.engine import attach_shared_store, engine_telemetry, shared_cache
+from repro.experiments.scale import get_scale
+from repro.scenarios import get_scenario, scenario_names
+from repro.service.tracer import Tracer, read_trace
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -155,6 +159,70 @@ class TestRun:
         )
         assert code == 0
         assert "ATLAS_ENGINE_EXECUTOR" not in os.environ
+
+
+MIXED_RUN = ("run", "--scenario", "mixed-enterprise", "--scale", "smoke", "--duration", "2")
+
+
+class TestSlicePool:
+    """Multi-slice runs: each slice's pipeline runs whole in a fork-pool worker."""
+
+    def run(self, capsys, json_path, *extra: str) -> tuple[str, bytes, int]:
+        """Run the multi-slice entry from a cold cache: stdout, JSON bytes, executed requests."""
+        shared_cache().clear()
+        before = engine_telemetry()["executed_requests"]
+        code, out = run_cli(capsys, *MIXED_RUN, "--json", str(json_path), *extra)
+        assert code == 0
+        return out, json_path.read_bytes(), engine_telemetry()["executed_requests"] - before
+
+    def test_pooled_run_matches_the_in_process_run(self, capsys, tmp_path, replay_pool, monkeypatch):
+        json_path = tmp_path / "summary.json"
+        pooled = self.run(capsys, json_path, "--stage", "all")
+        assert replay_pool == [2]
+        monkeypatch.setattr(cli_module, "available_parallelism", lambda: 1)
+        local = self.run(capsys, json_path, "--stage", "all")
+        assert replay_pool == [2]
+        assert pooled == local
+        assert "[urllc-control]" in pooled[0] and pooled[2] > 0
+
+    def test_store_and_process_runs_stay_in_process(self, capsys, tmp_path, replay_pool):
+        try:
+            _, payload, executed = self.run(
+                capsys, tmp_path / "store.json", "--stage", "2", "--store", str(tmp_path / "store")
+            )
+        finally:
+            attach_shared_store(None)
+        costs = json.loads(payload)["costs"]
+        assert costs["engine_requests"] == executed == costs["cache"]["misses"] > 0
+        self.run(capsys, tmp_path / "process.json", "--stage", "2", "--executor", "process")
+        assert replay_pool == []
+
+    def test_traced_slices_stay_in_process_with_a_span_per_slice(self, tmp_path, replay_pool):
+        spec = get_scenario("mixed-enterprise")
+        with Tracer(tmp_path / "trace.jsonl") as tracer:
+            summaries = cli_module._run_slices(spec, "1", get_scale("smoke"), 2.0, 0, tracer=tracer)
+        spans = [
+            record["attrs"]["slice"] for record in read_trace(tmp_path / "trace.jsonl")
+            if record["kind"] == "span" and record["name"] == "job.slice"
+        ]
+        names = [workload.name for workload in spec.slices]
+        assert spans == [summary["slice"] for summary in summaries] == names
+        assert replay_pool == []
+
+    @pytest.mark.parametrize("cores, pools", [(2, [2]), (1, [])], ids=["pooled", "in-process"])
+    def test_a_failing_slice_raises_through_main(self, replay_pool, monkeypatch, cores, pools):
+        run_workload = cli_module._run_workload
+
+        def failing(workload, *args, **kwargs):
+            if workload.name == "embb-video":
+                raise RuntimeError(f"{workload.name} pipeline failed")
+            return run_workload(workload, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "_run_workload", failing)
+        monkeypatch.setattr(cli_module, "available_parallelism", lambda: cores)
+        with pytest.raises(RuntimeError, match="embb-video pipeline failed"):
+            main([*MIXED_RUN, "--stage", "1"])
+        assert replay_pool == pools
 
 
 SMALL_REGISTRY = """\

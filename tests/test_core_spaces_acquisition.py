@@ -153,13 +153,13 @@ class TestAcquisitionFunctions:
             == stats.norm.cdf(z).tobytes()
         )
 
-    def test_cli_import_does_not_load_scipy_stats(self):
+    def test_cli_import_does_not_load_scipy_stats(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
             capture_output=True,
             text=True,
             cwd=Path(__file__).resolve().parent.parent,
-            env={"PYTHONPATH": "src"},
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

@@ -9,6 +9,7 @@ auto-seeding, and the deterministic ``seed=None`` stream of the simulator.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,6 +28,8 @@ from repro.engine import (
     shared_cache,
 )
 from repro.engine.engine import _TELEMETRY, fold_engine_telemetry
+from repro.engine.executors import choose_executor, pool_diagnostics
+from repro.engine.forkpool import fork_map, in_pool_worker
 from repro.prototype.testbed import RealNetwork
 from repro.sim.network import NetworkSimulator
 from repro.sim.parameters import SimulationParameters
@@ -362,3 +365,49 @@ class TestEngineTelemetry:
                 os._exit(0 if _TELEMETRY._lock.acquire(timeout=5) else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestForkMap:
+    """The fork pool shared by eval replays and multi-slice runs."""
+
+    def test_results_come_back_in_job_order(self, replay_pool):
+        def job(index):
+            time.sleep(0.3 if index == 0 else 0.0)  # the first job finishes last
+            return index, os.getpid(), in_pool_worker()
+
+        results = list(fork_map(job, range(5), 2))
+        assert [index for index, _, _ in results] == list(range(5))
+        assert all(worker for _, _, worker in results)
+        assert os.getpid() not in {pid for _, pid, _ in results}
+        assert replay_pool == [2]
+
+    def test_text_buffered_before_the_fork_is_written_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "stdout.txt"
+        with open(path, "w") as stdout:  # block-buffered, like a redirected CLI
+            monkeypatch.setattr(sys, "stdout", stdout)
+            print("printed before the fork")
+            assert list(fork_map(abs, [-1, -2], 2)) == [1, 2]
+        assert path.read_text() == "printed before the fork\n"
+
+    def test_one_worker_runs_the_jobs_in_process(self, replay_pool):
+        results = list(fork_map(lambda index: (index, os.getpid()), range(3), 1))
+        assert results == [(index, os.getpid()) for index in range(3)]
+        assert replay_pool == []
+
+    def test_engines_in_a_worker_run_inline_and_report_their_work(
+        self, replay_pool, simulator, default_config
+    ):
+        # Outside the pool, two usable cores shard a 64-request batch.
+        assert choose_executor(64, cores=2) == "sharded"
+        pools = pool_diagnostics()["pools_created"]
+
+        def job(_):
+            engine = MeasurementEngine(simulator, executor="auto", max_workers=2, cache=False)
+            engine.run_batch(_requests(default_config, n=64, duration=1.0))
+            return engine.max_workers, engine.executor.last_choice, pool_diagnostics()["pools_created"]
+
+        before = engine_telemetry()["executed_requests"]
+        results = list(fork_map(job, range(2), 2))
+        assert results == [(1, "vectorized", pools)] * 2
+        assert engine_telemetry()["executed_requests"] - before == 128
+        assert replay_pool == [2]

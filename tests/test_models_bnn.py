@@ -305,29 +305,30 @@ class TestStackedDrawsMatchPerDrawLoop:
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _blas_environment_after(script: str, **environment: str) -> dict:
+def _blas_environment_after(child_env: dict, script: str, **environment: str) -> dict:
     report = f"import os; print({{v: os.environ.get(v) for v in {_BLAS_VARIABLES!r}}})"
     proc = subprocess.run(
         [sys.executable, "-c", f"{script}; {report}"],
         capture_output=True,
         text=True,
         cwd=Path(__file__).resolve().parent.parent,
-        env={"PYTHONPATH": "src", **environment},
+        env={**child_env, **environment},
     )
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.strip())
 
 
 class TestBlasThreadDefault:
-    def test_import_defaults_every_variable_to_one_thread(self):
-        assert _blas_environment_after("import repro") == dict.fromkeys(_BLAS_VARIABLES, "1")
+    def test_import_defaults_every_variable_to_one_thread(self, child_env):
+        seen = _blas_environment_after(child_env, "import repro")
+        assert seen == dict.fromkeys(_BLAS_VARIABLES, "1")
 
-    def test_a_value_the_user_set_wins(self):
-        seen = _blas_environment_after("import repro", OPENBLAS_NUM_THREADS="2")
+    def test_a_value_the_user_set_wins(self, child_env):
+        seen = _blas_environment_after(child_env, "import repro", OPENBLAS_NUM_THREADS="2")
         assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-    def test_nothing_changes_once_numpy_is_loaded(self):
+    def test_nothing_changes_once_numpy_is_loaded(self, child_env):
         # NumPy's BLAS has read the variables by then, so setting them would
         # change only child processes, not the one that asked.
-        seen = _blas_environment_after("import numpy, repro")
+        seen = _blas_environment_after(child_env, "import numpy, repro")
         assert seen == dict.fromkeys(_BLAS_VARIABLES)

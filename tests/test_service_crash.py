@@ -25,14 +25,14 @@ _HELPER = Path(__file__).resolve().parent / "service_crash_helper.py"
 _REPO_ROOT = _HELPER.parent.parent
 
 
-def _kill_helper_mid_put(store_dir: Path) -> None:
+def _kill_helper_mid_put(store_dir: Path, env: dict) -> None:
     proc = subprocess.Popen(
         [sys.executable, str(_HELPER), str(store_dir)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         cwd=_REPO_ROOT,
-        env={"PYTHONPATH": "src"},
+        env=env,
     )
     try:
         line = proc.stdout.readline()
@@ -44,9 +44,9 @@ def _kill_helper_mid_put(store_dir: Path) -> None:
     assert proc.returncode == -signal.SIGKILL
 
 
-def test_sigkill_mid_put_reopens_clean_and_reproduces_bytes(tmp_path):
+def test_sigkill_mid_put_reopens_clean_and_reproduces_bytes(tmp_path, child_env):
     store_dir = tmp_path / "store"
-    _kill_helper_mid_put(store_dir)
+    _kill_helper_mid_put(store_dir, child_env)
 
     # The helper planted one torn temp file and may have left a real one.
     debris = list((store_dir / "tmp").iterdir())

@@ -154,7 +154,7 @@ print(json.dumps({"id": job.id, "status": record["status"],
 """
 
 
-def test_warm_restart_serves_second_daemon_from_store(tmp_path):
+def test_warm_restart_serves_second_daemon_from_store(tmp_path, child_env):
     """Same eval case, two daemon processes: second recomputes ~nothing."""
     state = tmp_path / "state"
     rounds = []
@@ -165,7 +165,7 @@ def test_warm_restart_serves_second_daemon_from_store(tmp_path):
             text=True,
             timeout=240,
             cwd=_REPO_ROOT,
-            env={"PYTHONPATH": "src"},
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         rounds.append(json.loads(proc.stdout.strip().splitlines()[-1]))

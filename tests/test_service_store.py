@@ -76,7 +76,7 @@ def test_unencodable_key_raises_store_key_error():
         canonical_key_bytes((1, object()))
 
 
-def test_engine_cache_key_is_encodable_and_process_stable(tmp_path):
+def test_engine_cache_key_is_encodable_and_process_stable(tmp_path, child_env):
     """The real engine key digests identically in a separate interpreter."""
     workload = get_scenario("frame-offloading").primary
     simulator = workload.make_simulator(seed=3)
@@ -100,7 +100,7 @@ def test_engine_cache_key_is_encodable_and_process_stable(tmp_path):
         capture_output=True,
         text=True,
         cwd=Path(__file__).resolve().parent.parent,
-        env={"PYTHONPATH": "src"},
+        env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == local
@@ -224,7 +224,7 @@ Path(out_path).write_text(json.dumps({"costs": costs, "executed": engine.execute
 """
 
 
-def test_concurrent_processes_share_one_store_and_reconcile(tmp_path):
+def test_concurrent_processes_share_one_store_and_reconcile(tmp_path, child_env):
     """N processes hammer one store directory with overlapping key ranges.
 
     No corruption, and each process's cost ledger reconciles exactly:
@@ -244,7 +244,7 @@ def test_concurrent_processes_share_one_store_and_reconcile(tmp_path):
                 subprocess.Popen(
                     [sys.executable, "-c", _WORKER_SCRIPT, str(store_dir), str(out), str(start), str(stop)],
                     cwd=repo_root,
-                    env={"PYTHONPATH": "src"},
+                    env=child_env,
                     stderr=subprocess.PIPE,
                 ),
                 out,
