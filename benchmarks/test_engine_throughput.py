@@ -27,11 +27,19 @@ Speedup gates:
   ``REQUIRED_SHARDED_SPEEDUP`` on ≥ 2 cores, and stay within
   ``REQUIRED_SHARDED_PARITY`` of it on a single core (where sharding
   degenerates to one in-process vectorized pass — no pool, no regression).
+
+Every gated ratio is judged on a median of interleaved timings: the two
+sides of a ratio are timed in turn, several times over, and the speedup is
+the median over the repetitions of one side's wall time over the other's.
+A host slowdown then lands on both sides of a repetition, and one stalled
+repetition cannot decide a verdict either way.  Reported wall times are
+each side's median.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -67,6 +75,12 @@ REQUIRED_VECTORIZED_SPEEDUP = 5.0
 REQUIRED_SHARDED_SPEEDUP = 1.5
 #: Required sharded/vectorized parity on a single core (degenerate one-shard case).
 REQUIRED_SHARDED_PARITY = 0.9
+#: Interleaved repetitions of the small batch (serial takes seconds per pass).
+SMALL_REPEATS = 3
+#: Interleaved repetitions of the large batch (~0.1 s per pass).  On a shared
+#: 2-core host one repetition's sharded speedup ranged over 0.95–2.09x, so
+#: the median needs many of them to settle.
+LARGE_REPEATS = 25
 #: Where the machine-readable results land (the repository root).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Schema identifier of the emitted JSON (bump on breaking changes).
@@ -96,23 +110,32 @@ def _timed(engine: MeasurementEngine, requests: list[MeasurementRequest]):
     return time.perf_counter() - start, results
 
 
-def _timed_best(engine: MeasurementEngine, requests: list[MeasurementRequest], repeats: int = 5):
-    # Best-of-N wall clock: the large-batch passes are fast enough (~0.1 s)
-    # that a single stray scheduler tick shifts a ratio by 10%+; on a shared
-    # 2-core host best-of-2 still put the sharded ratio anywhere in 1.1–1.9x.
-    best_s, best_results = _timed(engine, requests)
-    for _ in range(repeats - 1):
-        wall_s, results = _timed(engine, requests)
-        if wall_s < best_s:
-            best_s, best_results = wall_s, results
-    return best_s, best_results
+def _timed_interleaved(engines: list[MeasurementEngine], requests, repeats: int):
+    """Wall times of each engine over ``repeats`` interleaved passes, and its last results.
+
+    Every repetition runs each engine once, in reverse order every other
+    time, so the sides of a ratio share the host's slow and fast moments.
+    """
+    walls: list[list[float]] = [[] for _ in engines]
+    results: list = [None] * len(engines)
+    for repeat in range(repeats):
+        order = range(len(engines)) if repeat % 2 == 0 else reversed(range(len(engines)))
+        for index in order:
+            wall_s, results[index] = _timed(engines[index], requests)
+            walls[index].append(wall_s)
+    return walls, results
 
 
-def _executor_entry(wall_s: float, baseline_s: float, batch_size: int, workers: int) -> dict:
+def _speedup(baseline: list[float], candidate: list[float]) -> float:
+    """Median over interleaved repetitions of ``baseline`` wall time over ``candidate``'s."""
+    return statistics.median(base / wall for base, wall in zip(baseline, candidate))
+
+
+def _executor_entry(wall_s: float, speedup: float, batch_size: int, workers: int) -> dict:
     return {
         "wall_s": round(wall_s, 6),
         "throughput_rps": round(batch_size / wall_s, 3) if wall_s > 0 else None,
-        "speedup_vs_serial": round(baseline_s / wall_s, 3) if wall_s > 0 else None,
+        "speedup_vs_serial": round(speedup, 3),
         "workers": workers,
     }
 
@@ -134,20 +157,13 @@ def test_engine_throughput(scale):
     try:
         # Warm the process pool so worker spawn time is not billed to the batch.
         process.run_batch(requests[:workers])
-        serial_s, serial_results = _timed(serial, requests)
+        # The gated sides are timed in turn; thread is recorded, not gated.
+        (serial_walls, process_walls, vectorized_walls), (
+            serial_results,
+            process_results,
+            vectorized_results,
+        ) = _timed_interleaved([serial, process, vectorized], requests, SMALL_REPEATS)
         thread_s, thread_results = _timed(thread, requests)
-        process_s, process_results = _timed(process, requests)
-        vectorized_s, vectorized_results = _timed(vectorized, requests)
-        # Shared CI runners are noisy; re-time the parallel side once before
-        # judging a speedup so a transient stall does not fail the build.
-        # The serial baseline is timed once and shared by every table row /
-        # gate — a serial stall only *inflates* speedups, never fails them,
-        # and re-timing serial per gate would judge each gate against a
-        # different baseline.
-        if cores >= 2 and serial_s / process_s < REQUIRED_PROCESS_SPEEDUP:
-            process_s, process_results = _timed(process, requests)
-        if serial_s / vectorized_s < REQUIRED_VECTORIZED_SPEEDUP:
-            vectorized_s, vectorized_results = _timed(vectorized, requests)
     finally:
         thread.shutdown()
 
@@ -177,18 +193,16 @@ def test_engine_throughput(scale):
     # (persistent) pool spawned — neither belongs in the comparison.
     vectorized.run_batch(large_requests)
     sharded.run_batch(large_requests)
-    vectorized_large_s, vectorized_large_results = _timed_best(vectorized, large_requests)
-    sharded_s, sharded_results = _timed_best(sharded, large_requests)
-    sharded_speedup_vs_vectorized = vectorized_large_s / sharded_s if sharded_s > 0 else float("inf")
-    required_sharded = REQUIRED_SHARDED_SPEEDUP if cores >= 2 else REQUIRED_SHARDED_PARITY
-    if sharded_speedup_vs_vectorized < required_sharded:
-        vectorized_large_s, vectorized_large_results = _timed_best(vectorized, large_requests)
-        sharded_s, sharded_results = _timed_best(sharded, large_requests)
-        sharded_speedup_vs_vectorized = (
-            vectorized_large_s / sharded_s if sharded_s > 0 else float("inf")
-        )
+    (vectorized_large_walls, sharded_walls), (
+        vectorized_large_results,
+        sharded_results,
+    ) = _timed_interleaved([vectorized, sharded], large_requests, LARGE_REPEATS)
+    vectorized_large_s = statistics.median(vectorized_large_walls)
+    sharded_s = statistics.median(sharded_walls)
+    sharded_speedup_vs_vectorized = _speedup(vectorized_large_walls, sharded_walls)
     sharded_shards = sharded.executor.last_shards
-    auto_s, auto_results = _timed_best(auto, large_requests)
+    (auto_walls,), _ = _timed_interleaved([auto], large_requests, 3)
+    auto_s = statistics.median(auto_walls)
     auto_choice = auto.executor.last_choice
 
     # A sharded batch is byte-identical to the whole-batch vectorized pass.
@@ -250,8 +264,11 @@ def test_engine_throughput(scale):
             f"across {pool_summary['batches_dispatched']} dispatches"
         )
 
-    process_speedup = serial_s / process_s if process_s > 0 else float("inf")
-    vectorized_speedup = serial_s / vectorized_s if vectorized_s > 0 else float("inf")
+    serial_s, process_s, vectorized_s = (
+        statistics.median(walls) for walls in (serial_walls, process_walls, vectorized_walls)
+    )
+    process_speedup = _speedup(serial_walls, process_walls)
+    vectorized_speedup = _speedup(serial_walls, vectorized_walls)
     warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print_table(
         f"Engine throughput ({BATCH_SIZE}-run batch, {workers} workers, {cores} cores)",
@@ -299,12 +316,12 @@ def test_engine_throughput(scale):
         "executors": {
             # "workers" is the *effective* worker count each executor really
             # used — 1 for the in-process kinds regardless of machine shape.
-            "serial": _executor_entry(serial_s, serial_s, BATCH_SIZE, 1),
-            "thread": _executor_entry(thread_s, serial_s, BATCH_SIZE, thread.max_workers),
-            "process": _executor_entry(process_s, serial_s, BATCH_SIZE, process.max_workers),
-            "vectorized": _executor_entry(vectorized_s, serial_s, BATCH_SIZE, 1),
+            "serial": _executor_entry(serial_s, 1.0, BATCH_SIZE, 1),
+            "thread": _executor_entry(thread_s, serial_s / thread_s, BATCH_SIZE, thread.max_workers),
+            "process": _executor_entry(process_s, process_speedup, BATCH_SIZE, process.max_workers),
+            "vectorized": _executor_entry(vectorized_s, vectorized_speedup, BATCH_SIZE, 1),
             "cached_warm": {
-                **_executor_entry(warm_s, serial_s, BATCH_SIZE, 1),
+                **_executor_entry(warm_s, serial_s / warm_s, BATCH_SIZE, 1),
                 "cache_hit_rate": stats.hit_rate,
             },
         },

@@ -71,7 +71,6 @@ from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrai
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
-from repro.engine.cache import shared_cache
 from repro.engine.executors import (
     EXECUTOR_ENV_VAR,
     EXECUTOR_KINDS,
@@ -375,11 +374,14 @@ def _run_slices(
     core and slice), which captures its stdout; this process writes it in
     slice order, so the output bytes are those of an in-process run.
 
-    Runs with a ``tracer`` (service jobs, one ``job.slice`` span per slice)
-    or with a store attached to the shared cache run the slices in-process,
-    one after another, because the spans and the cost ledger read counters
-    local to this process; so do the runs
-    :func:`~repro.engine.forkpool.pool_size` keeps in-process.
+    A store attached to the shared cache serves the workers too, and the
+    pool folds their engine, cache and store counters into this process's,
+    so a ``--store`` run's cost ledger counts every slice.  Runs with a
+    ``tracer`` (service jobs, one ``job.slice`` span per slice, run in a
+    daemon thread) run the slices in-process, one after another, because
+    this process records the spans and forking a threaded process is
+    unsafe; so do the runs :func:`~repro.engine.forkpool.pool_size` keeps
+    in-process.
     """
     stages = {"1", "2", "3"} if stage == "all" else {stage}
 
@@ -399,7 +401,7 @@ def _run_slices(
             summary = run_slice(workload)
         return summary, output.getvalue()
 
-    if tracer is not None or shared_cache().store is not None:
+    if tracer is not None:
         workers = 1
     else:
         workers = pool_size(len(spec.slices), available_parallelism(), default_executor_kind())

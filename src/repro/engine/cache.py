@@ -47,6 +47,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.forkpool import Counters
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.store import ResultStore
     from repro.sim.network import SimulationResult
@@ -68,13 +70,14 @@ DEFAULT_MAX_ENTRIES = 20_000
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss counters of one cache, split by serving tier.
 
     ``hits`` counts lookups served from the in-memory tier, ``store_hits``
     lookups served from the persistent store tier (and promoted), and
     ``misses`` lookups served by neither.  ``store_errors`` counts store
     operations that failed and were degraded to miss/skip semantics.
+    Fork pools fold their workers' counts in (:mod:`repro.engine.forkpool`).
     """
 
     hits: int = 0
@@ -95,21 +98,9 @@ class CacheStats:
             return 0.0
         return (self.hits + self.store_hits) / self.lookups
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.hits = self.misses = self.evictions = 0
-        self.store_hits = self.store_errors = 0
-
     def as_dict(self) -> dict[str, float]:
         """Counters plus the derived hit rate, for logging/benchmarks."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "store_hits": self.store_hits,
-            "store_errors": self.store_errors,
-            "hit_rate": self.hit_rate,
-        }
+        return {**super().as_dict(), "hit_rate": self.hit_rate}
 
 
 def _copy_result(result: "SimulationResult") -> "SimulationResult":

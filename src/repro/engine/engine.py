@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import os
 import weakref
+from dataclasses import dataclass
 from threading import Lock
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.engine.executors import (
     default_executor_kind,
     make_executor,
 )
-from repro.engine.forkpool import in_pool_worker
+from repro.engine.forkpool import Counters, in_pool_worker
 from repro.engine.protocol import Environment, MeasurementRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -48,10 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.network import SimulationResult
     from repro.sim.parameters import SimulationParameters
 
-__all__ = ["MeasurementEngine", "engine_telemetry", "fold_engine_telemetry"]
+__all__ = ["MeasurementEngine", "engine_telemetry"]
 
 
-class _EngineTelemetry:
+@dataclass
+class _EngineTelemetry(Counters):
     """Process-wide execution counters feeding the service cost ledger.
 
     Engines are created deep inside stages and experiment runners, so
@@ -59,14 +61,17 @@ class _EngineTelemetry:
     them.  These process-wide counters can: every engine increments them on
     execution (cache hits excluded), and
     :class:`~repro.service.costs.CostLedger` diffs two snapshots to cost an
-    arbitrary block of work.
+    arbitrary block of work.  Fork pools fold their workers' counts in
+    (:mod:`repro.engine.forkpool`).
     """
 
-    def __init__(self) -> None:
+    executed_requests: int = 0
+    submitted_batches: int = 0
+    sim_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         self._lock = Lock()
-        self.executed_requests = 0
-        self.submitted_batches = 0
-        self.sim_seconds = 0.0
 
     def record_batch(self) -> None:
         with self._lock:
@@ -77,19 +82,13 @@ class _EngineTelemetry:
             self.executed_requests += count
             self.sim_seconds += sim_seconds
 
-    def fold(self, delta: Mapping[str, float]) -> None:
+    def add(self, delta: tuple) -> None:
         with self._lock:
-            self.executed_requests += int(delta["executed_requests"])
-            self.submitted_batches += int(delta["submitted_batches"])
-            self.sim_seconds += float(delta["sim_seconds"])
+            super().add(delta)
 
-    def snapshot(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, float]:
         with self._lock:
-            return {
-                "executed_requests": self.executed_requests,
-                "submitted_batches": self.submitted_batches,
-                "sim_seconds": self.sim_seconds,
-            }
+            return super().as_dict()
 
     def _renew_lock(self) -> None:
         self._lock = Lock()
@@ -111,19 +110,9 @@ def engine_telemetry() -> dict[str, float]:
     hits excluded), ``submitted_batches`` and ``sim_seconds`` (simulated
     seconds produced by executed measurements).  Monotonic over the process
     lifetime; cost accounting diffs two snapshots rather than resetting.
+    The counts of fork-pool workers are folded in as their jobs return.
     """
-    return _TELEMETRY.snapshot()
-
-
-def fold_engine_telemetry(delta: Mapping[str, float]) -> None:
-    """Add counters measured in another process into this process's counters.
-
-    ``delta`` holds the :func:`engine_telemetry` keys, as a difference of
-    two snapshots taken in that process.  :func:`repro.engine.forkpool.fork_map`
-    folds in each job's delta, so the parent's telemetry (and every cost
-    ledger or trace reading it) counts work its forked workers did.
-    """
-    _TELEMETRY.fold(delta)
+    return _TELEMETRY.as_dict()
 
 
 class MeasurementEngine:

@@ -36,10 +36,13 @@ Scheduling
     maps every replay over a fork pool started for that pass
     (:meth:`EvalRunner.run_seeds`, through the shared
     :func:`repro.engine.forkpool.fork_map`): one replay per task, one
-    vectorized engine pass per batch inside each worker.  Runs with a store
-    or a real tracer, with the ``process`` executor, or on one usable core
-    replay in-process instead, one after another
-    (:meth:`EvalRunner.replay_workers`).
+    vectorized engine pass per batch inside each worker.  A store-backed
+    runner pools too: each worker reads and writes the store through its
+    own forked copy of the runner's cache, and the pool folds the workers'
+    cache and store counters into the runner's, so a cost ledger reads the
+    same totals on both paths.  Runs with a real tracer, with the
+    ``process`` executor, or on one usable core replay in-process instead,
+    one after another (:meth:`EvalRunner.replay_workers`).
 
 Fault injection
     ``latency_bias_ms`` adds a constant offset to every *real-network*
@@ -237,7 +240,6 @@ class EvalRunner:
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.max_workers = max_workers
         self.latency_bias_ms = float(latency_bias_ms)
-        self.store = store
         if store is not None:
             from repro.engine.cache import MeasurementCache
 
@@ -549,15 +551,16 @@ class EvalRunner:
         """Size of the replay pool for a pass of ``n_jobs`` replays (1: in-process).
 
         The pool gets min(usable cores, ``max_workers``, ``n_jobs``)
-        workers.  Runners with a store or a real tracer always replay
-        in-process, because the cost ledger and the ``eval.seed`` spans read
-        counters local to this process; so do those whose executor resolves
-        to ``process`` and those on a platform without ``fork``
+        workers, with or without a store.  Runners with a real tracer always
+        replay in-process: this process records the ``eval.seed`` spans, and
+        the daemon, whose jobs carry the tracers, runs each job in a thread,
+        where forking is unsafe.  So do runners whose executor resolves to
+        ``process`` and those on a platform without ``fork``
         (:func:`repro.engine.forkpool.pool_size`).
         """
         from repro.service.tracer import NullTracer
 
-        if self.store is not None or not isinstance(self.tracer, NullTracer):
+        if not isinstance(self.tracer, NullTracer):
             return 1
         cores = available_parallelism()
         if self.max_workers is not None:
@@ -572,10 +575,15 @@ class EvalRunner:
         worker of a fork pool started for this call
         (:func:`repro.engine.forkpool.fork_map`), with this runner exactly
         as it is (subclasses and patches included); engines built there run
-        every batch inline, and their telemetry is folded into this
-        process's.  Replays are pure functions of ``(case, seed)``, so the
-        metrics and events are the same on both paths; only an ``auto``
-        executor record's ``resolved`` field can differ.
+        every batch inline, and the engine telemetry and the cache and store
+        counters they move are folded into this process's.  Replays are pure
+        functions of ``(case, seed)``, so the metrics and events are the
+        same on both paths; only an ``auto`` executor record's ``resolved``
+        field can differ.  With a store, a measurement that one replay
+        reuses from another is served from memory, from the store or fresh,
+        depending on which worker reached it first; the number of lookups,
+        and every ledger identity (executed requests equal cache misses,
+        cache store hits equal store hits) hold on both paths.
         """
         jobs = list(jobs)
         return list(fork_map(lambda job: self.run_seed(*job), jobs, self.replay_workers(len(jobs))))

@@ -10,8 +10,14 @@ sources when opened and diffing them when closed:
   executed, batches submitted, simulated seconds produced);
 * a :class:`~repro.engine.cache.MeasurementCache`'s tiered hit/miss
   counters (memory hits vs persistent-store hits vs misses);
-* a :class:`~repro.service.store.ResultStore`'s per-process counters
+* a :class:`~repro.service.store.ResultStore`'s per-handle counters
   (puts, evictions, corruption drops, bytes moved).
+
+All three are :class:`~repro.engine.forkpool.Counters` sets, which a fork
+pool (:func:`repro.engine.forkpool.fork_map`) folds across the fork: a
+ledger opened around a pooled eval pass or a pooled multi-slice run counts
+what its workers executed, hit and stored, exactly as it would count the
+same work done in-process.
 
 The resulting dict (schema ``atlas-costs/1``) is written to each job's
 ``costs.json``, surfaced by ``python -m repro status``, embedded in the
@@ -47,7 +53,8 @@ class CostLedger:
 
     Open the ledger immediately before the work, call :meth:`finish` after
     it; everything in between — including engines created by code the
-    ledger never sees — is accounted through the process-wide telemetry.
+    ledger never sees, in this process or in a fork-pool worker — is
+    accounted through the process-wide telemetry.
 
     Parameters
     ----------

@@ -30,8 +30,8 @@ Two job kinds execute through the existing measurement pipeline:
     process-wide shared cache, which the daemon backs with the persistent
     store, so repeated stage runs share measurements across jobs *and*
     daemon restarts.  The slices run in-process, one after another, even
-    where the CLI would fork a slice pool: the job's spans and cost ledger
-    read counters local to the daemon process.
+    where the CLI would fork a slice pool: the daemon records the job's
+    spans itself and runs the job in a thread, where forking is unsafe.
 ``eval``
     The evaluation harness (``group``/``scenario``/``seeds``/``executor``/
     ``determinism``) with the job's own run layout; its engines use a

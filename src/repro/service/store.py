@@ -54,6 +54,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.engine.forkpool import Counters
+
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "ResultStore",
@@ -174,8 +176,12 @@ def key_digest(key: Any) -> str:
 
 # -------------------------------------------------------------------- stats
 @dataclass
-class StoreStats:
-    """Per-process counters of one :class:`ResultStore` handle."""
+class StoreStats(Counters):
+    """Per-process counters of one :class:`ResultStore` handle.
+
+    Fork pools fold their workers' counts in (:mod:`repro.engine.forkpool`),
+    so the handle a pool's parent holds also counts its workers' traffic.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -186,15 +192,6 @@ class StoreStats:
     put_errors: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        for field in dataclasses.fields(self):
-            setattr(self, field.name, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (ledger/benchmark serialisation)."""
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
 
 def _pid_alive(pid: int) -> bool:

@@ -185,17 +185,26 @@ class TestSlicePool:
         assert pooled == local
         assert "[urllc-control]" in pooled[0] and pooled[2] > 0
 
-    def test_store_and_process_runs_stay_in_process(self, capsys, tmp_path, replay_pool):
+    def test_store_runs_pool_and_process_runs_stay_in_process(
+        self, capsys, tmp_path, replay_pool, monkeypatch
+    ):
         try:
             _, payload, executed = self.run(
                 capsys, tmp_path / "store.json", "--stage", "2", "--store", str(tmp_path / "store")
             )
         finally:
             attach_shared_store(None)
-        costs = json.loads(payload)["costs"]
+        assert replay_pool == [2]
+        pooled = json.loads(payload)
+        costs = pooled.pop("costs")
         assert costs["engine_requests"] == executed == costs["cache"]["misses"] > 0
         self.run(capsys, tmp_path / "process.json", "--stage", "2", "--executor", "process")
-        assert replay_pool == []
+        assert replay_pool == [2]
+        monkeypatch.setattr(cli_module, "available_parallelism", lambda: 1)
+        _, payload, _ = self.run(capsys, tmp_path / "local.json", "--stage", "2")
+        local = json.loads(payload)
+        assert local.pop("costs") is None
+        assert pooled == local
 
     def test_traced_slices_stay_in_process_with_a_span_per_slice(self, tmp_path, replay_pool):
         spec = get_scenario("mixed-enterprise")

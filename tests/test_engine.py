@@ -27,10 +27,13 @@ from repro.engine import (
     make_executor,
     shared_cache,
 )
-from repro.engine.engine import _TELEMETRY, fold_engine_telemetry
+import repro.engine.forkpool as forkpool_module
+from repro.engine.engine import _TELEMETRY
 from repro.engine.executors import choose_executor, pool_diagnostics
 from repro.engine.forkpool import fork_map, in_pool_worker
 from repro.prototype.testbed import RealNetwork
+from repro.service.costs import CostLedger
+from repro.service.store import ResultStore
 from repro.sim.network import NetworkSimulator
 from repro.sim.parameters import SimulationParameters
 from repro.sim.scenario import Scenario
@@ -347,16 +350,6 @@ class TestStageDeterminismAcrossExecutors:
 
 
 class TestEngineTelemetry:
-    def test_fold_adds_a_delta_measured_elsewhere(self):
-        before = engine_telemetry()
-        fold_engine_telemetry({"executed_requests": 3, "submitted_batches": 2, "sim_seconds": 18.0})
-        after = engine_telemetry()
-        assert {key: after[key] - before[key] for key in after} == {
-            "executed_requests": 3,
-            "submitted_batches": 2,
-            "sim_seconds": 18.0,
-        }
-
     def test_forked_child_gets_a_fresh_lock(self):
         # The parent holds the lock across the fork, as another thread might.
         with _TELEMETRY._lock:
@@ -410,4 +403,99 @@ class TestForkMap:
         results = list(fork_map(job, range(2), 2))
         assert results == [(1, "vectorized", pools)] * 2
         assert engine_telemetry()["executed_requests"] - before == 128
+        assert replay_pool == [2]
+
+    @pytest.mark.parametrize("workers, pools", [(2, [2]), (1, [])], ids=["pooled", "inline"])
+    def test_counters_from_before_the_fork_count_each_job_once_in_job_order(
+        self, tmp_path, replay_pool, simulator, default_config, workers, pools
+    ):
+        requests = _requests(default_config, n=6, duration=1.0)
+        store = ResultStore(tmp_path / "store")
+        cache = MeasurementCache(store=store)
+        # Before the fork: request 0 is in the store only, request 1 in the
+        # cache's memory tier (and the store).
+        MeasurementEngine(simulator, executor="vectorized", cache=MeasurementCache(store=store)).run(
+            default_config, traffic=1, duration=1.0, seed=0
+        )
+        MeasurementEngine(simulator, executor="vectorized", cache=cache).run(
+            default_config, traffic=1, duration=1.0, seed=1
+        )
+
+        def counts():
+            return cache.stats.counts(), store.stats.counts(), _TELEMETRY.counts()
+
+        def job(batch):
+            time.sleep(0.3 if batch[0].seed == 0 else 0.0)  # the first job finishes last
+            before = counts()
+            MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(batch)
+            return [tuple(a - b for a, b in zip(*pair)) for pair in zip(counts(), before)]
+
+        jobs = [requests[0:3], requests[3:4], requests[4:6]]
+        start = counts()
+        totals = [(0,) * len(part) for part in start]
+        for delta in fork_map(job, jobs, workers):
+            totals = [tuple(a + b for a, b in zip(*pair)) for pair in zip(totals, delta)]
+            # A job's counts arrive with its result: once job k is yielded,
+            # the parent's counters have moved by jobs 0..k exactly.
+            moved = [tuple(a - b for a, b in zip(*pair)) for pair in zip(counts(), start)]
+            assert moved == totals
+        assert replay_pool == pools
+        # Job 0: request 0 from the store, request 1 from memory, request 2
+        # fresh; jobs 1 and 2 run fresh.  Every fresh result is stored.
+        cache_moved = dict(zip(cache.stats.as_dict(), totals[0]))
+        assert cache_moved == {"hits": 1, "misses": 4, "evictions": 0, "store_hits": 1, "store_errors": 0}
+        store_moved = dict(zip(store.stats.as_dict(), totals[1]))
+        assert store_moved["hits"] == 1 and store_moved["puts"] == 4
+        assert store_moved["bytes_read"] > 0 and store_moved["bytes_written"] > 0
+        assert dict(zip(engine_telemetry(), totals[2]))["executed_requests"] == 4
+
+    def test_more_workers_than_cores_racing_on_one_store_keep_the_ledger_exact(
+        self, tmp_path, replay_pool, simulator, default_config
+    ):
+        store = ResultStore(tmp_path / "store")
+        cache = MeasurementCache(store=store)
+        requests = _requests(default_config, n=4, duration=1.0)
+        reference = MeasurementEngine(simulator, executor="vectorized", cache=False).run_batch(requests)
+
+        def job(index):
+            # Every job measures the same four requests, starting at a
+            # different one, so the workers race on every key.
+            order = [(index + offset) % 4 for offset in range(4)]
+            engine = MeasurementEngine(simulator, executor="vectorized", cache=cache)
+            results = engine.run_batch([requests[position] for position in order])
+            return [results[order.index(position)] for position in range(4)]
+
+        ledger = CostLedger(cache=cache, store=store)
+        for results in fork_map(job, range(16), 8):
+            assert all(_results_equal(a, b) for a, b in zip(results, reference))
+        costs = ledger.finish()
+        assert replay_pool == [8]
+        counts = costs["cache"]
+        assert counts["memory_hits"] + counts["store_hits"] + counts["misses"] == 16 * 4
+        assert costs["engine_requests"] == counts["misses"] == costs["store"]["puts"] >= 4
+        assert counts["store_hits"] == costs["store"]["hits"]
+        assert counts["store_errors"] == costs["store"]["put_errors"] == 0
+        assert store.verify() == {"checked": 4, "ok": 4, "corrupt": []}
+        assert list((tmp_path / "store" / "tmp").iterdir()) == []
+
+    def test_a_cache_created_in_a_worker_leaves_the_parents_counters_alone(
+        self, tmp_path, replay_pool, simulator, default_config
+    ):
+        worker_caches = []
+
+        def job(index):
+            # A worker's first job creates its cache; its later jobs (six
+            # jobs, two workers: there are some) reuse and count into it.
+            if not worker_caches:
+                worker_caches.append(MeasurementCache(store=ResultStore(tmp_path / str(os.getpid()))))
+            engine = MeasurementEngine(simulator, executor="vectorized", cache=worker_caches[0])
+            engine.run_batch(_requests(default_config, n=2, duration=1.0))
+            return os.getpid()
+
+        parents = [counters for counters in forkpool_module._live_counters() if counters is not _TELEMETRY]
+        before = [counters.counts() for counters in parents]
+        executed = engine_telemetry()["executed_requests"]
+        pids = list(fork_map(job, range(6), 2))
+        assert [counters.counts() for counters in parents] == before
+        assert engine_telemetry()["executed_requests"] - executed == 2 * len(set(pids))
         assert replay_pool == [2]

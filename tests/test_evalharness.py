@@ -359,7 +359,7 @@ class TestCrossExecutorIdentity:
 
 
 class TestReplayPool:
-    """Pooled replays: the in-process bytes, folded telemetry, in-process ledgers."""
+    """Pooled replays: the in-process bytes and ledgers, in-process traces."""
 
     # A static case, a hostile case and the multi-slice case, two seeds each.
     # The static case's 9-lane batches shard outside the pool.
@@ -420,17 +420,41 @@ class TestReplayPool:
         static = tmp_path / "local" / "test" / "urllc-control" / "seed=0" / "result.json"
         assert json.loads(static.read_text())["executor"]["resolved"] == "sharded"
 
-    def test_store_backed_runner_stays_in_process_with_an_exact_ledger(
-        self, tmp_path, replay_pool
+    def test_store_backed_runner_pools_with_an_exact_ledger(
+        self, tmp_path, replay_pool, monkeypatch
     ):
         store = ResultStore(tmp_path / "store")
-        runner = EvalRunner(executor="auto", max_workers=2, store=store)
-        ledger = CostLedger(cache=runner.cache, store=store)
-        _, executed = self.run(runner)
-        costs = ledger.finish()
-        assert replay_pool == []
-        assert costs["engine_requests"] == executed == costs["cache"]["misses"] > 0
-        assert costs["store"]["puts"] == costs["cache"]["misses"]
+        passes = {}
+        for temperature in ("cold", "warm"):
+            runner = EvalRunner(
+                executor="auto", max_workers=2, store=store, out_dir=tmp_path / temperature
+            )
+            ledger = CostLedger(cache=runner.cache, store=store)
+            results, executed = self.run(runner)
+            passes[temperature] = results, executed, ledger.finish()
+        assert replay_pool == [2, 2]
+        monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
+        local, requests = self.run(EvalRunner(executor="auto", out_dir=tmp_path / "local"))
+        assert replay_pool == [2, 2]
+
+        runs = sorted(path.parent for path in (tmp_path / "local").rglob("events.jsonl"))
+        assert len(runs) == len(self.JOBS)
+        for temperature, (results, executed, costs) in passes.items():
+            assert canonical_results_bytes(build_report(results)) == canonical_results_bytes(
+                build_report(local)
+            )
+            for local_run in runs:
+                pooled_run = tmp_path / temperature / local_run.relative_to(tmp_path / "local")
+                events = (pooled_run / "events.jsonl").read_bytes()
+                assert events and events == (local_run / "events.jsonl").read_bytes()
+            cache = costs["cache"]
+            assert costs["engine_requests"] == executed
+            assert cache["store_hits"] == costs["store"]["hits"]
+            assert cache["memory_hits"] + cache["store_hits"] + cache["misses"] == requests > 0
+        _, cold_executed, cold = passes["cold"]
+        assert cold_executed == cold["cache"]["misses"] == cold["store"]["puts"] > 0
+        _, warm_executed, warm = passes["warm"]
+        assert warm_executed == warm["cache"]["misses"] == 0
 
     def test_traced_runner_stays_in_process_with_a_span_per_replay(self, tmp_path, replay_pool):
         with Tracer(tmp_path / "trace.jsonl") as tracer:
