@@ -1,28 +1,25 @@
-"""Micro-benchmark of the measurement engine: serial vs parallel vs vectorized vs sharded.
+"""Micro-benchmark of the measurement engine: discrete-event loop vs vectorized vs sharded.
 
 Two batch shapes are timed.  The *small* batch (16 requests, the paper's
-parallel-query fan-out) runs through the serial, thread, process and
-vectorized executors, verifying the scalar kinds are byte-identical and the
-vectorized kind statistically equivalent, plus the warm-cache repeat.  The
-*large* batch (hundreds of requests, the city-scale shape) compares the
-vectorized pass against the ``sharded`` executor — per-worker vectorized
-passes over contiguous shards — and the adaptive ``auto`` policy, verifying
-sharded results are **byte-identical** to the whole-batch vectorized pass.
-The numbers are printed as tables *and* written to ``BENCH_engine.json`` at
-the repository root — the machine-readable perf trajectory CI uploads on
-every push (schema ``atlas-bench-engine/3``, documented in
-``docs/performance.md``), including the *effective* per-executor worker
-counts and the persistent-pool reuse counters (no per-batch respawn).
+parallel-query fan-out) runs through the simulator's discrete-event ``run``,
+one request after another, and through the vectorized executor, verifying
+the vectorized results statistically equivalent, plus the warm-cache
+repeat.  The *large* batch (hundreds of requests, the city-scale shape)
+compares the vectorized pass against the ``sharded`` executor — per-worker
+vectorized passes over contiguous shards — and the adaptive ``auto``
+policy, verifying sharded results are **byte-identical** to the whole-batch
+vectorized pass.  The numbers are printed as tables *and* written to
+``BENCH_engine.json`` at the repository root — the machine-readable perf
+trajectory CI uploads on every push (schema ``atlas-bench-engine/4``,
+documented in ``docs/performance.md``), including the *effective*
+per-executor worker counts and the persistent-pool reuse counters (no
+per-batch respawn).
 
 Speedup gates:
 
-* the vectorized executor must beat serial by ``REQUIRED_VECTORIZED_SPEEDUP``
-  (it collapses the batch into one NumPy pass, so the target holds on a
-  single core);
-* the process executor must beat serial by ``REQUIRED_PROCESS_SPEEDUP`` on
-  machines with at least two usable cores (on a single-core runner
-  multiprocessing cannot win, so the numbers are recorded without the
-  assertion);
+* the vectorized executor must beat the discrete-event loop by
+  ``REQUIRED_VECTORIZED_SPEEDUP`` (it collapses the batch into one NumPy
+  pass, so the target holds on a single core);
 * the sharded executor must beat whole-batch vectorized by
   ``REQUIRED_SHARDED_SPEEDUP`` on ≥ 2 cores, and stay within
   ``REQUIRED_SHARDED_PARITY`` of it on a single core (where sharding
@@ -65,17 +62,17 @@ from repro.sim.scenario import Scenario
 BATCH_SIZE = 16
 #: Large-batch size: the shape where sharding the vectorized pass pays.
 LARGE_BATCH_SIZE = 192
-#: Workers of the parallel executors.
+#: Workers of the sharded and auto executors.
 WORKERS = 4
-#: Required process-executor speedup over serial on multi-core machines.
-REQUIRED_PROCESS_SPEEDUP = 1.5
-#: Required vectorized-executor speedup over serial (single-core, so always asserted).
+#: Required vectorized-executor speedup over the discrete-event loop
+#: (single-core, so always asserted).
 REQUIRED_VECTORIZED_SPEEDUP = 5.0
 #: Required sharded speedup over whole-batch vectorized on >= 2 cores.
 REQUIRED_SHARDED_SPEEDUP = 1.5
 #: Required sharded/vectorized parity on a single core (degenerate one-shard case).
 REQUIRED_SHARDED_PARITY = 0.9
-#: Interleaved repetitions of the small batch (serial takes seconds per pass).
+#: Interleaved repetitions of the small batch (the discrete-event loop takes
+#: seconds per pass).
 SMALL_REPEATS = 3
 #: Interleaved repetitions of the large batch (~0.1 s per pass).  On a shared
 #: 2-core host one repetition's sharded speedup ranged over 0.95–2.09x, so
@@ -84,7 +81,7 @@ LARGE_REPEATS = 25
 #: Where the machine-readable results land (the repository root).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Schema identifier of the emitted JSON (bump on breaking changes).
-BENCH_SCHEMA = "atlas-bench-engine/3"
+BENCH_SCHEMA = "atlas-bench-engine/4"
 
 _CONFIG = SliceConfig(bandwidth_ul=10, bandwidth_dl=5, backhaul_bw=10, cpu_ratio=0.8)
 
@@ -104,24 +101,24 @@ def _large_batch(scale):
     return _batch(scale, size=LARGE_BATCH_SIZE, duration_factor=2.0, duration_floor=30.0)
 
 
-def _timed(engine: MeasurementEngine, requests: list[MeasurementRequest]):
+def _timed(run, requests: list[MeasurementRequest]):
     start = time.perf_counter()
-    results = engine.run_batch(requests)
+    results = run(requests)
     return time.perf_counter() - start, results
 
 
-def _timed_interleaved(engines: list[MeasurementEngine], requests, repeats: int):
-    """Wall times of each engine over ``repeats`` interleaved passes, and its last results.
+def _timed_interleaved(runs: list, requests, repeats: int):
+    """Wall times of each batch runner over ``repeats`` interleaved passes, and its last results.
 
-    Every repetition runs each engine once, in reverse order every other
+    Every repetition runs each runner once, in reverse order every other
     time, so the sides of a ratio share the host's slow and fast moments.
     """
-    walls: list[list[float]] = [[] for _ in engines]
-    results: list = [None] * len(engines)
+    walls: list[list[float]] = [[] for _ in runs]
+    results: list = [None] * len(runs)
     for repeat in range(repeats):
-        order = range(len(engines)) if repeat % 2 == 0 else reversed(range(len(engines)))
+        order = range(len(runs)) if repeat % 2 == 0 else reversed(range(len(runs)))
         for index in order:
-            wall_s, results[index] = _timed(engines[index], requests)
+            wall_s, results[index] = _timed(runs[index], requests)
             walls[index].append(wall_s)
     return walls, results
 
@@ -135,7 +132,7 @@ def _executor_entry(wall_s: float, speedup: float, batch_size: int, workers: int
     return {
         "wall_s": round(wall_s, 6),
         "throughput_rps": round(batch_size / wall_s, 3) if wall_s > 0 else None,
-        "speedup_vs_serial": round(speedup, 3),
+        "speedup_vs_discrete_event": round(speedup, 3),
         "workers": workers,
     }
 
@@ -148,38 +145,26 @@ def test_engine_throughput(scale):
     shutdown_worker_pools()  # cold start: pool accounting below is this run's
     pools_before = pool_diagnostics()
 
-    serial = MeasurementEngine(simulator, executor="serial", cache=False)
-    thread = MeasurementEngine(simulator, executor="thread", max_workers=workers, cache=False)
-    process = MeasurementEngine(simulator, executor="process", max_workers=workers, cache=False)
+    def discrete_event(batch):
+        return [
+            simulator.run(r.config, traffic=r.traffic, duration=r.duration, seed=r.seed)
+            for r in batch
+        ]
+
     vectorized = MeasurementEngine(simulator, executor="vectorized", cache=False)
-    cached = MeasurementEngine(simulator, executor="serial", cache=MeasurementCache())
+    cached = MeasurementEngine(simulator, executor="vectorized", cache=MeasurementCache())
 
-    try:
-        # Warm the process pool so worker spawn time is not billed to the batch.
-        process.run_batch(requests[:workers])
-        # The gated sides are timed in turn; thread is recorded, not gated.
-        (serial_walls, process_walls, vectorized_walls), (
-            serial_results,
-            process_results,
-            vectorized_results,
-        ) = _timed_interleaved([serial, process, vectorized], requests, SMALL_REPEATS)
-        thread_s, thread_results = _timed(thread, requests)
-    finally:
-        thread.shutdown()
+    (discrete_walls, vectorized_walls), (discrete_results, vectorized_results) = _timed_interleaved(
+        [discrete_event, vectorized.run_batch], requests, SMALL_REPEATS
+    )
 
-    # Byte-identical results across the scalar executor kinds.
-    for executed in (thread_results, process_results):
-        for a, b in zip(serial_results, executed):
-            assert np.array_equal(a.latencies_ms, b.latencies_ms)
-            assert a.stage_breakdown_ms == b.stage_breakdown_ms
-
-    # The vectorized kind is statistically equivalent, not byte-identical:
-    # check the pooled latency distribution agrees with the scalar path
-    # (the per-scenario gate lives in tests/test_sim_batch.py).
-    serial_pool = np.concatenate([r.latencies_ms for r in serial_results])
+    # The vectorized kind is statistically equivalent to the discrete-event
+    # oracle, not byte-identical: check the pooled latency distributions
+    # agree (the per-scenario gate lives in tests/test_sim_batch.py).
+    discrete_pool = np.concatenate([r.latencies_ms for r in discrete_results])
     vectorized_pool = np.concatenate([r.latencies_ms for r in vectorized_results])
-    assert abs(vectorized_pool.mean() - serial_pool.mean()) / serial_pool.mean() < 0.05
-    assert abs(vectorized_pool.size - serial_pool.size) / serial_pool.size < 0.05
+    assert abs(vectorized_pool.mean() - discrete_pool.mean()) / discrete_pool.mean() < 0.05
+    assert abs(vectorized_pool.size - discrete_pool.size) / discrete_pool.size < 0.05
 
     # ------------------------------------------------------------ large batch
     # Sharded (per-worker vectorized passes) vs one whole-batch vectorized
@@ -196,12 +181,12 @@ def test_engine_throughput(scale):
     (vectorized_large_walls, sharded_walls), (
         vectorized_large_results,
         sharded_results,
-    ) = _timed_interleaved([vectorized, sharded], large_requests, LARGE_REPEATS)
+    ) = _timed_interleaved([vectorized.run_batch, sharded.run_batch], large_requests, LARGE_REPEATS)
     vectorized_large_s = statistics.median(vectorized_large_walls)
     sharded_s = statistics.median(sharded_walls)
     sharded_speedup_vs_vectorized = _speedup(vectorized_large_walls, sharded_walls)
     sharded_shards = sharded.executor.last_shards
-    (auto_walls,), _ = _timed_interleaved([auto], large_requests, 3)
+    (auto_walls,), _ = _timed_interleaved([auto.run_batch], large_requests, 3)
     auto_s = statistics.median(auto_walls)
     auto_choice = auto.executor.last_choice
 
@@ -212,8 +197,8 @@ def test_engine_throughput(scale):
         assert a.ping_delay_ms == b.ping_delay_ms
 
     # Cache: the second submission of an identical batch is served for free.
-    cold_s, cold_results = _timed(cached, requests)
-    warm_s, warm_results = _timed(cached, requests)
+    cold_s, cold_results = _timed(cached.run_batch, requests)
+    warm_s, warm_results = _timed(cached.run_batch, requests)
     stats = cached.cache_stats
     assert stats.misses == BATCH_SIZE
     assert stats.hits == BATCH_SIZE
@@ -229,13 +214,13 @@ def test_engine_throughput(scale):
     with tempfile.TemporaryDirectory() as store_root:
         store = ResultStore(Path(store_root) / "store")
         store_cold = MeasurementEngine(
-            simulator, executor="serial", cache=MeasurementCache(store=store)
+            simulator, executor="vectorized", cache=MeasurementCache(store=store)
         )
-        store_cold_s, store_cold_results = _timed(store_cold, requests)
+        store_cold_s, store_cold_results = _timed(store_cold.run_batch, requests)
         warm_cache = MeasurementCache(store=store)  # fresh memory tier
-        store_warm = MeasurementEngine(simulator, executor="serial", cache=warm_cache)
+        store_warm = MeasurementEngine(simulator, executor="vectorized", cache=warm_cache)
         ledger = CostLedger(cache=warm_cache, store=store)
-        store_warm_s, store_warm_results = _timed(store_warm, requests)
+        store_warm_s, store_warm_results = _timed(store_warm.run_batch, requests)
         store_costs = ledger.finish()
         store_summary = {
             "cold_wall_s": round(store_cold_s, 6),
@@ -250,8 +235,8 @@ def test_engine_throughput(scale):
     for a, b in zip(store_cold_results, store_warm_results):
         assert np.array_equal(a.latencies_ms, b.latencies_ms)
 
-    # Persistent pools: the process/sharded batches above reused one warm
-    # pool instead of respawning one per batch.
+    # Persistent pools: the sharded batches above reused one warm pool
+    # instead of respawning one per batch.
     pools_after = pool_diagnostics()
     pool_summary = {
         key: pools_after[key] - pools_before.get(key, 0)
@@ -264,20 +249,20 @@ def test_engine_throughput(scale):
             f"across {pool_summary['batches_dispatched']} dispatches"
         )
 
-    serial_s, process_s, vectorized_s = (
-        statistics.median(walls) for walls in (serial_walls, process_walls, vectorized_walls)
+    discrete_s, vectorized_s = (
+        statistics.median(walls) for walls in (discrete_walls, vectorized_walls)
     )
-    process_speedup = _speedup(serial_walls, process_walls)
-    vectorized_speedup = _speedup(serial_walls, vectorized_walls)
-    warm_speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+    vectorized_speedup = _speedup(discrete_walls, vectorized_walls)
     print_table(
-        f"Engine throughput ({BATCH_SIZE}-run batch, {workers} workers, {cores} cores)",
+        f"Engine throughput ({BATCH_SIZE}-run batch, {cores} cores)",
         [
-            {"executor": "serial", "wall_s": serial_s, "speedup": 1.0},
-            {"executor": "thread", "wall_s": thread_s, "speedup": serial_s / thread_s},
-            {"executor": "process", "wall_s": process_s, "speedup": process_speedup},
+            {"executor": "discrete-event loop", "wall_s": discrete_s, "speedup": 1.0},
             {"executor": "vectorized", "wall_s": vectorized_s, "speedup": vectorized_speedup},
-            {"executor": "cached (warm)", "wall_s": warm_s, "speedup": warm_speedup},
+            {
+                "executor": "cached (warm)",
+                "wall_s": warm_s,
+                "speedup": discrete_s / warm_s if warm_s > 0 else float("inf"),
+            },
         ],
     )
     print_table(
@@ -314,14 +299,12 @@ def test_engine_throughput(scale):
         "measurement_duration_s": float(requests[0].duration),
         "cores": cores,
         "executors": {
-            # "workers" is the *effective* worker count each executor really
-            # used — 1 for the in-process kinds regardless of machine shape.
-            "serial": _executor_entry(serial_s, 1.0, BATCH_SIZE, 1),
-            "thread": _executor_entry(thread_s, serial_s / thread_s, BATCH_SIZE, thread.max_workers),
-            "process": _executor_entry(process_s, process_speedup, BATCH_SIZE, process.max_workers),
+            # "workers" is the *effective* worker count each path really
+            # used — 1 for the in-process paths regardless of machine shape.
+            "discrete_event": _executor_entry(discrete_s, 1.0, BATCH_SIZE, 1),
             "vectorized": _executor_entry(vectorized_s, vectorized_speedup, BATCH_SIZE, 1),
             "cached_warm": {
-                **_executor_entry(warm_s, serial_s / warm_s, BATCH_SIZE, 1),
+                **_executor_entry(warm_s, discrete_s / warm_s, BATCH_SIZE, 1),
                 "cache_hit_rate": stats.hit_rate,
             },
         },
@@ -362,20 +345,12 @@ def test_engine_throughput(scale):
         f"{REQUIRED_VECTORIZED_SPEEDUP}x target"
     )
     if cores >= 2:
-        assert process_speedup >= REQUIRED_PROCESS_SPEEDUP, (
-            f"process executor speedup {process_speedup:.2f}x below the "
-            f"{REQUIRED_PROCESS_SPEEDUP}x target on a {cores}-core machine"
-        )
         assert sharded_speedup_vs_vectorized >= REQUIRED_SHARDED_SPEEDUP, (
             f"sharded executor only {sharded_speedup_vs_vectorized:.2f}x the whole-batch "
             f"vectorized pass on a {cores}-core machine (target "
             f"{REQUIRED_SHARDED_SPEEDUP}x with {sharded_shards} shards)"
         )
     else:
-        print(
-            f"[atlas-bench] single usable core: recorded process speedup "
-            f"{process_speedup:.2f}x without asserting the {REQUIRED_PROCESS_SPEEDUP}x target"
-        )
         assert sharded_speedup_vs_vectorized >= REQUIRED_SHARDED_PARITY, (
             f"sharded executor regressed to {sharded_speedup_vs_vectorized:.2f}x of the "
             f"vectorized pass on one core — the degenerate single-shard path must stay "

@@ -10,9 +10,9 @@ Four subcommands cover the catalog workflow:
 ``run --scenario <name> --stage 1|2|3|all``
     Execute the Atlas pipeline on a catalog entry.  Stage budgets come from
     ``--scale`` (smoke / small / paper, the ``ATLAS_BENCH_SCALE`` levels)
-    and every measurement engine uses ``--executor`` (auto / serial /
-    thread / process / vectorized / sharded, the ``ATLAS_ENGINE_EXECUTOR``
-    kinds; ``auto`` — the default — picks per batch).  Multi-slice entries
+    and every measurement engine uses ``--executor`` (auto / vectorized /
+    sharded, the ``ATLAS_ENGINE_EXECUTOR`` kinds; ``auto`` — the default —
+    picks per batch).  Multi-slice entries
     measure all slices concurrently under resource contention before and
     after optimisation; dynamic entries replay their traffic trace during
     online learning.  On hostile entries ``--faults guarded`` runs stage 3
@@ -71,12 +71,7 @@ from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrai
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
-from repro.engine.executors import (
-    EXECUTOR_ENV_VAR,
-    EXECUTOR_KINDS,
-    available_parallelism,
-    default_executor_kind,
-)
+from repro.engine.executors import EXECUTOR_ENV_VAR, EXECUTOR_KINDS, available_parallelism
 from repro.engine.forkpool import fork_map, pool_size
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 from repro.experiments.scenarios import collect_online_dataset
@@ -404,7 +399,7 @@ def _run_slices(
     if tracer is not None:
         workers = 1
     else:
-        workers = pool_size(len(spec.slices), available_parallelism(), default_executor_kind())
+        workers = pool_size(len(spec.slices), available_parallelism())
     if workers < 2:
         return [run_slice(workload) for workload in spec.slices]
     summaries = []
@@ -741,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "measurement-engine executor (default: the ATLAS_ENGINE_EXECUTOR env var, then "
-            "'auto' — adaptive per-batch selection; 'sharded' composes the process and "
-            "vectorized speedups)"
+            "'auto' — adaptive per-batch selection; 'sharded' runs the vectorized pass "
+            "in a process pool)"
         ),
     )
     run_parser.add_argument("--seed", type=int, default=0, help="base random seed (default: 0)")
@@ -799,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(sorted(EXECUTOR_KINDS)),
         default=None,
         help=(
-            "measurement-engine executor; the replay pins one numerics family, so the "
+            "measurement-engine executor; every kind returns the same results, so the "
             "choice cannot change any metric (default: the ATLAS_ENGINE_EXECUTOR env "
             "var, then 'auto')"
         ),

@@ -15,8 +15,8 @@ where ``D_r`` is the online latency collection from the real network and
   thousands of candidates per query slot, and
 * parallel queries per iteration: the queries of one iteration are submitted
   as one batch to the :class:`~repro.engine.engine.MeasurementEngine`, which
-  executes them through its configured executor (serial, thread or
-  multiprocessing, as in the paper).  The surrogate is only refreshed
+  executes them through its configured executor (one vectorized pass, or
+  one per worker process).  The surrogate is only refreshed
   between iterations, so the algorithmic behaviour is independent of the
   executor.
 

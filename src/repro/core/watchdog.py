@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningResult
-from repro.engine.replay import VectorReplayEnvironment
 from repro.sim.config import SliceConfig
 from repro.sim.faults import FaultedEnvironment, FaultSchedule, telemetry_lost
 
@@ -216,27 +215,12 @@ class GuardedOnlineResult:
         }
 
 
-def _split_replay_pin(environment) -> tuple[object, bool]:
-    """Unwrap a :class:`VectorReplayEnvironment` so faults nest inside the pin.
-
-    The pin must stay outermost — it has no ``with_imperfections`` hook, so a
-    storm-degrading :class:`FaultedEnvironment` has to wrap the bare
-    environment and be re-pinned on the way out.
-    """
-    if isinstance(environment, VectorReplayEnvironment):
-        return environment.inner, True
-    return environment, False
-
-
-def _install_faults(learner: OnlineConfigurationLearner, base, pinned: bool,
+def _install_faults(learner: OnlineConfigurationLearner, base,
                     schedule: FaultSchedule | None, step_index: int) -> None:
     """Point the learner's real engine at ``step_index`` of the fault schedule."""
     if schedule is None:
         return
-    environment = FaultedEnvironment(base, schedule, step_index)
-    if pinned:
-        environment = VectorReplayEnvironment(environment)
-    learner.real_engine.environment = environment
+    learner.real_engine.environment = FaultedEnvironment(base, schedule, step_index)
 
 
 class OnlineWatchdog:
@@ -252,9 +236,7 @@ class OnlineWatchdog:
     fault_schedule:
         Optional faults to inject into the learner's real-network
         measurements (the chaos harness).  ``None`` supervises whatever the
-        environment already does.  If the learner's real engine is pinned
-        under a :class:`~repro.engine.replay.VectorReplayEnvironment`, the
-        faults nest inside the pin so cross-executor byte-identity holds.
+        environment already does.
     fallback_config:
         Operator-vetted safe-mode configuration — typically the slice's
         (over-provisioned) deployed configuration.  When given, safe mode
@@ -276,9 +258,7 @@ class OnlineWatchdog:
         self.fault_schedule = fault_schedule
         self.fallback_config = fallback_config
         self.ledger = RecoveryLedger()
-        base, pinned = _split_replay_pin(learner.real_engine.environment)
-        self._base_real_env = base
-        self._pinned = pinned
+        self._base_real_env = learner.real_engine.environment
 
     # ---------------------------------------------------------------- episode
     def run(self, iterations: int | None = None) -> GuardedOnlineResult:
@@ -302,8 +282,7 @@ class OnlineWatchdog:
         healthy = safe_steps = entries = recoveries = 0
 
         for step in range(1, total + 1):
-            _install_faults(learner, self._base_real_env, self._pinned,
-                            self.fault_schedule, step - 1)
+            _install_faults(learner, self._base_real_env, self.fault_schedule, step - 1)
             if mode == "learning":
                 record = learner.step(step)
                 telemetry_ok = not telemetry_lost(learner.last_measurement)
@@ -444,9 +423,9 @@ def run_unprotected(
     seeds, but the learner explores (and poisons its models) straight
     through every fault window.
     """
-    base, pinned = _split_replay_pin(learner.real_engine.environment)
+    base = learner.real_engine.environment
     total = int(iterations) if iterations is not None else learner.config.iterations
     for step in range(1, total + 1):
-        _install_faults(learner, base, pinned, fault_schedule, step - 1)
+        _install_faults(learner, base, fault_schedule, step - 1)
         learner.step(step)
     return learner.finalize()

@@ -2,8 +2,8 @@
 
 Every simulator / real-network query in the reproduction flows through
 :class:`~repro.engine.engine.MeasurementEngine`, which batches requests,
-executes them through pluggable serial/thread/process/vectorized/sharded
-executors (adaptively selected per batch under the default ``auto`` kind)
+executes them through pluggable vectorized/sharded executors (adaptively
+selected per batch under the default ``auto`` kind)
 and memoises results in a content-keyed cache.  See ``docs/architecture.md``
 for the architecture walkthrough (sim → engine → stages → experiments) and
 ``docs/performance.md`` for the executor selection guide.
@@ -24,11 +24,9 @@ from repro.engine.executors import (
     default_executor_kind,
     make_executor,
     pool_diagnostics,
-    register_executor,
     shutdown_worker_pools,
 )
 from repro.engine.protocol import Environment, MeasurementRequest
-from repro.engine.replay import VectorReplayEnvironment
 
 __all__ = [
     "CacheStats",
@@ -38,7 +36,6 @@ __all__ = [
     "MeasurementEngine",
     "MeasurementRequest",
     "STORE_ENV_VAR",
-    "VectorReplayEnvironment",
     "attach_shared_store",
     "available_parallelism",
     "choose_executor",
@@ -46,7 +43,6 @@ __all__ = [
     "engine_telemetry",
     "make_executor",
     "pool_diagnostics",
-    "register_executor",
     "shared_cache",
     "shutdown_worker_pools",
 ]

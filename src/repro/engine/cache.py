@@ -2,17 +2,12 @@
 
 Results are keyed on the full content of a query — environment fingerprint
 (simulation parameters, scenario, imperfections, base seed, isolation) plus
-the request (config, traffic, duration, per-run seed, parameter override)
-plus the executor's numerics family — so a cached entry is, by
-construction, byte-identical to what re-running the measurement through the
-same family would produce.  Two families exist: the scalar kinds
-(serial/thread/process) are byte-identical and share entries, and the
-``vectorized`` family is shared by the vectorized *and* sharded kinds —
-sharding a batch across workers returns byte-identical results to the
-whole-batch vectorized pass, so the two interchangeably serve each other.
-The adaptive ``auto`` kind resolves its family from the environment alone
-(vector-capable → ``vectorized``, otherwise ``scalar``), never from the
-batch shape, so one environment's results always live in one family.  Sweep experiments that revisit identical queries
+the request (config, traffic, duration, per-run seed, parameter override) —
+so a cached entry is, by construction, byte-identical to what re-running
+the measurement would produce: every executor kind returns the same bytes
+for a request (sharding a batch across workers returns the whole-batch
+vectorized pass's results), so entries serve engines of every kind.  Sweep
+experiments that revisit identical queries
 (the Fig. 15 heatmap grid, the Fig. 18/19 availability and threshold sweeps
 re-collecting the same DLDA grid) therefore get them for free.
 
@@ -27,9 +22,9 @@ Two tiers
     through to the store; store hits are promoted into memory and counted
     separately (``stats.store_hits``), and every insert is written through
     to the store.  Because the store addresses blobs by the *same* cache
-    key — fingerprint, request, numerics family — the persistent tier
-    inherits family separation and fault-fingerprint honesty from the key,
-    and a stored entry is byte-identical to recomputation by construction.
+    key — fingerprint plus request — the persistent tier inherits
+    fault-fingerprint honesty from the key, and a stored entry is
+    byte-identical to recomputation by construction.
     Attach a store to the process-wide cache with
     :func:`attach_shared_store` or the ``ATLAS_STORE_DIR`` environment
     variable; store failures (I/O errors, unencodable keys) degrade to
@@ -116,8 +111,8 @@ def _copy_result(result: "SimulationResult") -> "SimulationResult":
 class MeasurementCache:
     """Bounded LRU cache of :class:`~repro.sim.network.SimulationResult`.
 
-    Thread safe: the engine's thread executor may insert results
-    concurrently with lookups from other engines sharing the cache.
+    Thread safe: service-mode jobs run in threads, so engines in several
+    threads may insert and look up results in one shared cache.
 
     ``store`` optionally attaches a persistent second tier (see the module
     docstring); memory stays the first tier, so hot keys never touch disk.

@@ -1,51 +1,45 @@
-"""Pluggable request executors: serial, thread, process, vectorized, sharded, auto.
+"""Pluggable request executors: vectorized, sharded and the adaptive auto.
 
-The scalar pool kinds follow the loky/``concurrent.futures`` idiom the paper
-relies on for its multiprocessing: requests are split into contiguous chunks
-(one per worker) and results are returned in submission order.  Every
-request carries an explicit seed by the time it reaches an executor (the
-engine resolves ``seed=None`` beforehand), so execution is embarrassingly
-parallel and byte-identical across the serial/thread/process kinds.
+Every request carries an explicit seed by the time it reaches an executor
+(the engine resolves ``seed=None`` beforehand), so each result depends on
+its request alone, never on the batch around it or the executor that ran it.
 
-The vectorized executor takes the orthogonal route: instead of spreading N
-slow scalar runs across workers it hands the whole batch to the
-environment's NumPy batch path (``run_requests``), which makes the work
-itself fast — typically well past the multi-core speedup of the process
-pool, on a single core.  Its results are statistically equivalent to (not
-byte-identical with) the scalar kinds; see :mod:`repro.sim.batch`.
+The vectorized executor hands the whole batch to the environment's NumPy
+batch path (``run_requests``), so N measurements cost one pass instead of
+N discrete-event runs.  Environments without the hook run their requests
+one by one, in order, in the calling process.
 
-The sharded executor composes the two: one large batch is split into
-per-worker shards and every worker process runs the *vectorized* pass over
-its shard, so the ~N× multi-core and ~50× vectorized speedups multiply
-instead of competing.  Because each lane of :func:`repro.sim.batch.simulate_batch`
-draws from its own seed-derived stream, a sharded batch is byte-identical
-to the whole-batch vectorized pass — the two share the ``vectorized``
-numerics family in the engine cache.
+The sharded executor splits one large batch into per-worker shards and
+every worker process runs the vectorized pass over its shard, so the
+multi-core and vectorized speedups multiply.  Because each lane of
+:func:`repro.sim.batch.simulate_batch` draws from its own seed-derived
+stream, a sharded batch is byte-identical to the whole-batch vectorized
+pass, and the two serve each other from the engine cache.
 
-Three design points make the parallel kinds actually pay (the original
-process executor *lost* to serial — see the post-mortem in
+Three design points make the shard pool pay (an earlier process pool of
+discrete-event runs lost to one core — see the post-mortem in
 ``docs/performance.md``):
 
-* the environment travels with each shard or chunk payload, so workers
-  hold no environment and one pool serves every environment: the
-  environments the engine dispatches (the simulator, the real network once
-  ``prepare_batch`` has resolved it, and the fault/replay wrappers around
-  either) pickle to under 2 KB in under 0.1 ms, far less than forking a
-  pool.  An environment sent to a pool must therefore pickle;
+* the environment travels with each shard payload, so workers hold no
+  environment and one pool serves every environment: the environments the
+  engine dispatches (the simulator, the real network once
+  ``prepare_batch`` has resolved it, and the fault wrapper around either)
+  pickle to under 2 KB in under 0.1 ms, far less than forking a pool.  An
+  environment sent to a pool must therefore pickle;
 * process pools are persistent and shared process-wide (keyed on worker
-  count only), surviving both ``MeasurementEngine.shutdown()`` and engine
-  garbage collection, so stages that create one engine per run stop paying
-  a pool spawn each — :func:`shutdown_worker_pools` (registered ``atexit``)
-  is the real teardown, and :func:`pool_diagnostics` exposes the
-  created/dispatched counters the throughput benchmark records;
+  count only), surviving engine garbage collection, so stages that create
+  one engine per run stop paying a pool spawn each —
+  :func:`shutdown_worker_pools` (registered ``atexit``) is the teardown,
+  and :func:`pool_diagnostics` exposes the created/dispatched counters the
+  throughput benchmark records;
 * shard results travel back as a handful of preallocated NumPy arrays
   (latencies + scalar metrics + stage breakdown) instead of a pickled list
   of per-request ``SimulationResult`` objects.
 
 Finally, :func:`choose_executor` is the adaptive selection policy — pick
-serial / vectorized / sharded / process from the batch shape, the usable
-core count and the environment's capabilities — and the ``auto`` executor
-kind (the default) applies it per batch.
+vectorized or sharded from the batch shape, the usable core count and the
+environment's capabilities — and the ``auto`` executor kind (the default)
+applies it per batch.
 """
 
 from __future__ import annotations
@@ -54,7 +48,7 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -70,11 +64,7 @@ __all__ = [
     "default_executor_kind",
     "make_executor",
     "pool_diagnostics",
-    "register_executor",
     "shutdown_worker_pools",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "VectorizedExecutor",
     "ShardedExecutor",
     "AutoExecutor",
@@ -83,20 +73,15 @@ __all__ = [
 
 #: Environment variable selecting the default executor of new engines.
 #: Recognised values are the keys of :data:`EXECUTOR_KINDS` (``auto``,
-#: ``serial``, ``thread``, ``process``, ``vectorized``, ``sharded`` plus
-#: anything added via :func:`register_executor`); unset means ``auto``.  It
-#: is read each time an engine is constructed without an explicit
-#: ``executor`` argument, so it can be flipped mid-process (the CLI's
-#: ``--executor`` flag does exactly that around a run).
+#: ``vectorized`` and ``sharded``); unset means ``auto``.  It is read each
+#: time an engine is constructed without an explicit ``executor`` argument,
+#: so it can be flipped mid-process (the CLI's ``--executor`` flag does
+#: exactly that around a run).
 EXECUTOR_ENV_VAR = "ATLAS_ENGINE_EXECUTOR"
 
 #: Fewest vectorized lanes per shard that amortise one process dispatch;
 #: below this the batch runs as a single whole-batch vectorized pass.
 _MIN_SHARD_LANES = 4
-
-#: Fewest scalar requests that amortise a process-pool dispatch under the
-#: adaptive policy; smaller batches run serially.
-_MIN_PROCESS_BATCH = 4
 
 
 def available_parallelism() -> int:
@@ -112,21 +97,18 @@ def default_executor_kind() -> str:
 
     Reads ``ATLAS_ENGINE_EXECUTOR`` (case-insensitive, surrounding
     whitespace ignored) and defaults to ``auto`` — the adaptive policy of
-    :func:`choose_executor`, which picks serial / vectorized / sharded /
-    process per batch from the batch size, the usable cores and the
-    environment's capabilities.  Set the variable to pin one kind
-    process-wide instead: ``serial`` is the deterministic scalar reference,
-    ``process`` spreads scalar runs across cores (byte-identical to serial),
+    :func:`choose_executor`, which picks vectorized or sharded per batch
+    from the batch size, the usable cores and the environment's
+    capabilities.  Set the variable to fix one kind process-wide instead:
     ``vectorized`` collapses each batch into one NumPy pass, and ``sharded``
     runs the vectorized pass inside each process-pool worker (byte-identical
-    to ``vectorized``).  A value that names no registered executor kind
-    raises ``ValueError`` at engine construction rather than silently
-    falling back.
+    to ``vectorized``).  A value that names no executor kind raises
+    ``ValueError`` at engine construction rather than silently falling back.
     """
     kind = os.environ.get(EXECUTOR_ENV_VAR, "auto").strip().lower()
     if kind not in EXECUTOR_KINDS:
         raise ValueError(
-            f"{EXECUTOR_ENV_VAR}={kind!r} is not a registered executor kind; "
+            f"unknown executor kind {kind!r} in {EXECUTOR_ENV_VAR}; "
             f"expected one of {sorted(EXECUTOR_KINDS)}"
         )
     return kind
@@ -144,16 +126,12 @@ def choose_executor(
     environment               batch      cores       choice
     ========================  =========  ==========  ============
     has ``run_requests``      ≥ 8        ≥ 2         ``sharded``
-    has ``run_requests``      any other  any         ``vectorized``
-    scalar-only               ≥ 4        ≥ 2         ``process``
-    scalar-only               any other  any         ``serial``
+    any                       any other  any         ``vectorized``
     ========================  =========  ==========  ============
 
-    Vector-capable environments always resolve to the ``vectorized``
-    numerics family (sharded results are byte-identical to whole-batch
-    vectorized results), scalar-only environments to the ``scalar`` family —
-    so the choice never splits one environment's results across cache
-    families.  ``cores`` defaults to :func:`available_parallelism`;
+    An environment without ``run_requests`` always gets ``vectorized``,
+    whose fallback runs its requests one by one, in order, in this process.
+    ``cores`` defaults to :func:`available_parallelism`;
     ``environment=None`` assumes a vector-capable environment.
     """
     batch_size = int(batch_size)
@@ -161,13 +139,9 @@ def choose_executor(
     vector_capable = (
         environment is None or getattr(environment, "run_requests", None) is not None
     )
-    if vector_capable:
-        if cores >= 2 and batch_size >= 2 * _MIN_SHARD_LANES:
-            return "sharded"
-        return "vectorized"
-    if cores >= 2 and batch_size >= _MIN_PROCESS_BATCH:
-        return "process"
-    return "serial"
+    if vector_capable and cores >= 2 and batch_size >= 2 * _MIN_SHARD_LANES:
+        return "sharded"
+    return "vectorized"
 
 
 def execute_one(environment: "Environment", request: "MeasurementRequest") -> "SimulationResult":
@@ -198,20 +172,13 @@ def execute_one(environment: "Environment", request: "MeasurementRequest") -> "S
 
 # --------------------------------------------------------------- worker side
 def _run_shard_vectorized(payload: tuple["Environment", list["MeasurementRequest"]]) -> tuple:
-    """Process-pool entry point: vectorized-execute one shard, packed return."""
-    environment, requests = payload
-    run_requests = getattr(environment, "run_requests", None)
-    if run_requests is None:
-        results = [execute_one(environment, request) for request in requests]
-    else:
-        results = run_requests(requests)
-    return _pack_results(results)
+    """Process-pool entry point: vectorized-execute one shard, packed return.
 
-
-def _execute_chunk(payload: tuple["Environment", list["MeasurementRequest"]]) -> list:
-    """Thread- and process-pool entry point: scalar-execute one chunk."""
+    Only environments with ``run_requests`` are sharded; the others run in
+    order in the calling process.
+    """
     environment, requests = payload
-    return [execute_one(environment, request) for request in requests]
+    return _pack_results(environment.run_requests(requests))
 
 
 def _chunk(items: list, n_chunks: int) -> list[list]:
@@ -227,8 +194,9 @@ def _chunk(items: list, n_chunks: int) -> list[list]:
 
 
 # ------------------------------------------------------------ result packing
-#: Stage order of ``SimulationResult.stage_breakdown_ms`` — both the scalar
-#: pipeline and the vectorized batch path report exactly these stages.
+#: Stage order of ``SimulationResult.stage_breakdown_ms`` — both the
+#: discrete-event pipeline and the vectorized batch path report exactly
+#: these stages.
 _STAGE_ORDER = (
     "loading", "uplink", "backhaul_ul", "core_ul", "compute", "backhaul_dl", "downlink",
 )
@@ -315,9 +283,9 @@ def _unpack_results(payload: tuple, requests: list["MeasurementRequest"]) -> lis
 
 
 # ------------------------------------------------------- persistent pools
-#: Live process pools keyed on worker count; shared by every ProcessExecutor
-#: and ShardedExecutor in the process so pools survive engine churn.  The
-#: workers hold no environment: it travels with each payload.
+#: Live process pools keyed on worker count; shared by every ShardedExecutor
+#: in the process so pools survive engine churn.  The workers hold no
+#: environment: it travels with each payload.
 _PROCESS_POOLS: dict[int, Executor] = {}
 _POOL_LOCK = threading.Lock()
 #: Cumulative pool accounting, surfaced by :func:`pool_diagnostics` and
@@ -350,12 +318,9 @@ def _discard_pool(max_workers: int) -> None:
 
 
 def _dispatch_to_pool(
-    max_workers: int,
-    environment: "Environment",
-    worker_fn: Callable,
-    chunks: list[list["MeasurementRequest"]],
+    max_workers: int, environment: "Environment", shards: list[list["MeasurementRequest"]]
 ) -> list:
-    """Map ``(environment, chunk)`` payloads over the persistent pool.
+    """Map ``(environment, shard)`` payloads over the persistent pool.
 
     The environment is pickled into every payload, so it must pickle; the
     environments the engine dispatches pickle to 1.4–1.7 KB.  A pool that
@@ -363,7 +328,7 @@ def _dispatch_to_pool(
     """
     pool = _acquire_process_pool(max_workers)
     try:
-        return list(pool.map(worker_fn, [(environment, chunk) for chunk in chunks]))
+        return list(pool.map(_run_shard_vectorized, [(environment, shard) for shard in shards]))
     except BrokenProcessPool:
         _discard_pool(max_workers)
         raise
@@ -378,9 +343,9 @@ def pool_diagnostics() -> dict[str, int]:
 def shutdown_worker_pools() -> None:
     """Tear down every persistent process pool (registered ``atexit``).
 
-    Executor/engine ``shutdown()`` deliberately leaves the shared pools warm
-    — this module-level teardown is the real release, for interpreter exit
-    and for tests that must assert cold-pool behaviour.
+    The shared pools outlive every engine; this module-level teardown is
+    their release, for interpreter exit and for tests that must assert
+    cold-pool behaviour.
     """
     with _POOL_LOCK:
         for pool in _PROCESS_POOLS.values():
@@ -392,109 +357,6 @@ atexit.register(shutdown_worker_pools)
 
 
 # ------------------------------------------------------------ executor kinds
-class SerialExecutor:
-    """Run every request in the calling thread (the deterministic reference)."""
-
-    kind = "serial"
-    #: Result family for cache keying: all scalar kinds are byte-identical
-    #: and may share cache entries; the vectorized kinds declare their own.
-    numerics = "scalar"
-
-    def __init__(self, max_workers: int = 1) -> None:
-        self.max_workers = 1
-
-    def map_requests(
-        self, environment: "Environment", requests: Sequence["MeasurementRequest"]
-    ) -> list["SimulationResult"]:
-        """Execute ``requests`` in order and return their results."""
-        return [execute_one(environment, request) for request in requests]
-
-    def shutdown(self) -> None:
-        """Nothing to release."""
-
-
-class ThreadExecutor:
-    """Thread-pool execution: useful for I/O-bound or GIL-releasing environments."""
-
-    kind = "thread"
-    numerics = "scalar"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
-        self._pool: Executor | None = None
-
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def map_requests(
-        self, environment: "Environment", requests: Sequence["MeasurementRequest"]
-    ) -> list["SimulationResult"]:
-        """Execute ``requests`` across the pool, preserving submission order.
-
-        Batches the cache fully served (empty) or reduced to one request
-        never touch — or lazily create — the pool.  Threads share the
-        calling process's memory, so the environment rides along in the
-        chunk payload at zero serialisation cost.
-        """
-        requests = list(requests)
-        if len(requests) <= 1:
-            return [execute_one(environment, request) for request in requests]
-        pool = self._ensure_pool()
-        payloads = [(environment, chunk) for chunk in _chunk(requests, self.max_workers)]
-        results: list["SimulationResult"] = []
-        for chunk_result in pool.map(_execute_chunk, payloads):
-            results.extend(chunk_result)
-        return results
-
-    def shutdown(self) -> None:
-        """Tear down the thread pool (a later batch lazily re-creates it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessExecutor:
-    """Chunked process-pool execution (the paper's multiprocessing, for real).
-
-    Uses the module's persistent fork pools: the environment rides in each
-    chunk payload (so it must pickle), and the pool itself outlives both
-    batches and engines (``shutdown()`` is a no-op;
-    :func:`shutdown_worker_pools` is the real teardown).
-    """
-
-    kind = "process"
-    numerics = "scalar"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
-
-    def map_requests(
-        self, environment: "Environment", requests: Sequence["MeasurementRequest"]
-    ) -> list["SimulationResult"]:
-        """Execute ``requests`` across the persistent pool in submission order.
-
-        Fully-cached (empty) and single-request batches bypass the pool
-        entirely — they neither spawn nor touch it.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [execute_one(environment, requests[0])]
-        chunks = _chunk(requests, self.max_workers)
-        results: list["SimulationResult"] = []
-        for chunk_result in _dispatch_to_pool(
-            self.max_workers, environment, _execute_chunk, chunks
-        ):
-            results.extend(chunk_result)
-        return results
-
-    def shutdown(self) -> None:
-        """No-op: the backing pool is shared and persists across engines."""
-
-
 class VectorizedExecutor:
     """Route whole engine batches into one vectorized environment pass.
 
@@ -506,22 +368,15 @@ class VectorizedExecutor:
     reaches the executor, so partial hits shrink the vectorized pass.
     Environments without the hook (after their ``prepare_batch`` resolution,
     the real network resolves to the simulator and *does* have it) fall back
-    to scalar in-order execution, which keeps ``ATLAS_ENGINE_EXECUTOR=vectorized``
-    safe process-wide.
+    to running each request through their own ``run``, in order, which keeps
+    every executor kind safe process-wide.
 
-    Unlike thread/process execution, vectorized results are statistically
-    equivalent to — not byte-identical with — the scalar path; see
-    :mod:`repro.sim.batch` for the numerical contract.
+    Vectorized results are statistically equivalent to — not byte-identical
+    with — the simulator's discrete-event ``run``; see :mod:`repro.sim.batch`
+    for the numerical contract.
     """
 
     kind = "vectorized"
-    #: Vectorized results are statistically equivalent to — not
-    #: byte-identical with — the scalar kinds, so the engine keys cache
-    #: entries per numerics family and the two never serve each other.
-    #: The sharded kind shares this family: per-lane results are invariant
-    #: to batch composition, so sharded == whole-batch vectorized, byte for
-    #: byte.
-    numerics = "vectorized"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = 1
@@ -529,15 +384,12 @@ class VectorizedExecutor:
     def map_requests(
         self, environment: "Environment", requests: Sequence["MeasurementRequest"]
     ) -> list["SimulationResult"]:
-        """Execute ``requests`` as one vectorized batch (scalar fallback)."""
+        """Execute ``requests`` as one vectorized batch (in-order fallback)."""
         requests = list(requests)
         run_requests = getattr(environment, "run_requests", None)
         if run_requests is None:
             return [execute_one(environment, request) for request in requests]
         return run_requests(requests)
-
-    def shutdown(self) -> None:
-        """Nothing to release."""
 
 
 class ShardedExecutor:
@@ -549,13 +401,13 @@ class ShardedExecutor:
     multiply.  Because every lane of :func:`repro.sim.batch.simulate_batch`
     draws only from its own seed-derived stream, the sharded results are
     byte-identical to one whole-batch vectorized pass over the same
-    requests — hence the shared ``vectorized`` numerics family.
+    requests.
 
     Degenerate cases stay cheap: on a single usable core, or when the batch
     is too small to amortise process dispatch (fewer than
     ``_MIN_SHARD_LANES`` lanes per shard), the batch runs as one in-process
     vectorized pass with no pool involved.  Environments without
-    ``run_requests`` fall back to scalar in-order execution, mirroring the
+    ``run_requests`` fall back to in-order execution, mirroring the
     vectorized kind.
 
     ``shards`` is a testing/tuning override: set it to force an exact shard
@@ -565,7 +417,6 @@ class ShardedExecutor:
     """
 
     kind = "sharded"
-    numerics = "vectorized"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
@@ -599,30 +450,22 @@ class ShardedExecutor:
         if n_shards <= 1:
             return run_requests(requests)
         shards = _chunk(requests, n_shards)
-        payloads = _dispatch_to_pool(
-            self.max_workers, environment, _run_shard_vectorized, shards
-        )
+        payloads = _dispatch_to_pool(self.max_workers, environment, shards)
         results: list["SimulationResult"] = []
         for shard, payload in zip(shards, payloads):
             results.extend(_unpack_results(payload, shard))
         return results
 
-    def shutdown(self) -> None:
-        """No-op: the backing pool is shared and persists across engines."""
-
 
 class AutoExecutor:
     """Adaptive executor: apply :func:`choose_executor` to every batch.
 
-    Delegates each batch to serial / vectorized / sharded / process based on
-    the surviving batch size (cache hits are already served), the usable
-    cores (capped by ``max_workers``, so the stages' ``parallel_queries``
-    budget bounds real concurrency) and whether the environment offers the
-    vectorized ``run_requests`` hook.  The cache numerics family depends
-    only on the environment — vector-capable environments always produce
-    ``vectorized``-family results, scalar-only environments ``scalar`` — so
-    adaptivity never splits one environment's results across families.
-    ``last_choice`` records the most recent batch's decision.
+    Delegates each batch to vectorized or sharded based on the surviving
+    batch size (cache hits are already served), the usable cores (capped by
+    ``max_workers``, so the stages' ``parallel_queries`` budget bounds real
+    concurrency) and whether the environment offers the vectorized
+    ``run_requests`` hook.  ``last_choice`` records the most recent batch's
+    decision.
     """
 
     kind = "auto"
@@ -632,14 +475,8 @@ class AutoExecutor:
         self._delegates: dict[str, object] = {}
         self.last_choice: str | None = None
 
-    def numerics(self, environment: "Environment") -> str:
-        """Cache family of results this executor produces for ``environment``."""
-        if getattr(environment, "run_requests", None) is not None:
-            return "vectorized"
-        return "scalar"
-
     def delegate(self, kind: str):
-        """The lazily-built inner executor registered under ``kind``."""
+        """The lazily-built inner executor of kind ``kind``."""
         if kind not in self._delegates:
             self._delegates[kind] = make_executor(kind, self.max_workers)
         return self._delegates[kind]
@@ -659,30 +496,18 @@ class AutoExecutor:
             return []
         return self.delegate(kind).map_requests(environment, requests)
 
-    def shutdown(self) -> None:
-        """Release every delegate (shared process pools stay warm by design)."""
-        for delegate in self._delegates.values():
-            delegate.shutdown()
 
-
-#: Registry of executor kinds; extendable via :func:`register_executor`.
+#: The executor kinds by name: the values ``ATLAS_ENGINE_EXECUTOR`` and every
+#: ``--executor`` flag accept.
 EXECUTOR_KINDS: dict[str, Callable[[int | None], object]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
     "vectorized": VectorizedExecutor,
     "sharded": ShardedExecutor,
     "auto": AutoExecutor,
 }
 
 
-def register_executor(kind: str, factory: Callable[[int | None], object]) -> None:
-    """Register a custom executor factory under ``kind``."""
-    EXECUTOR_KINDS[str(kind)] = factory
-
-
 def make_executor(kind: str, max_workers: int | None = None):
-    """Instantiate the executor registered under ``kind``."""
+    """Instantiate the executor of kind ``kind``."""
     try:
         factory = EXECUTOR_KINDS[kind]
     except KeyError:

@@ -102,20 +102,14 @@ def in_pool_worker() -> bool:
     return _WORKER is not None
 
 
-def pool_size(n_jobs: int, cores: int, executor_kind: str) -> int:
+def pool_size(n_jobs: int, cores: int) -> int:
     """Workers of a fork pool over ``n_jobs`` jobs (1: run them in-process).
 
     The pool gets min(``cores``, ``n_jobs``) workers, where ``cores`` is
-    the caller's bound: its usable cores, capped by any worker limit.  The
-    jobs run in-process instead
-
-    * when their engines use the ``process`` executor: it sends every batch
-      of two or more requests to a process pool even with one worker, so
-      each pool worker would fork a pool of its own, and such a pass never
-      finishes (the workers wait on their own pools at exit);
-    * on a platform without ``fork``.
+    the caller's bound: its usable cores, capped by any worker limit.  On a
+    platform without ``fork`` the jobs run in-process instead.
     """
-    if executor_kind == "process" or "fork" not in multiprocessing.get_all_start_methods():
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return max(1, min(cores, n_jobs))
 

@@ -14,12 +14,13 @@ booleans:
     The first seed of every case, and the pass's last replay, are replayed
     a second time through a fresh runner and must reproduce byte-identical
     canonical metrics
-    (:func:`repro.evalharness.runner.canonical_metrics_bytes`).  Because
-    the runner pins every measurement to the vectorized numerics family,
-    this holds across *all* executor kinds — any mismatch means real
-    numerics drift (seed-stream coupling, batch-composition leakage, a
-    nondeterministic reduction), exactly the class of bug the sharded
-    executor work made cheapest to introduce.
+    (:func:`repro.evalharness.runner.canonical_metrics_bytes`).  Every
+    measurement carries an explicit seed and every executor kind computes
+    it through the one vectorized batch path, so this holds across *all*
+    executor kinds — any mismatch means real numerics drift (seed-stream
+    coupling, batch-composition leakage, a nondeterministic reduction),
+    exactly the class of bug the sharded executor work made cheapest to
+    introduce.
 
 ``coverage``
     Every scenario registered in :mod:`repro.scenarios.catalog` must have

@@ -7,21 +7,17 @@ One :class:`EvalRunner` executes replay cases from the curated dataset
     <out>/<group>/<scenario>/seed=<S>/events.jsonl   # one line per measurement
 
 Determinism is the load-bearing property — the regression gate compares
-runs byte for byte — and rests on three decisions:
+runs byte for byte — and rests on two decisions:
 
-* every environment is wrapped in
-  :class:`~repro.engine.replay.VectorReplayEnvironment`, pinning all
-  measurements to the vectorized numerics family so the results are
-  *identical* under the ``serial``, ``vectorized``, ``sharded`` and
-  ``auto`` executor kinds (the per-lane seed-stream contract of
-  :mod:`repro.sim.batch`);
 * every measurement carries an explicit request seed derived from its
-  ``(variant, step[, slice])`` coordinates by a fixed scheme, so results
-  never depend on batch composition, executor scheduling or cache state
-  (engines run with ``cache=False`` by default; a runner opened with a
-  persistent ``store`` instead shares one private store-backed cache
-  across its engines — safe *because* of the explicit seeds and the
-  replay pin, which make a cached entry byte-identical to recomputation);
+  ``(variant, step[, slice])`` coordinates by a fixed scheme.  Every
+  executor kind computes a request through the same vectorized batch path,
+  whose lanes each draw from their own seed-derived stream
+  (:mod:`repro.sim.batch`), so results never depend on the executor kind,
+  batch composition, executor scheduling or cache state (engines run with
+  ``cache=False`` by default; a runner opened with a persistent ``store``
+  instead shares one private store-backed cache across its engines — safe
+  *because* a cached entry is byte-identical to recomputation);
 * environments are constructed fresh per ``(case, seed)``, so stateful
   hooks (the real network's domain-manager history) always start from the
   same state.
@@ -40,9 +36,9 @@ Scheduling
     runner pools too: each worker reads and writes the store through its
     own forked copy of the runner's cache, and the pool folds the workers'
     cache and store counters into the runner's, so a cost ledger reads the
-    same totals on both paths.  Runs with a real tracer, with the
-    ``process`` executor, or on one usable core replay in-process instead,
-    one after another (:meth:`EvalRunner.replay_workers`).
+    same totals on both paths.  Runs with a real tracer, or on one usable
+    core, replay in-process instead, one after another
+    (:meth:`EvalRunner.replay_workers`).
 
 Fault injection
     ``latency_bias_ms`` adds a constant offset to every *real-network*
@@ -63,10 +59,9 @@ from typing import Iterable
 import numpy as np
 
 from repro.engine.engine import MeasurementEngine
-from repro.engine.executors import available_parallelism, default_executor_kind
+from repro.engine.executors import available_parallelism
 from repro.engine.forkpool import fork_map, pool_size
 from repro.engine.protocol import MeasurementRequest
-from repro.engine.replay import VectorReplayEnvironment
 from repro.evalharness.dataset import EvalCase
 from repro.evalharness.scorers import (
     score_latency_fidelity,
@@ -202,16 +197,16 @@ class EvalRunner:
     Parameters
     ----------
     executor:
-        Engine executor kind (``auto``/``serial``/``vectorized``/
-        ``sharded``/...); ``None`` defers to ``ATLAS_ENGINE_EXECUTOR`` and
-        the ``auto`` default.  Thanks to the numerics pin the choice cannot
+        Engine executor kind (``auto``, ``vectorized`` or ``sharded``);
+        ``None`` defers to ``ATLAS_ENGINE_EXECUTOR`` and the ``auto``
+        default.  Every kind returns the same results, so the choice cannot
         change any metric value — it only changes how batches are
         scheduled — and it is recorded in every ``result.json``.
     out_dir:
         Root of the run layout; ``None`` keeps results in memory only.
     max_workers:
         Worker bound: the size cap of the replay pool and, on the
-        in-process path, of the engines' parallel executor kinds.
+        in-process path, of the engines' sharded executor.
     latency_bias_ms:
         Fault-injection offset added to real-network latencies before
         scoring (gate self-tests only — see the module docstring).
@@ -255,7 +250,7 @@ class EvalRunner:
     # ----------------------------------------------------------------- engine
     def _engine(self, environment) -> MeasurementEngine:
         return MeasurementEngine(
-            VectorReplayEnvironment(environment),
+            environment,
             executor=self.executor,
             max_workers=self.max_workers,
             cache=self.cache if self.cache is not None else False,
@@ -283,16 +278,13 @@ class EvalRunner:
 
         Requests arrive variant-major (``vi * case.measurements + step``);
         results come back in the same flat order so the event loop stays
-        oblivious to the per-step batching.  The replay pin stays outermost
-        so every executor kind sees the vectorized numerics family.
+        oblivious to the per-step batching.
         """
-        base = engine.environment.inner
+        base = engine.environment
         n_variants = len(requests) // case.measurements
         results: list = [None] * len(requests)
         for step in range(case.measurements):
-            engine.environment = VectorReplayEnvironment(
-                FaultedEnvironment(base, schedule, step)
-            )
+            engine.environment = FaultedEnvironment(base, schedule, step)
             batch = [requests[vi * case.measurements + step] for vi in range(n_variants)]
             step_results = engine.run_batch(batch)
             for vi, result in enumerate(step_results):
@@ -554,9 +546,8 @@ class EvalRunner:
         workers, with or without a store.  Runners with a real tracer always
         replay in-process: this process records the ``eval.seed`` spans, and
         the daemon, whose jobs carry the tracers, runs each job in a thread,
-        where forking is unsafe.  So do runners whose executor resolves to
-        ``process`` and those on a platform without ``fork``
-        (:func:`repro.engine.forkpool.pool_size`).
+        where forking is unsafe.  So do runners on a platform without
+        ``fork`` (:func:`repro.engine.forkpool.pool_size`).
         """
         from repro.service.tracer import NullTracer
 
@@ -565,8 +556,7 @@ class EvalRunner:
         cores = available_parallelism()
         if self.max_workers is not None:
             cores = min(cores, self.max_workers)
-        kind = self.executor if self.executor is not None else default_executor_kind()
-        return pool_size(n_jobs, cores, kind)
+        return pool_size(n_jobs, cores)
 
     def run_seeds(self, jobs: Iterable[tuple[EvalCase, int]]) -> list[SeedRunResult]:
         """Replay ``(case, seed)`` jobs; results come back in job order.

@@ -1,8 +1,8 @@
 """Disk-backed content-addressed result store for measurement results.
 
 The engine's in-memory :class:`~repro.engine.cache.MeasurementCache` keys
-every result on the full content of its query — environment fingerprint,
-request key and the executor's numerics family.  :class:`ResultStore`
+every result on the full content of its query — environment fingerprint
+plus request key.  :class:`ResultStore`
 persists those same ``(key, result)`` pairs on disk so the cache survives
 process restarts and is shared across concurrent worker processes:
 
@@ -10,9 +10,8 @@ process restarts and is shared across concurrent worker processes:
   serialises a cache-key tuple (ints, floats via ``float.hex``, strings,
   nested tuples and the simulator's frozen dataclasses) and
   :func:`key_digest` hashes it to the blob name, so two processes always
-  agree on where a result lives.  The engine key already carries the
-  numerics family and any fault fingerprint, so family separation and
-  fault honesty are inherited, not re-implemented.
+  agree on where a result lives.  The engine key already carries any
+  fault fingerprint, so fault honesty is inherited, not re-implemented.
 * **Atomic writes** — blobs are written to a private temp file (named
   after the writer's pid) and published with ``os.replace``; readers can
   never observe a half-written blob under its final name.

@@ -155,7 +155,7 @@ class TestRun:
             "--duration",
             "2.0",
             "--executor",
-            "thread",
+            "vectorized",
         )
         assert code == 0
         assert "ATLAS_ENGINE_EXECUTOR" not in os.environ
@@ -185,9 +185,7 @@ class TestSlicePool:
         assert pooled == local
         assert "[urllc-control]" in pooled[0] and pooled[2] > 0
 
-    def test_store_runs_pool_and_process_runs_stay_in_process(
-        self, capsys, tmp_path, replay_pool, monkeypatch
-    ):
+    def test_store_runs_pool(self, capsys, tmp_path, replay_pool, monkeypatch):
         try:
             _, payload, executed = self.run(
                 capsys, tmp_path / "store.json", "--stage", "2", "--store", str(tmp_path / "store")
@@ -198,8 +196,6 @@ class TestSlicePool:
         pooled = json.loads(payload)
         costs = pooled.pop("costs")
         assert costs["engine_requests"] == executed == costs["cache"]["misses"] > 0
-        self.run(capsys, tmp_path / "process.json", "--stage", "2", "--executor", "process")
-        assert replay_pool == [2]
         monkeypatch.setattr(cli_module, "available_parallelism", lambda: 1)
         _, payload, _ = self.run(capsys, tmp_path / "local.json", "--stage", "2")
         local = json.loads(payload)
@@ -361,7 +357,7 @@ class TestEval:
     def test_eval_executor_flag_is_recorded_but_metric_neutral(self, capsys, tmp_path):
         registry = self.write_registry(tmp_path)
         reports = {}
-        for kind in ("serial", "sharded"):
+        for kind in ("vectorized", "sharded"):
             out = tmp_path / f"out-{kind}"
             code, _ = run_cli(
                 capsys,
@@ -378,7 +374,7 @@ class TestEval:
             )
             assert code == 0
             reports[kind] = json.loads((out / "EVAL_report.json").read_text())
-        assert reports["serial"]["provenance"]["executor"]["requested"] == "serial"
+        assert reports["vectorized"]["provenance"]["executor"]["requested"] == "vectorized"
         assert reports["sharded"]["provenance"]["executor"]["requested"] == "sharded"
-        # The numerics pin makes the results section executor-independent.
-        assert reports["serial"]["results"] == reports["sharded"]["results"]
+        # Every executor kind computes the same results.
+        assert reports["vectorized"]["results"] == reports["sharded"]["results"]

@@ -9,11 +9,11 @@ Four contracts are pinned here:
   the batch is split into (1, 2, 3, or one per request).
 * **Cache composition** — partial cache hits shrink the dispatched shards,
   and fully-cached batches never touch (or spawn) a process pool; sharded
-  and vectorized results share one cache family and serve each other.
+  and vectorized results share cache entries and serve each other.
 * **Adaptive selection** — :func:`choose_executor` and the ``auto`` kind
-  pick serial/vectorized for tiny batches and sharded/process for large
-  batches on multi-core machines, and the persistent worker pools are
-  reused across batches, engines and environments rather than respawned.
+  pick vectorized for tiny batches and sharded for large batches on
+  multi-core machines, and the persistent worker pools are reused across
+  batches, engines and environments rather than respawned.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.engine import (
     shutdown_worker_pools,
 )
 from repro.engine import executors as executors_module
-from repro.engine.executors import AutoExecutor, ShardedExecutor
+from repro.engine.executors import ShardedExecutor
 from repro.scenarios import get_scenario, list_scenarios
 from repro.sim.network import NetworkSimulator
 from repro.sim.scenario import Scenario
@@ -205,23 +205,18 @@ class TestShardedCacheComposition:
         vectorized.run_batch(requests)
         assert cache.stats.hits == 4  # every request served from the sharded entries
 
-    @pytest.mark.parametrize("kind", ["process", "sharded"])
     def test_fully_cached_batches_never_touch_the_pool(
-        self, simulator, default_config, kind, monkeypatch
+        self, simulator, default_config, monkeypatch
     ):
         cache = MeasurementCache()
         requests = _requests(default_config, n=4)
-        # Prime through an in-process executor of the same numerics family.
-        primer = "serial" if kind == "process" else "vectorized"
-        MeasurementEngine(simulator, executor=primer, cache=cache).run_batch(requests)
+        MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(requests)
 
         def no_pool(*args, **kwargs):  # pragma: no cover - assertion helper
             raise AssertionError("fully-cached batches must not touch the process pool")
 
         monkeypatch.setattr(executors_module, "_acquire_process_pool", no_pool)
-        engine = MeasurementEngine(simulator, executor=kind, max_workers=2, cache=cache)
-        if kind == "sharded":
-            engine.executor.shards = 2
+        engine = _sharded_engine(simulator, shards=2, cache=cache)
         results = engine.run_batch(requests)
         assert len(results) == len(requests)
         assert engine.executed_requests == 0
@@ -231,11 +226,10 @@ class TestShardedCacheComposition:
             raise AssertionError("empty/single batches must not touch the process pool")
 
         monkeypatch.setattr(executors_module, "_acquire_process_pool", no_pool)
-        for kind in ("process", "sharded"):
-            engine = MeasurementEngine(simulator, executor=kind, max_workers=2, cache=False)
-            assert engine.run_batch([]) == []
-            [result] = engine.run_batch(_requests(default_config, n=1))
-            assert result.latencies_ms.size > 0
+        engine = MeasurementEngine(simulator, executor="sharded", max_workers=2, cache=False)
+        assert engine.run_batch([]) == []
+        [result] = engine.run_batch(_requests(default_config, n=1))
+        assert result.latencies_ms.size > 0
 
 
 class TestAdaptiveSelection:
@@ -246,14 +240,13 @@ class TestAdaptiveSelection:
         assert choose_executor(7, cores=8, environment=simulator) == "vectorized"
         assert choose_executor(8, cores=8, environment=simulator) == "sharded"
         assert choose_executor(256, cores=1, environment=simulator) == "vectorized"
-        # scalar-only environments
-        assert choose_executor(2, cores=8, environment=scalar_only) == "serial"
-        assert choose_executor(4, cores=8, environment=scalar_only) == "process"
-        assert choose_executor(64, cores=1, environment=scalar_only) == "serial"
+        # scalar-only environments run in order, in process
+        assert choose_executor(2, cores=8, environment=scalar_only) == "vectorized"
+        assert choose_executor(64, cores=8, environment=scalar_only) == "vectorized"
         # no environment: assume vector-capable
         assert choose_executor(16, cores=4) == "sharded"
 
-    def test_auto_picks_serial_for_tiny_and_sharded_for_large(
+    def test_auto_picks_vectorized_for_tiny_and_sharded_for_large(
         self, simulator, default_config, monkeypatch
     ):
         monkeypatch.setattr(executors_module, "available_parallelism", lambda: 4)
@@ -282,8 +275,8 @@ class TestAdaptiveSelection:
         scalar_engine = MeasurementEngine(
             ScalarOnly(simulator), executor="auto", max_workers=4, cache=False
         )
-        scalar_engine.run_batch(_requests(default_config, n=2, base_seed=90))
-        assert scalar_engine.executor.last_choice == "serial"
+        scalar_engine.run_batch(_requests(default_config, n=8, base_seed=90))
+        assert scalar_engine.executor.last_choice == "vectorized"
 
     def test_auto_results_match_vectorized_family(self, simulator, default_config):
         cache = MeasurementCache()
@@ -291,12 +284,7 @@ class TestAdaptiveSelection:
         MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(requests)
         auto = MeasurementEngine(simulator, executor="auto", cache=cache)
         auto.run_batch(requests)
-        assert cache.stats.hits == 4  # auto shares the vectorized family
-
-    def test_auto_numerics_depends_on_environment_only(self, simulator):
-        executor = AutoExecutor(max_workers=2)
-        assert executor.numerics(simulator) == "vectorized"
-        assert executor.numerics(object()) == "scalar"
+        assert cache.stats.hits == 4  # auto shares the vectorized entries
 
     def test_default_engine_kind_is_auto(self, simulator, monkeypatch):
         monkeypatch.delenv("ATLAS_ENGINE_EXECUTOR", raising=False)
@@ -304,7 +292,7 @@ class TestAdaptiveSelection:
 
 
 class TestPersistentPools:
-    def test_pools_survive_batches_engines_and_shutdown(self, default_config):
+    def test_pools_survive_batches_and_engines(self, default_config):
         shutdown_worker_pools()
         scenario = Scenario(traffic=1, duration_s=10.0)
         simulator = NetworkSimulator(scenario=scenario, seed=7)
@@ -312,16 +300,11 @@ class TestPersistentPools:
         engine = _sharded_engine(simulator, shards=2, max_workers=2)
         engine.run_batch(_requests(default_config, n=4))
         engine.run_batch(_requests(default_config, n=4, base_seed=100))
-        engine.shutdown()  # engine-level shutdown must leave the pool warm
-        # A different engine (and executor kind) with the same worker count
-        # and an equal-content environment reuses the very same pool.
-        process = MeasurementEngine(
-            NetworkSimulator(scenario=scenario, seed=7),
-            executor="process",
-            max_workers=2,
-            cache=False,
-        )
-        process.run_batch(_requests(default_config, n=4, base_seed=200))
+        del engine
+        # A different engine with the same worker count and an
+        # equal-content environment reuses the very same pool.
+        other = _sharded_engine(NetworkSimulator(scenario=scenario, seed=7), shards=2, max_workers=2)
+        other.run_batch(_requests(default_config, n=4, base_seed=200))
         diagnostics = pool_diagnostics()
         assert diagnostics["pools_created"] == created_before + 1
         assert diagnostics["live_pools"] >= 1
@@ -333,29 +316,18 @@ class TestPersistentPools:
         scenario = Scenario(traffic=1, duration_s=10.0)
         first = NetworkSimulator(scenario=scenario, seed=1)
         second = NetworkSimulator(scenario=scenario, seed=2)
-        serial = MeasurementEngine(second, executor="serial", cache=False)
-        expected = serial.run_batch(_requests(default_config, n=4))
-        MeasurementEngine(first, executor="process", max_workers=2, cache=False).run_batch(
-            _requests(default_config, n=4)
-        )
+        vectorized = MeasurementEngine(second, executor="vectorized", cache=False)
+        expected = vectorized.run_batch(_requests(default_config, n=4))
+        _sharded_engine(first, shards=2, max_workers=2).run_batch(_requests(default_config, n=4))
         created = pool_diagnostics()["pools_created"]
-        engine = MeasurementEngine(second, executor="process", max_workers=2, cache=False)
+        engine = _sharded_engine(second, shards=2, max_workers=2)
         results = engine.run_batch(_requests(default_config, n=4))
         assert pool_diagnostics()["pools_created"] == created
         # The workers hold no environment: the new one travels with each
-        # chunk, so results are byte-identical to serial execution against it.
+        # shard, so results are byte-identical to vectorized execution against it.
         for a, b in zip(expected, results):
             assert _results_identical(a, b)
         shutdown_worker_pools()
-
-    def test_process_executor_byte_identical_to_serial(self, simulator, default_config):
-        requests = _requests(default_config, n=5)
-        serial = MeasurementEngine(simulator, executor="serial", cache=False).run_batch(requests)
-        process = MeasurementEngine(
-            simulator, executor="process", max_workers=2, cache=False
-        ).run_batch(requests)
-        for a, b in zip(serial, process):
-            assert _results_identical(a, b)
 
 
 class TestResultPacking:

@@ -1,22 +1,20 @@
 """The evaluation harness: dataset, replay runner, layout, determinism.
 
 The cross-executor classes reuse the byte-identity contract from
-``tests/test_engine_sharded.py``: the runner pins every measurement to the
-vectorized numerics family, so the *same* metric bytes must come out of the
-serial, vectorized, sharded and auto executor kinds.
+``tests/test_engine_sharded.py``: every executor kind computes each
+explicitly seeded measurement through the same vectorized batch path, so
+the *same* metric bytes must come out of the vectorized, sharded and auto
+executor kinds.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 import repro.evalharness.runner as runner_module
-from repro.engine.engine import MeasurementEngine, engine_telemetry
-from repro.engine.protocol import MeasurementRequest
-from repro.engine.replay import VectorReplayEnvironment
+from repro.engine.engine import engine_telemetry
 from repro.evalharness import (
     DEFAULT_CASES_PATH,
     METRIC_NAMES,
@@ -32,15 +30,11 @@ from repro.evalharness import (
     parse_cases_yaml,
     scaled_config,
 )
-from repro.prototype.testbed import RealNetwork
 from repro.scenarios import get_scenario, scenario_names
 from repro.service.costs import CostLedger
 from repro.service.store import ResultStore
 from repro.service.tracer import Tracer, read_trace
 from repro.sim.config import CONFIG_BOUNDS, SliceConfig
-from repro.sim.network import NetworkSimulator
-from repro.sim.parameters import SimulationParameters
-from repro.sim.scenario import Scenario
 
 WIDE = {
     "latency_p95_ms": Envelope(0.0, 100000.0),
@@ -192,61 +186,6 @@ class TestCoverageGuard:
         assert DEFAULT_CASES_PATH.exists()
 
 
-class TestVectorReplayEnvironment:
-    def test_scalar_run_equals_one_lane_batch(self):
-        simulator = NetworkSimulator(seed=3)
-        wrapped = VectorReplayEnvironment(NetworkSimulator(seed=3))
-        request = MeasurementRequest(config=SliceConfig(), traffic=5, duration=4.0, seed=11)
-        direct = simulator.run_requests([request])[0]
-        via_run = wrapped.run(SliceConfig(), traffic=5, duration=4.0, seed=11)
-        np.testing.assert_array_equal(direct.latencies_ms, via_run.latencies_ms)
-
-    def test_one_lane_equals_lane_of_larger_batch(self):
-        wrapped = VectorReplayEnvironment(NetworkSimulator(seed=3))
-        requests = [
-            MeasurementRequest(config=SliceConfig(), traffic=5, duration=4.0, seed=seed)
-            for seed in (7, 8, 9)
-        ]
-        batched = wrapped.run_requests(requests)
-        for request, expected in zip(requests, batched):
-            solo = wrapped.run_requests([request])[0]
-            np.testing.assert_array_equal(solo.latencies_ms, expected.latencies_ms)
-
-    def test_real_network_resolves_through_prepare_batch(self):
-        wrapped = VectorReplayEnvironment(RealNetwork(seed=5))
-        result = wrapped.run(SliceConfig(), traffic=5, duration=4.0, seed=13)
-        assert result.latencies_ms.size > 0
-
-    def test_rejects_environments_without_batch_hooks(self):
-        with pytest.raises(TypeError, match="not vector-capable"):
-            VectorReplayEnvironment(object())
-
-    def test_fingerprint_is_namespaced(self):
-        simulator = NetworkSimulator(seed=0)
-        wrapped = VectorReplayEnvironment(simulator)
-        assert wrapped.fingerprint()[0] == "vector-replay"
-        assert wrapped.fingerprint() != simulator.fingerprint()
-
-    def test_with_params_and_scenario_rewrap(self):
-        wrapped = VectorReplayEnvironment(NetworkSimulator(seed=0))
-        assert isinstance(wrapped.with_params(SimulationParameters()), VectorReplayEnvironment)
-        assert isinstance(wrapped.with_scenario(Scenario(traffic=9)), VectorReplayEnvironment)
-        assert wrapped.with_scenario(Scenario(traffic=9)).scenario.traffic == 9
-
-    def test_engine_accepts_wrapped_environment_under_all_kinds(self):
-        request = MeasurementRequest(config=SliceConfig(), traffic=5, duration=3.0, seed=2)
-        baseline = None
-        for kind in ("serial", "vectorized", "auto"):
-            engine = MeasurementEngine(
-                VectorReplayEnvironment(NetworkSimulator(seed=1)), executor=kind, cache=False
-            )
-            result = engine.run_batch([request])[0]
-            if baseline is None:
-                baseline = result.latencies_ms
-            else:
-                np.testing.assert_array_equal(result.latencies_ms, baseline)
-
-
 class TestScaledConfig:
     def test_scales_only_contended_dimensions(self):
         config = SliceConfig(mcs_offset_ul=3, mcs_offset_dl=2)
@@ -276,9 +215,7 @@ class TestRunnerLayout:
         assert payload["case"] == "test/urllc-control"
         assert payload["seed"] == 0
         assert set(payload["metrics"]) == set(METRIC_NAMES)
-        assert payload["executor"]["resolved"] in (
-            "serial", "thread", "process", "vectorized", "sharded", "auto",
-        )
+        assert payload["executor"]["resolved"] in ("vectorized", "sharded")
 
     def test_events_jsonl_lines_are_parseable_and_complete(self, tmp_path):
         case = small_case()
@@ -338,7 +275,7 @@ class TestRunnerDeterminism:
 class TestCrossExecutorIdentity:
     """The satellite contract: identical metrics under every executor kind."""
 
-    EXECUTORS = ("serial", "vectorized", "sharded", "auto")
+    EXECUTORS = ("vectorized", "sharded", "auto")
 
     @pytest.mark.parametrize("scenario", ["urllc-control", "embb-bursty", "mixed-enterprise"])
     def test_metrics_identical_across_executors(self, scenario):
@@ -349,13 +286,13 @@ class TestCrossExecutorIdentity:
             run = EvalRunner(executor=kind).run_seed(case, 0)
             blobs[kind] = canonical_metrics_bytes(run.metrics)
             records[kind] = run.executor
-        baseline = blobs["serial"]
+        baseline = blobs["vectorized"]
         assert all(blob == baseline for blob in blobs.values()), blobs
         # The report must record which executor produced each run.
-        assert records["serial"]["kind"] == "serial"
+        assert records["vectorized"]["kind"] == "vectorized"
         assert records["sharded"]["kind"] == "sharded"
         assert records["auto"]["kind"] == "auto"
-        assert records["auto"]["resolved"] in ("serial", "vectorized", "sharded")
+        assert records["auto"]["resolved"] in ("vectorized", "sharded")
 
 
 class TestReplayPool:
@@ -381,7 +318,6 @@ class TestReplayPool:
         assert EvalRunner(executor="sharded").replay_workers(6) == 2
         assert EvalRunner(executor="auto", max_workers=1).replay_workers(6) == 1
         assert EvalRunner(executor="auto").replay_workers(1) == 1
-        assert EvalRunner(executor="process").replay_workers(6) == 1
 
     @pytest.mark.parametrize(
         "executor, pooled_record",

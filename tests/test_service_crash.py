@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.engine.cache import MeasurementCache
 from repro.engine.engine import MeasurementEngine
-from repro.engine.replay import VectorReplayEnvironment
 from repro.scenarios import get_scenario
 from repro.service.store import ResultStore
 
@@ -61,23 +60,15 @@ def test_sigkill_mid_put_reopens_clean_and_reproduces_bytes(tmp_path, child_env)
     assert outcome["ok"] == outcome["checked"] >= 1
 
     # Recover the known entry through the store (zero recompute) and rerun
-    # it fresh; the VectorReplayEnvironment pin makes both byte-identical.
+    # it fresh; the two must be byte-identical.
     workload = get_scenario("frame-offloading").primary
     cache = MeasurementCache(store=store)
-    warm = MeasurementEngine(
-        VectorReplayEnvironment(workload.make_simulator(seed=0)),
-        executor="auto",
-        cache=cache,
-    )
+    warm = MeasurementEngine(workload.make_simulator(seed=0), executor="auto", cache=cache)
     recovered = warm.run(workload.deployed_config, traffic=3, duration=2.0, seed=1234)
     assert warm.executed_requests == 0, "known entry should be served from the store"
     assert cache.stats.store_hits == 1
 
-    fresh = MeasurementEngine(
-        VectorReplayEnvironment(workload.make_simulator(seed=0)),
-        executor="vectorized",
-        cache=False,
-    )
+    fresh = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=False)
     recomputed = fresh.run(workload.deployed_config, traffic=3, duration=2.0, seed=1234)
     assert recovered.latencies_ms.tobytes() == recomputed.latencies_ms.tobytes()
     assert recovered.stage_breakdown_ms == recomputed.stage_breakdown_ms

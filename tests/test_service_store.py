@@ -83,7 +83,7 @@ def test_engine_cache_key_is_encodable_and_process_stable(tmp_path, child_env):
     request = MeasurementRequest(
         config=workload.deployed_config, traffic=4, duration=2.5, seed=11
     )
-    key = (simulator.fingerprint(), request.key(), "scalar")
+    key = (simulator.fingerprint(), request.key())
     local = key_digest(key)
 
     script = (
@@ -93,7 +93,7 @@ def test_engine_cache_key_is_encodable_and_process_stable(tmp_path, child_env):
         "w = get_scenario('frame-offloading').primary\n"
         "sim = w.make_simulator(seed=3)\n"
         "req = MeasurementRequest(config=w.deployed_config, traffic=4, duration=2.5, seed=11)\n"
-        "print(key_digest((sim.fingerprint(), req.key(), 'scalar')))\n"
+        "print(key_digest((sim.fingerprint(), req.key())))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -192,7 +192,7 @@ def test_cache_degrades_unencodable_keys_to_store_errors(tmp_path):
     store = ResultStore(tmp_path / "store")
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="serial", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
     result = engine.run(workload.deployed_config, traffic=2, duration=2.0, seed=5)
     bad_key = ("unencodable", object())
     cache.put(bad_key, result)
@@ -215,7 +215,7 @@ store_dir, out_path, start, stop = sys.argv[1:5]
 store = ResultStore(store_dir)
 cache = MeasurementCache(store=store)
 workload = get_scenario("frame-offloading").primary
-engine = MeasurementEngine(workload.make_simulator(seed=0), executor="serial", cache=cache)
+engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
 ledger = CostLedger(cache=cache, store=store)
 for seed in range(int(start), int(stop)):
     engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed)
@@ -271,7 +271,7 @@ def test_concurrent_processes_share_one_store_and_reconcile(tmp_path, child_env)
     # Sequential rerun over the full range: zero recompute beyond the races.
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="serial", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
     for seed in range(16):
         assert engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed) is not None
     assert engine.executed_requests == 0

@@ -307,25 +307,6 @@ class TestVectorizedExecutor:
         for a, b in zip(fresh, combined[3:]):
             assert _results_equal(a, b)
 
-    def test_cache_never_mixes_scalar_and_vectorized_results(self, simulator, default_config):
-        # The two numerics families are statistically equivalent but not
-        # byte-identical, so a shared cache must key them apart: a serial
-        # engine must never be served a vectorized result (or vice versa).
-        cache = MeasurementCache()
-        requests = self._requests(default_config, [0])
-        vectorized = MeasurementEngine(simulator, executor="vectorized", cache=cache)
-        serial = MeasurementEngine(simulator, executor="serial", cache=cache)
-        vectorized.run_batch(requests)
-        serial_result = serial.run_batch(requests)[0]
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 2
-        direct = simulator.run(default_config, traffic=2, duration=self.DURATION, seed=0)
-        assert np.array_equal(serial_result.latencies_ms, direct.latencies_ms)
-        # Within a family the entry is shared as before.
-        vectorized.run_batch(requests)
-        serial.run_batch(requests)
-        assert cache.stats.hits == 2
-
     def test_scenario_override_matches_singleton_batches(self, simulator, default_config):
         other = Scenario(traffic=3, distance_m=120.0, duration_s=12.0)
         engine = MeasurementEngine(simulator, executor="vectorized", cache=False)
@@ -388,9 +369,12 @@ class TestVectorizedExecutor:
 
         environment = ScalarOnlyEnvironment()
         vectorized = MeasurementEngine(environment, executor="vectorized", cache=False)
-        serial = MeasurementEngine(environment, executor="serial", cache=False)
         requests = self._requests(default_config, [0, 1])
-        for a, b in zip(vectorized.run_batch(requests), serial.run_batch(requests)):
+        direct = [
+            environment.run(r.config, traffic=r.traffic, duration=r.duration, seed=r.seed)
+            for r in requests
+        ]
+        for a, b in zip(vectorized.run_batch(requests), direct):
             assert _results_equal(a, b)
 
     def test_real_network_resolves_through_prepare_batch(self, default_config):
