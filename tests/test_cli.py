@@ -160,6 +160,67 @@ class TestRun:
         assert code == 0
         assert "ATLAS_ENGINE_EXECUTOR" not in os.environ
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ("frame-offloading",),
+            ("frame-offloading-diurnal",),
+            ("sla-storm", "--faults", "guarded"),
+            ("urllc-control",),
+        ],
+        ids=lambda entry: "-".join(part.lstrip("-") for part in entry),
+    )
+    def test_all_stages_identical_across_executors(self, capsys, tmp_path, entry):
+        json_path = tmp_path / "run.json"
+        outputs = set()
+        for kind in ("vectorized", "sharded", "auto"):
+            shared_cache().clear()  # each kind measures afresh
+            before = engine_telemetry()["executed_requests"]
+            code, out = run_cli(
+                capsys,
+                "run",
+                "--scenario",
+                *entry,
+                "--stage",
+                "all",
+                "--scale",
+                "smoke",
+                "--duration",
+                "2",
+                "--executor",
+                kind,
+                "--json",
+                str(json_path),
+            )
+            assert code == 0
+            assert engine_telemetry()["executed_requests"] > before
+            outputs.add((out.replace(f"| executor {kind} |", "| executor |"), json_path.read_bytes()))
+        assert len(outputs) == 1
+
+
+class TestExecutorFlag:
+    """Every ``--executor`` flag accepts exactly the three executor kinds."""
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            ("run", "--scenario", "embb-video"),
+            ("eval",),
+            ("submit", "--state", "state", "run", "--scenario", "embb-video"),
+            ("submit", "--state", "state", "eval"),
+        ],
+        ids=["run", "eval", "submit-run", "submit-eval"],
+    )
+    def test_accepts_the_three_kinds_only(self, prefix, capsys):
+        parser = build_parser()
+        for kind in ("auto", "sharded", "vectorized"):
+            assert parser.parse_args([*prefix, "--executor", kind]).executor == kind
+        for kind in ("serial", "thread", "process"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([*prefix, "--executor", kind])
+            assert excinfo.value.code == 2
+            assert f"invalid choice: '{kind}'" in capsys.readouterr().err
+
 
 MIXED_RUN = ("run", "--scenario", "mixed-enterprise", "--scale", "smoke", "--duration", "2")
 

@@ -9,6 +9,7 @@ accounting, the engine's deterministic auto-seeding, and the deterministic
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 import time
@@ -30,7 +31,7 @@ from repro.engine import (
 )
 import repro.engine.forkpool as forkpool_module
 from repro.engine.engine import _TELEMETRY
-from repro.engine.executors import choose_executor, pool_diagnostics
+from repro.engine.executors import EXECUTOR_KINDS, choose_executor, pool_diagnostics
 from repro.engine.forkpool import fork_map, in_pool_worker
 from repro.prototype.testbed import RealNetwork
 from repro.service.costs import CostLedger
@@ -120,6 +121,35 @@ class TestExecutorDeterminism:
             monkeypatch.setenv("ATLAS_ENGINE_EXECUTOR", kind)
             with pytest.raises(ValueError, match="unknown executor"):
                 MeasurementEngine(simulator)
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [("vectorized", "vectorized"), (" Sharded ", "sharded"), ("AUTO", "auto")],
+        ids=["vectorized", "padded-sharded", "upper-auto"],
+    )
+    def test_env_var_selects_each_kind(self, simulator, default_config, monkeypatch, value, kind):
+        requests = _requests(default_config, n=8)
+        reference = MeasurementEngine(simulator, executor="vectorized", cache=False)
+        expected = reference.run_batch(requests)
+        monkeypatch.setenv("ATLAS_ENGINE_EXECUTOR", value)
+        engine = MeasurementEngine(simulator, max_workers=2, cache=False)
+        assert engine.executor.kind == kind
+        for a, b in zip(expected, engine.run_batch(requests)):
+            assert _results_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["auto", "sharded", "vectorized"])
+    def test_executor_kinds_keep_the_map_requests_contract(self, simulator, default_config, kind):
+        # The pipeline benchmark's tracer wraps every kind's class-level
+        # ``map_requests`` and binds its arguments by name.
+        assert sorted(EXECUTOR_KINDS) == ["auto", "sharded", "vectorized"]
+        executor_class = EXECUTOR_KINDS[kind]
+        assert isinstance(executor_class, type) and executor_class.kind == kind
+        parameters = inspect.signature(executor_class.map_requests).parameters
+        assert list(parameters) == ["self", "environment", "requests"]
+        requests = _requests(default_config)
+        results = executor_class(1).map_requests(environment=simulator, requests=requests)
+        for a, b in zip(simulator.run_requests(requests), results, strict=True):
+            assert _results_equal(a, b)
 
     def test_auto_seeds_are_deterministic_per_engine_seed(self, simulator, default_config):
         requests = [MeasurementRequest(config=default_config, traffic=1, duration=DURATION)] * 3

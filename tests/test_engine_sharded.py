@@ -205,18 +205,21 @@ class TestShardedCacheComposition:
         vectorized.run_batch(requests)
         assert cache.stats.hits == 4  # every request served from the sharded entries
 
+    @pytest.mark.parametrize("kind", ["sharded", "auto"])
     def test_fully_cached_batches_never_touch_the_pool(
-        self, simulator, default_config, monkeypatch
+        self, simulator, default_config, kind, monkeypatch
     ):
         cache = MeasurementCache()
-        requests = _requests(default_config, n=4)
+        requests = _requests(default_config, n=8)
         MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(requests)
 
         def no_pool(*args, **kwargs):  # pragma: no cover - assertion helper
             raise AssertionError("fully-cached batches must not touch the process pool")
 
         monkeypatch.setattr(executors_module, "_acquire_process_pool", no_pool)
-        engine = _sharded_engine(simulator, shards=2, cache=cache)
+        # On four usable cores either kind would shard this batch were it uncached.
+        monkeypatch.setattr(executors_module, "available_parallelism", lambda: 4)
+        engine = MeasurementEngine(simulator, executor=kind, max_workers=4, cache=cache)
         results = engine.run_batch(requests)
         assert len(results) == len(requests)
         assert engine.executed_requests == 0

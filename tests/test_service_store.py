@@ -202,6 +202,34 @@ def test_cache_degrades_unencodable_keys_to_store_errors(tmp_path):
     assert np.array_equal(served.latencies_ms, result.latencies_ms)
 
 
+def test_blobs_under_old_three_element_keys_read_back_as_misses(tmp_path):
+    """Older stores keyed entries by (fingerprint, request key, numerics tag).
+
+    Engine keys are now (fingerprint, request key), so those blobs are
+    unreachable: a lookup is a clean miss, never a wrong hit or corruption.
+    """
+    workload = get_scenario("frame-offloading").primary
+    simulator = workload.make_simulator(seed=0)
+    request = MeasurementRequest(config=workload.deployed_config, traffic=2, duration=2.0, seed=5)
+    decoy = simulator.run_requests([request.replace(seed=6)])[0]
+    store = ResultStore(tmp_path / "store")
+    for tag in ("scalar", "vectorized"):
+        store.put((simulator.fingerprint(), request.key(), tag), decoy)
+
+    cache = MeasurementCache(store=store)
+    engine = MeasurementEngine(simulator, executor="vectorized", cache=cache)
+    result = engine.run_batch([request])[0]
+    assert (cache.stats.store_hits, cache.stats.misses, engine.executed_requests) == (0, 1, 1)
+    assert store.stats.corrupt_dropped == 0
+    assert np.array_equal(result.latencies_ms, simulator.run_requests([request])[0].latencies_ms)
+    assert not np.array_equal(result.latencies_ms, decoy.latencies_ms)
+    assert store.entry_count() == 3
+
+    fresh = MeasurementCache(store=store)
+    MeasurementEngine(simulator, executor="vectorized", cache=fresh).run_batch([request])
+    assert fresh.stats.store_hits == 1
+
+
 _WORKER_SCRIPT = """
 import json, sys
 from pathlib import Path

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MeasurementCache, MeasurementEngine, MeasurementRequest
+from repro.engine import executors as executors_module
 from repro.prototype.testbed import RealNetwork
 from repro.scenarios import get_scenario, list_scenarios
 from repro.sim import batch as batch_module
@@ -278,6 +279,25 @@ def test_every_lane_equals_its_one_lane_batch_on_both_paths(spec, real, lanes):
 # --------------------------------------------------------------------------
 # The vectorized engine executor: caching, overrides, fallback.
 # --------------------------------------------------------------------------
+class ScalarOnlyEnvironment:
+    """Environment with the protocol surface but no ``run_requests``."""
+
+    def __init__(self):
+        self._simulator = NetworkSimulator(scenario=Scenario(traffic=2), seed=0)
+        self.scenario = self._simulator.scenario
+        self.seeds_run: list[int] = []
+
+    def run(self, config, traffic=None, duration=None, seed=None):
+        self.seeds_run.append(seed)
+        return self._simulator.run(config, traffic=traffic, duration=duration, seed=seed)
+
+    def collect_latencies(self, config, traffic=None, duration=None, seed=None):
+        return self.run(config, traffic=traffic, duration=duration, seed=seed).latencies_ms
+
+    def fingerprint(self):
+        return ("scalar-only",) + self._simulator.fingerprint()
+
+
 class TestVectorizedExecutor:
     DURATION = 8.0
 
@@ -350,31 +370,24 @@ class TestVectorizedExecutor:
         assert _results_equal(mixed[1], alone)
         assert not np.array_equal(mixed[0].latencies_ms, mixed[1].latencies_ms)
 
-    def test_falls_back_to_scalar_without_batch_hook(self, default_config):
-        class ScalarOnlyEnvironment:
-            """Environment with the protocol surface but no ``run_requests``."""
-
-            def __init__(self):
-                self._simulator = NetworkSimulator(scenario=Scenario(traffic=2), seed=0)
-                self.scenario = self._simulator.scenario
-
-            def run(self, config, traffic=None, duration=None, seed=None):
-                return self._simulator.run(config, traffic=traffic, duration=duration, seed=seed)
-
-            def collect_latencies(self, config, traffic=None, duration=None, seed=None):
-                return self.run(config, traffic=traffic, duration=duration, seed=seed).latencies_ms
-
-            def fingerprint(self):
-                return ("scalar-only",) + self._simulator.fingerprint()
-
+    @pytest.mark.parametrize("kind", ["vectorized", "sharded", "auto"])
+    def test_falls_back_to_scalar_without_batch_hook(self, default_config, kind, monkeypatch):
+        # Four usable cores: a vectorizable batch of this size would shard.
+        monkeypatch.setattr(executors_module, "available_parallelism", lambda: 4)
         environment = ScalarOnlyEnvironment()
-        vectorized = MeasurementEngine(environment, executor="vectorized", cache=False)
-        requests = self._requests(default_config, [0, 1])
+        engine = MeasurementEngine(environment, executor=kind, max_workers=4, cache=False)
+        requests = self._requests(default_config, range(8))
+        results = engine.run_batch(requests)
+        # One ``run`` per request, in request order.
+        assert environment.seeds_run == list(range(8))
+        if kind == "auto":
+            assert engine.executor.last_choice == "vectorized"
+        reference = ScalarOnlyEnvironment()
         direct = [
-            environment.run(r.config, traffic=r.traffic, duration=r.duration, seed=r.seed)
+            reference.run(r.config, traffic=r.traffic, duration=r.duration, seed=r.seed)
             for r in requests
         ]
-        for a, b in zip(vectorized.run_batch(requests), direct):
+        for a, b in zip(results, direct, strict=True):
             assert _results_equal(a, b)
 
     def test_real_network_resolves_through_prepare_batch(self, default_config):
