@@ -1,36 +1,24 @@
-"""Micro-benchmark of the measurement engine: discrete-event loop vs vectorized vs sharded.
+"""Micro-benchmark of the measurement engine: discrete-event loop vs vectorized.
 
 Two batch shapes are timed.  The *small* batch (16 requests, the paper's
 parallel-query fan-out) runs through the simulator's discrete-event ``run``,
-one request after another, and through the vectorized executor, verifying
-the vectorized results statistically equivalent, plus the warm-cache
-repeat.  The *large* batch (hundreds of requests, the city-scale shape)
-compares the vectorized pass against the ``sharded`` executor — per-worker
-vectorized passes over contiguous shards — and the adaptive ``auto``
-policy, verifying sharded results are **byte-identical** to the whole-batch
-vectorized pass.  The numbers are printed as tables *and* written to
-``BENCH_engine.json`` at the repository root — the machine-readable perf
-trajectory CI uploads on every push (schema ``atlas-bench-engine/4``,
-documented in ``docs/performance.md``), including the *effective*
-per-executor worker counts and the persistent-pool reuse counters (no
-per-batch respawn).
+one request after another, and through the engine's vectorized pass,
+verifying the vectorized results statistically equivalent, plus the
+warm-cache repeat and the persistent store's cold and warm passes.  The
+*large* batch (192 requests, the city-scale shape) records the vectorized
+pass's wide-batch throughput as an ungated number.  The numbers are printed
+as tables *and* written to ``BENCH_engine.json`` at the repository root —
+the machine-readable perf trajectory CI uploads on every push (schema
+``atlas-bench-engine/5``, documented in ``docs/performance.md``).
 
-Speedup gates:
-
-* the vectorized executor must beat the discrete-event loop by
-  ``REQUIRED_VECTORIZED_SPEEDUP`` (it collapses the batch into one NumPy
-  pass, so the target holds on a single core);
-* the sharded executor must beat whole-batch vectorized by
-  ``REQUIRED_SHARDED_SPEEDUP`` on ≥ 2 cores, and stay within
-  ``REQUIRED_SHARDED_PARITY`` of it on a single core (where sharding
-  degenerates to one in-process vectorized pass — no pool, no regression).
-
-Every gated ratio is judged on a median of interleaved timings: the two
-sides of a ratio are timed in turn, several times over, and the speedup is
-the median over the repetitions of one side's wall time over the other's.
-A host slowdown then lands on both sides of a repetition, and one stalled
-repetition cannot decide a verdict either way.  Reported wall times are
-each side's median.
+One speedup gate: the vectorized pass must beat the discrete-event loop by
+``REQUIRED_VECTORIZED_SPEEDUP`` (it collapses the batch into one NumPy
+pass, so the target holds on a single core).  It is judged on a median of
+interleaved timings: the two sides are timed in turn, several times over,
+and the speedup is the median over the repetitions of one side's wall time
+over the other's.  A host slowdown then lands on both sides of a
+repetition, and one stalled repetition cannot decide the verdict either
+way.  Reported wall times are each side's median.
 """
 
 from __future__ import annotations
@@ -51,8 +39,6 @@ from repro.engine import (
     MeasurementEngine,
     MeasurementRequest,
     available_parallelism,
-    pool_diagnostics,
-    shutdown_worker_pools,
 )
 from repro.sim.config import SliceConfig
 from repro.sim.network import NetworkSimulator
@@ -60,34 +46,26 @@ from repro.sim.scenario import Scenario
 
 #: Small-batch size (the paper parallelises up to 16 queries).
 BATCH_SIZE = 16
-#: Large-batch size: the shape where sharding the vectorized pass pays.
+#: Large-batch size: the city-scale shape, timed for the trajectory only.
 LARGE_BATCH_SIZE = 192
-#: Workers of the sharded and auto executors.
-WORKERS = 4
 #: Required vectorized-executor speedup over the discrete-event loop
 #: (single-core, so always asserted).
 REQUIRED_VECTORIZED_SPEEDUP = 5.0
-#: Required sharded speedup over whole-batch vectorized on >= 2 cores.
-REQUIRED_SHARDED_SPEEDUP = 1.5
-#: Required sharded/vectorized parity on a single core (degenerate one-shard case).
-REQUIRED_SHARDED_PARITY = 0.9
 #: Interleaved repetitions of the small batch (the discrete-event loop takes
 #: seconds per pass).
 SMALL_REPEATS = 3
-#: Interleaved repetitions of the large batch (~0.1 s per pass).  On a shared
-#: 2-core host one repetition's sharded speedup ranged over 0.95–2.09x, so
-#: the median needs many of them to settle.
-LARGE_REPEATS = 25
+#: Repetitions of the large batch (~0.1 s per pass); its median is reported.
+LARGE_REPEATS = 5
 #: Where the machine-readable results land (the repository root).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Schema identifier of the emitted JSON (bump on breaking changes).
-BENCH_SCHEMA = "atlas-bench-engine/4"
+BENCH_SCHEMA = "atlas-bench-engine/5"
 
 _CONFIG = SliceConfig(bandwidth_ul=10, bandwidth_dl=5, backhaul_bw=10, cpu_ratio=0.8)
 
 
 def _batch(scale, size=BATCH_SIZE, duration_factor=8.0, duration_floor=120.0):
-    # Long enough runs that per-request work dominates pool/pickling overhead.
+    # Long enough runs that per-request work dominates per-batch overhead.
     duration = max(duration_factor * scale.measurement_duration_s, duration_floor)
     return [
         MeasurementRequest(config=_CONFIG, traffic=4, duration=duration, seed=seed)
@@ -96,8 +74,8 @@ def _batch(scale, size=BATCH_SIZE, duration_factor=8.0, duration_floor=120.0):
 
 
 def _large_batch(scale):
-    # Hundreds of lanes, shorter runs: the wide-batch shape the sharded
-    # executor is built for (per-frame NumPy work scales with lane count).
+    # Hundreds of lanes, shorter runs: the wide-batch shape, where per-frame
+    # NumPy work scales with the lane count.
     return _batch(scale, size=LARGE_BATCH_SIZE, duration_factor=2.0, duration_floor=30.0)
 
 
@@ -128,12 +106,11 @@ def _speedup(baseline: list[float], candidate: list[float]) -> float:
     return statistics.median(base / wall for base, wall in zip(baseline, candidate))
 
 
-def _executor_entry(wall_s: float, speedup: float, batch_size: int, workers: int) -> dict:
+def _executor_entry(wall_s: float, speedup: float, batch_size: int) -> dict:
     return {
         "wall_s": round(wall_s, 6),
         "throughput_rps": round(batch_size / wall_s, 3) if wall_s > 0 else None,
         "speedup_vs_discrete_event": round(speedup, 3),
-        "workers": workers,
     }
 
 
@@ -141,9 +118,6 @@ def test_engine_throughput(scale):
     simulator = NetworkSimulator(scenario=Scenario(traffic=4), seed=0)
     requests = _batch(scale)
     cores = available_parallelism()
-    workers = min(WORKERS, max(2, cores))
-    shutdown_worker_pools()  # cold start: pool accounting below is this run's
-    pools_before = pool_diagnostics()
 
     def discrete_event(batch):
         return [
@@ -151,8 +125,8 @@ def test_engine_throughput(scale):
             for r in batch
         ]
 
-    vectorized = MeasurementEngine(simulator, executor="vectorized", cache=False)
-    cached = MeasurementEngine(simulator, executor="vectorized", cache=MeasurementCache())
+    vectorized = MeasurementEngine(simulator, cache=False)
+    cached = MeasurementEngine(simulator, cache=MeasurementCache())
 
     (discrete_walls, vectorized_walls), (discrete_results, vectorized_results) = _timed_interleaved(
         [discrete_event, vectorized.run_batch], requests, SMALL_REPEATS
@@ -167,34 +141,15 @@ def test_engine_throughput(scale):
     assert abs(vectorized_pool.size - discrete_pool.size) / discrete_pool.size < 0.05
 
     # ------------------------------------------------------------ large batch
-    # Sharded (per-worker vectorized passes) vs one whole-batch vectorized
-    # pass, plus the adaptive policy.  Sharding degenerates to the inline
-    # whole-batch pass on a single core, so it is always safe to time.
+    # The wide-batch throughput of the one vectorized pass, ungated.  Warm the
+    # shape first: the first pass over an (N, frames) batch pays one-off
+    # allocation costs that do not belong in the number.
     large_requests = _large_batch(scale)
-    sharded = MeasurementEngine(simulator, executor="sharded", max_workers=workers, cache=False)
-    auto = MeasurementEngine(simulator, executor="auto", max_workers=workers, cache=False)
-    # Warm both paths on the full shape before timing: the first pass over an
-    # (N, frames) batch pays one-off allocation costs, and sharding needs its
-    # (persistent) pool spawned — neither belongs in the comparison.
     vectorized.run_batch(large_requests)
-    sharded.run_batch(large_requests)
-    (vectorized_large_walls, sharded_walls), (
-        vectorized_large_results,
-        sharded_results,
-    ) = _timed_interleaved([vectorized.run_batch, sharded.run_batch], large_requests, LARGE_REPEATS)
+    (vectorized_large_walls,), _ = _timed_interleaved(
+        [vectorized.run_batch], large_requests, LARGE_REPEATS
+    )
     vectorized_large_s = statistics.median(vectorized_large_walls)
-    sharded_s = statistics.median(sharded_walls)
-    sharded_speedup_vs_vectorized = _speedup(vectorized_large_walls, sharded_walls)
-    sharded_shards = sharded.executor.last_shards
-    (auto_walls,), _ = _timed_interleaved([auto.run_batch], large_requests, 3)
-    auto_s = statistics.median(auto_walls)
-    auto_choice = auto.executor.last_choice
-
-    # A sharded batch is byte-identical to the whole-batch vectorized pass.
-    for a, b in zip(vectorized_large_results, sharded_results):
-        assert np.array_equal(a.latencies_ms, b.latencies_ms)
-        assert a.stage_breakdown_ms == b.stage_breakdown_ms
-        assert a.ping_delay_ms == b.ping_delay_ms
 
     # Cache: the second submission of an identical batch is served for free.
     cold_s, cold_results = _timed(cached.run_batch, requests)
@@ -213,12 +168,10 @@ def test_engine_throughput(scale):
     # payload is the same accounting ``python -m repro status`` shows.
     with tempfile.TemporaryDirectory() as store_root:
         store = ResultStore(Path(store_root) / "store")
-        store_cold = MeasurementEngine(
-            simulator, executor="vectorized", cache=MeasurementCache(store=store)
-        )
+        store_cold = MeasurementEngine(simulator, cache=MeasurementCache(store=store))
         store_cold_s, store_cold_results = _timed(store_cold.run_batch, requests)
         warm_cache = MeasurementCache(store=store)  # fresh memory tier
-        store_warm = MeasurementEngine(simulator, executor="vectorized", cache=warm_cache)
+        store_warm = MeasurementEngine(simulator, cache=warm_cache)
         ledger = CostLedger(cache=warm_cache, store=store)
         store_warm_s, store_warm_results = _timed(store_warm.run_batch, requests)
         store_costs = ledger.finish()
@@ -234,20 +187,6 @@ def test_engine_throughput(scale):
     assert store_costs["cache"]["store_hits"] == BATCH_SIZE
     for a, b in zip(store_cold_results, store_warm_results):
         assert np.array_equal(a.latencies_ms, b.latencies_ms)
-
-    # Persistent pools: the sharded batches above reused one warm pool
-    # instead of respawning one per batch.
-    pools_after = pool_diagnostics()
-    pool_summary = {
-        key: pools_after[key] - pools_before.get(key, 0)
-        for key in ("pools_created", "batches_dispatched")
-    }
-    pool_summary["live_pools"] = pools_after["live_pools"]
-    if pool_summary["batches_dispatched"] > 0:
-        assert pool_summary["pools_created"] <= 1, (
-            f"expected one persistent pool, saw {pool_summary['pools_created']} creations "
-            f"across {pool_summary['batches_dispatched']} dispatches"
-        )
 
     discrete_s, vectorized_s = (
         statistics.median(walls) for walls in (discrete_walls, vectorized_walls)
@@ -265,24 +204,11 @@ def test_engine_throughput(scale):
             },
         ],
     )
-    print_table(
-        f"Large batch ({LARGE_BATCH_SIZE} runs, {cores} cores): vectorized vs sharded vs auto",
-        [
-            {"executor": "vectorized", "wall_s": vectorized_large_s, "vs_vectorized": 1.0},
-            {
-                "executor": f"sharded ({sharded_shards} shard(s))",
-                "wall_s": sharded_s,
-                "vs_vectorized": sharded_speedup_vs_vectorized,
-            },
-            {
-                "executor": f"auto -> {auto_choice}",
-                "wall_s": auto_s,
-                "vs_vectorized": vectorized_large_s / auto_s if auto_s > 0 else float("inf"),
-            },
-        ],
+    print(
+        f"large batch ({LARGE_BATCH_SIZE} runs, ungated): vectorized {vectorized_large_s:.3f}s "
+        f"({LARGE_BATCH_SIZE / vectorized_large_s:.0f} runs/s)"
     )
     print(f"cache stats: {stats.as_dict()}")
-    print(f"pool reuse: {pool_summary}")
     print(
         f"store: cold {store_summary['cold_wall_s']:.3f}s -> warm "
         f"{store_summary['warm_wall_s']:.3f}s ({store_summary['entries']} blobs, "
@@ -299,12 +225,10 @@ def test_engine_throughput(scale):
         "measurement_duration_s": float(requests[0].duration),
         "cores": cores,
         "executors": {
-            # "workers" is the *effective* worker count each path really
-            # used — 1 for the in-process paths regardless of machine shape.
-            "discrete_event": _executor_entry(discrete_s, 1.0, BATCH_SIZE, 1),
-            "vectorized": _executor_entry(vectorized_s, vectorized_speedup, BATCH_SIZE, 1),
+            "discrete_event": _executor_entry(discrete_s, 1.0, BATCH_SIZE),
+            "vectorized": _executor_entry(vectorized_s, vectorized_speedup, BATCH_SIZE),
             "cached_warm": {
-                **_executor_entry(warm_s, discrete_s / warm_s, BATCH_SIZE, 1),
+                **_executor_entry(warm_s, discrete_s / warm_s, BATCH_SIZE),
                 "cache_hit_rate": stats.hit_rate,
             },
         },
@@ -315,25 +239,9 @@ def test_engine_throughput(scale):
                 "vectorized": {
                     "wall_s": round(vectorized_large_s, 6),
                     "throughput_rps": round(LARGE_BATCH_SIZE / vectorized_large_s, 3),
-                    "speedup_vs_vectorized": 1.0,
-                    "workers": 1,
-                },
-                "sharded": {
-                    "wall_s": round(sharded_s, 6),
-                    "throughput_rps": round(LARGE_BATCH_SIZE / sharded_s, 3),
-                    "speedup_vs_vectorized": round(sharded_speedup_vs_vectorized, 3),
-                    "workers": sharded_shards,
-                },
-                "auto": {
-                    "wall_s": round(auto_s, 6),
-                    "throughput_rps": round(LARGE_BATCH_SIZE / auto_s, 3),
-                    "speedup_vs_vectorized": round(vectorized_large_s / auto_s, 3),
-                    "workers": sharded_shards if auto_choice == "sharded" else 1,
-                    "choice": auto_choice,
                 },
             },
         },
-        "pools": pool_summary,
         "cache": stats.as_dict(),
         "store": store_summary,
     }
@@ -344,15 +252,3 @@ def test_engine_throughput(scale):
         f"vectorized executor speedup {vectorized_speedup:.2f}x below the "
         f"{REQUIRED_VECTORIZED_SPEEDUP}x target"
     )
-    if cores >= 2:
-        assert sharded_speedup_vs_vectorized >= REQUIRED_SHARDED_SPEEDUP, (
-            f"sharded executor only {sharded_speedup_vs_vectorized:.2f}x the whole-batch "
-            f"vectorized pass on a {cores}-core machine (target "
-            f"{REQUIRED_SHARDED_SPEEDUP}x with {sharded_shards} shards)"
-        )
-    else:
-        assert sharded_speedup_vs_vectorized >= REQUIRED_SHARDED_PARITY, (
-            f"sharded executor regressed to {sharded_speedup_vs_vectorized:.2f}x of the "
-            f"vectorized pass on one core — the degenerate single-shard path must stay "
-            f"within {REQUIRED_SHARDED_PARITY}x"
-        )

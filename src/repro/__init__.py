@@ -23,10 +23,11 @@ command line (``repro.cli``).
 import os
 import sys
 
-# One level of parallelism: the engine's ``sharded`` executor already runs
-# one process per core, and the surrogates multiply matrices far too small
-# to gain from BLAS threads, which then only spin and synchronise.  This has
-# to happen before NumPy loads its BLAS; a value the user set still wins.
+# One level of parallelism: the fork pools of ``repro.engine.forkpool``
+# already run one process per core, and the surrogates multiply matrices far
+# too small to gain from BLAS threads, which then only spin and synchronise.
+# This has to happen before NumPy loads its BLAS; a value the user set still
+# wins.
 if "numpy" not in sys.modules:
     for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_variable, "1")

@@ -83,8 +83,8 @@ class DLDA:
     def collect_offline_dataset(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid-search the configuration space in the simulator (Sec. 8.2).
 
-        The whole grid is submitted as one engine batch: with a parallel
-        executor the grid sweeps run concurrently, and repeated sweeps (the
+        The whole grid is submitted as one engine batch: the grid sweep runs
+        as one vectorized pass, and repeated sweeps (the
         Fig. 18/19 availability and threshold experiments re-collect the same
         grid) are served from the engine's cache.
         """

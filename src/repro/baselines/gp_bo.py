@@ -135,8 +135,8 @@ class GPConfigurationOptimizer(GPBaselineBookkeeping):
 
         The warm-up prefix (the ``initial_random`` iterations, whose actions
         depend only on the RNG — never on earlier measurements) is submitted
-        as *one* engine batch, so the random exploration fans out across
-        executor workers (or one vectorized pass) while staying
+        as *one* engine batch, so the random exploration runs as one
+        vectorized pass while staying
         result-identical to the sequential loop: actions are selected in the
         same RNG order, measured with the same per-iteration seeds, and the
         model/multiplier bookkeeping is replayed in iteration order.  The

@@ -113,8 +113,8 @@ class VirtualEdge(GPBaselineBookkeeping):
 
         The random-exploration prefix (iterations ``1..initial_random``,
         whose probe points depend only on the RNG) is submitted as one
-        engine batch — fanning out across executor workers or one vectorized
-        pass — and its model/multiplier bookkeeping replayed in iteration
+        engine batch — one vectorized pass — and its model/multiplier
+        bookkeeping replayed in iteration
         order, which is result-identical to the sequential loop.  The
         predictive gradient-descent iterations that follow remain
         sequential: each step conditions on the GP fitted to all earlier

@@ -9,13 +9,13 @@ Four subcommands cover the catalog workflow:
     traffic traces, contention budget and stage-1 search defaults.
 ``run --scenario <name> --stage 1|2|3|all``
     Execute the Atlas pipeline on a catalog entry.  Stage budgets come from
-    ``--scale`` (smoke / small / paper, the ``ATLAS_BENCH_SCALE`` levels)
-    and every measurement engine uses ``--executor`` (auto / vectorized /
-    sharded, the ``ATLAS_ENGINE_EXECUTOR`` kinds; ``auto`` — the default —
-    picks per batch).  Multi-slice entries
-    measure all slices concurrently under resource contention before and
-    after optimisation; dynamic entries replay their traffic trace during
-    online learning.  On hostile entries ``--faults guarded`` runs stage 3
+    ``--scale`` (smoke / small / paper, the ``ATLAS_BENCH_SCALE`` levels).
+    Multi-slice entries measure all slices concurrently under resource
+    contention before and after optimisation, and run each slice's stages
+    in a fork-pool worker of its own when two or more cores are usable;
+    dynamic entries replay their traffic trace during online learning.
+    Every measurement engine runs its batches inline, in one vectorized
+    pass.  On hostile entries ``--faults guarded`` runs stage 3
     under the :mod:`repro.core.watchdog` safe-mode watchdog with the
     scenario's fault schedule injected, and ``--faults unprotected`` runs
     the bare learner through the same faults for comparison — see
@@ -61,7 +61,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
@@ -71,8 +70,7 @@ from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrai
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
-from repro.engine.executors import EXECUTOR_ENV_VAR, EXECUTOR_KINDS, available_parallelism
-from repro.engine.forkpool import fork_map, pool_size
+from repro.engine.forkpool import available_parallelism, fork_map, pool_size
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 from repro.experiments.scenarios import collect_online_dataset
 from repro.scenarios import (
@@ -487,82 +485,71 @@ def cmd_run(args: argparse.Namespace) -> int:
         if spec.is_multislice:
             print("error: --faults does not support multi-slice scenarios", file=sys.stderr)
             return 2
-    previous_executor = os.environ.get(EXECUTOR_ENV_VAR)
-    if args.executor is not None:
-        os.environ[EXECUTOR_ENV_VAR] = args.executor
-    try:
+    print(
+        f"scenario {spec.name!r} | stage {args.stage} | scale {scale.name} | "
+        f"measurement duration {duration:g}s"
+    )
+    summary: dict = {
+        "scenario": spec.name,
+        "stage": args.stage,
+        "scale": scale.name,
+        "slices": [],
+    }
+    before = after = None
+    if spec.is_multislice:
+        real_network = spec.primary.make_real_network(seed=args.seed + 1)
+        before = real_network.measure_slices(
+            spec.slice_runs(seed=args.seed + 9000), budget=spec.budget, duration=duration
+        )
+        _print_multislice_round(before, "contended round (deployed configurations):")
+    summary["slices"] = _run_slices(
+        spec, args.stage, scale, duration, args.seed, faults=args.faults
+    )
+    # An "optimised" contended round only makes sense when a stage that
+    # produces configurations actually ran; stage 1 alone learns
+    # simulation parameters, not allocations.
+    if spec.is_multislice and stages & {"2", "3"}:
+        learned_runs = [
+            SliceRun(
+                name=workload.name,
+                config=slice_summary["_config"],
+                scenario=workload.scenario,
+                sla=workload.sla,
+                seed=args.seed + 9100 + index,
+            )
+            for index, (workload, slice_summary) in enumerate(
+                zip(spec.slices, summary["slices"])
+            )
+        ]
+        real_network = spec.primary.make_real_network(seed=args.seed + 1)
+        after = real_network.measure_slices(
+            learned_runs, budget=spec.budget, duration=duration
+        )
+        _print_multislice_round(after, "contended round (optimised configurations):")
+    costs = ledger.finish() if ledger is not None else None
+    if costs is not None:
+        cache = costs["cache"] or {}
         print(
-            f"scenario {spec.name!r} | stage {args.stage} | scale {scale.name} | "
-            f"executor {os.environ.get(EXECUTOR_ENV_VAR, 'auto')} | "
-            f"measurement duration {duration:g}s"
+            f"\ncosts: {costs['engine_requests']} measurements executed "
+            f"({costs['sim_seconds']:g} sim-s), cache served "
+            f"{cache.get('memory_hits', 0)} from memory + "
+            f"{cache.get('store_hits', 0)} from the store "
+            f"(hit rate {cache.get('hit_rate', 0.0):.1%})"
         )
-        summary: dict = {
-            "scenario": spec.name,
-            "stage": args.stage,
-            "scale": scale.name,
-            "slices": [],
-        }
-        before = after = None
-        if spec.is_multislice:
-            real_network = spec.primary.make_real_network(seed=args.seed + 1)
-            before = real_network.measure_slices(
-                spec.slice_runs(seed=args.seed + 9000), budget=spec.budget, duration=duration
-            )
-            _print_multislice_round(before, "contended round (deployed configurations):")
-        summary["slices"] = _run_slices(
-            spec, args.stage, scale, duration, args.seed, faults=args.faults
+    if args.json is not None:
+        payload = _jsonable(
+            {
+                **summary,
+                "multislice_before": before.summary() if before is not None else None,
+                "multislice_after": after.summary() if after is not None else None,
+                "costs": costs,
+            }
         )
-        # An "optimised" contended round only makes sense when a stage that
-        # produces configurations actually ran; stage 1 alone learns
-        # simulation parameters, not allocations.
-        if spec.is_multislice and stages & {"2", "3"}:
-            learned_runs = [
-                SliceRun(
-                    name=workload.name,
-                    config=slice_summary["_config"],
-                    scenario=workload.scenario,
-                    sla=workload.sla,
-                    seed=args.seed + 9100 + index,
-                )
-                for index, (workload, slice_summary) in enumerate(
-                    zip(spec.slices, summary["slices"])
-                )
-            ]
-            real_network = spec.primary.make_real_network(seed=args.seed + 1)
-            after = real_network.measure_slices(
-                learned_runs, budget=spec.budget, duration=duration
-            )
-            _print_multislice_round(after, "contended round (optimised configurations):")
-        costs = ledger.finish() if ledger is not None else None
-        if costs is not None:
-            cache = costs["cache"] or {}
-            print(
-                f"\ncosts: {costs['engine_requests']} measurements executed "
-                f"({costs['sim_seconds']:g} sim-s), cache served "
-                f"{cache.get('memory_hits', 0)} from memory + "
-                f"{cache.get('store_hits', 0)} from the store "
-                f"(hit rate {cache.get('hit_rate', 0.0):.1%})"
-            )
-        if args.json is not None:
-            payload = _jsonable(
-                {
-                    **summary,
-                    "multislice_before": before.summary() if before is not None else None,
-                    "multislice_after": after.summary() if after is not None else None,
-                    "costs": costs,
-                }
-            )
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            print(f"\nwrote JSON summary to {args.json}")
-        print("\ndone")
-        return 0
-    finally:
-        if args.executor is not None:
-            if previous_executor is None:
-                os.environ.pop(EXECUTOR_ENV_VAR, None)
-            else:
-                os.environ[EXECUTOR_ENV_VAR] = previous_executor
+        with open(args.json, "w") as handle:
+            json.dump(payload, handle, indent=2)
+        print(f"\nwrote JSON summary to {args.json}")
+    print("\ndone")
+    return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -579,7 +566,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         group=args.group,
         scenario=args.eval_scenario,
         seeds=args.seeds,
-        executor=args.executor,
         out_dir=args.out,
         determinism=not args.no_determinism,
         store=store,
@@ -626,7 +612,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "stage": args.stage,
             "scale": args.scale,
             "seed": args.seed,
-            "executor": args.executor,
             "faults": args.faults,
             "duration": args.duration,
         }
@@ -635,7 +620,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "group": args.group,
             "scenario": args.eval_scenario,
             "seeds": args.seeds,
-            "executor": args.executor,
             "determinism": args.determinism,
         }
     spec = submit_job(args.state, args.job_kind, {k: v for k, v in params.items() if v is not None})
@@ -730,16 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="iteration budgets and durations (default: the ATLAS_BENCH_SCALE env var, then 'small')",
     )
-    run_parser.add_argument(
-        "--executor",
-        choices=tuple(sorted(EXECUTOR_KINDS)),
-        default=None,
-        help=(
-            "measurement-engine executor (default: the ATLAS_ENGINE_EXECUTOR env var, then "
-            "'auto' — adaptive per-batch selection; 'sharded' runs the vectorized pass "
-            "in a process pool)"
-        ),
-    )
     run_parser.add_argument("--seed", type=int, default=0, help="base random seed (default: 0)")
     run_parser.add_argument(
         "--faults",
@@ -788,16 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         help="override every case's replay seeds (default: the seeds in cases.yaml)",
-    )
-    eval_parser.add_argument(
-        "--executor",
-        choices=tuple(sorted(EXECUTOR_KINDS)),
-        default=None,
-        help=(
-            "measurement-engine executor; every kind returns the same results, so the "
-            "choice cannot change any metric (default: the ATLAS_ENGINE_EXECUTOR env "
-            "var, then 'auto')"
-        ),
     )
     eval_parser.add_argument(
         "--out",
@@ -873,7 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_run.add_argument("--scenario", required=True, help="catalog entry name")
     submit_run.add_argument("--stage", choices=("1", "2", "3", "all"), default="all")
     submit_run.add_argument("--scale", choices=tuple(sorted(SCALES)), default=None)
-    submit_run.add_argument("--executor", choices=tuple(sorted(EXECUTOR_KINDS)), default=None)
     submit_run.add_argument("--seed", type=int, default=0)
     submit_run.add_argument("--faults", choices=("off", "guarded", "unprotected"), default="off")
     submit_run.add_argument("--duration", type=float, default=None)
@@ -883,7 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", dest="eval_scenario", default=None, help="only replay this scenario's cases"
     )
     submit_eval.add_argument("--seeds", type=int, nargs="+", default=None)
-    submit_eval.add_argument("--executor", choices=tuple(sorted(EXECUTOR_KINDS)), default=None)
     submit_eval.add_argument(
         "--determinism",
         action="store_true",

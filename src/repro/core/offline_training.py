@@ -121,11 +121,7 @@ class OfflineConfigurationTrainer:
         self.traffic = int(traffic)
         self.config = config if config is not None else OfflineTrainingConfig()
         self.space = space if space is not None else ConfigurationSpace()
-        self.engine = (
-            engine
-            if engine is not None
-            else MeasurementEngine(simulator, max_workers=self.config.parallel_queries)
-        )
+        self.engine = engine if engine is not None else MeasurementEngine(simulator)
         self._rng = np.random.default_rng(self.config.seed)
         self.state = (float(self.traffic), float(simulator.scenario.distance_m), 0.0)
         self.multiplier = AdaptiveMultiplier(step_size=self.config.multiplier_step)

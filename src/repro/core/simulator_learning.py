@@ -15,10 +15,9 @@ where ``D_r`` is the online latency collection from the real network and
   thousands of candidates per query slot, and
 * parallel queries per iteration: the queries of one iteration are submitted
   as one batch to the :class:`~repro.engine.engine.MeasurementEngine`, which
-  executes them through its configured executor (one vectorized pass, or
-  one per worker process).  The surrogate is only refreshed
-  between iterations, so the algorithmic behaviour is independent of the
-  executor.
+  executes them in one vectorized pass.  The surrogate is only refreshed
+  between iterations, so the algorithmic behaviour is independent of how
+  the batch is executed.
 
 A GP + expected-improvement variant is provided for the "GP" comparison of
 Fig. 8 and Table 4.
@@ -153,11 +152,7 @@ class SimulatorParameterSearch:
         self.space = space if space is not None else SimulationParameterSpace()
         self.config = config if config is not None else ParameterSearchConfig()
         self.traffic = int(traffic)
-        self.engine = (
-            engine
-            if engine is not None
-            else MeasurementEngine(simulator, max_workers=self.config.parallel_queries)
-        )
+        self.engine = engine if engine is not None else MeasurementEngine(simulator)
         self._rng = np.random.default_rng(self.config.seed)
         self._inputs: list[np.ndarray] = []   # normalised parameter vectors
         self._targets: list[float] = []       # measured discrepancies

@@ -153,22 +153,24 @@ class SimulationParameterSpace(BoxSpace):
         if count < 1:
             raise ValueError("count must be >= 1")
         original_unit = self.normalize(self.original.to_array())[0]
-        accepted: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
+        accepted = 0
         # Uniform box proposals first, then shrink toward the original point if
         # the acceptance rate of the constraint is low.
         attempts = 0
         scale = 1.0
-        while len(accepted) < count:
+        while accepted < count:
             proposals_unit = rng.uniform(0.0, 1.0, size=(count * 2, self.dim))
             proposals_unit = original_unit + (proposals_unit - original_unit) * scale
             distances = np.linalg.norm(proposals_unit - original_unit, axis=1) / self.DISTANCE_SCALE
-            for row, distance in zip(proposals_unit, distances):
-                if distance <= self.distance_threshold and len(accepted) < count:
-                    accepted.append(np.clip(row, 0.0, 1.0))
+            # The first feasible rows of the block, in proposal order.
+            rows = proposals_unit[distances <= self.distance_threshold][: count - accepted]
+            blocks.append(np.clip(rows, 0.0, 1.0))
+            accepted += len(rows)
             attempts += 1
             if attempts % 3 == 0:
                 scale *= 0.8
-        return self.denormalize(np.array(accepted))
+        return self.denormalize(np.concatenate(blocks))
 
     def to_parameters(self, point) -> SimulationParameters:
         """Convert a raw vector to :class:`SimulationParameters` (clipped to range)."""

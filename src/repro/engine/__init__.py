@@ -2,11 +2,12 @@
 
 Every simulator / real-network query in the reproduction flows through
 :class:`~repro.engine.engine.MeasurementEngine`, which batches requests,
-executes them through pluggable vectorized/sharded executors (adaptively
-selected per batch under the default ``auto`` kind)
-and memoises results in a content-keyed cache.  See ``docs/architecture.md``
-for the architecture walkthrough (sim → engine → stages → experiments) and
-``docs/performance.md`` for the executor selection guide.
+executes each batch inline in one vectorized pass and memoises results in a
+content-keyed cache.  :func:`~repro.engine.forkpool.fork_map` is the one
+parallelism level: it runs whole eval replays and slice pipelines side by
+side.  See ``docs/architecture.md`` for the architecture walkthrough (sim →
+engine → stages → experiments) and ``docs/performance.md`` for the
+measurements behind that design.
 """
 
 from repro.engine.cache import (
@@ -17,15 +18,8 @@ from repro.engine.cache import (
     shared_cache,
 )
 from repro.engine.engine import MeasurementEngine, engine_telemetry
-from repro.engine.executors import (
-    EXECUTOR_KINDS,
-    available_parallelism,
-    choose_executor,
-    default_executor_kind,
-    make_executor,
-    pool_diagnostics,
-    shutdown_worker_pools,
-)
+from repro.engine.executors import EXECUTOR_KINDS, pool_diagnostics
+from repro.engine.forkpool import available_parallelism
 from repro.engine.protocol import Environment, MeasurementRequest
 
 __all__ = [
@@ -38,11 +32,7 @@ __all__ = [
     "STORE_ENV_VAR",
     "attach_shared_store",
     "available_parallelism",
-    "choose_executor",
-    "default_executor_kind",
     "engine_telemetry",
-    "make_executor",
     "pool_diagnostics",
     "shared_cache",
-    "shutdown_worker_pools",
 ]

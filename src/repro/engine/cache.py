@@ -4,10 +4,10 @@ Results are keyed on the full content of a query — environment fingerprint
 (simulation parameters, scenario, imperfections, base seed, isolation) plus
 the request (config, traffic, duration, per-run seed, parameter override) —
 so a cached entry is, by construction, byte-identical to what re-running
-the measurement would produce: every executor kind returns the same bytes
-for a request (sharding a batch across workers returns the whole-batch
-vectorized pass's results), so entries serve engines of every kind.  Sweep
-experiments that revisit identical queries
+the measurement would produce: a request returns the same bytes in any
+batch it runs in (the per-lane seed streams of :mod:`repro.sim.batch`), so
+an entry serves every engine and every batch.  Sweep experiments that
+revisit identical queries
 (the Fig. 15 heatmap grid, the Fig. 18/19 availability and threshold sweeps
 re-collecting the same DLDA grid) therefore get them for free.
 

@@ -3,25 +3,25 @@
 :class:`MeasurementEngine` is the single execution layer every environment
 consumer (stages 1–3, the baselines and the experiment runners) submits its
 measurements through.  It accepts batches of
-:class:`~repro.engine.protocol.MeasurementRequest`, executes them through a
-pluggable executor (``auto`` — the adaptive default — ``vectorized`` or
-``sharded``) and memoises the results in a content-keyed cache.
+:class:`~repro.engine.protocol.MeasurementRequest`, executes each batch's
+cache misses inline in one vectorized pass
+(:class:`~repro.engine.executors.VectorizedExecutor`) and memoises the
+results in a content-keyed cache.
 
 Determinism
     ``seed=None`` requests are resolved from a per-engine
     :class:`numpy.random.SeedSequence` stream *before* dispatch, so every
-    result depends on its request alone: the same batch produces
-    byte-identical results under every executor kind and any batch
-    composition (the per-lane seed streams of :mod:`repro.sim.batch`), and
-    the racy run-counter idiom the simulator previously used never crosses
-    a process boundary.
+    result depends on its request alone: the same request produces
+    byte-identical results in any batch composition, whole or split, cached
+    or not (the per-lane seed streams of :mod:`repro.sim.batch`), and in any
+    process.
 
 Side effects
     Environments that mutate state per measurement (the real network logs
     every applied configuration through its domain managers) implement
-    ``prepare_batch``; the engine invokes it in the parent process and
+    ``prepare_batch``; the engine invokes it before the cache lookup and
     executes the returned side-effect-free environment, so histories stay
-    correct under process execution and cache hits alike.
+    correct under cache hits too.
 """
 
 from __future__ import annotations
@@ -34,12 +34,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.engine.cache import CacheStats, MeasurementCache, shared_cache
-from repro.engine.executors import (
-    available_parallelism,
-    default_executor_kind,
-    make_executor,
-)
-from repro.engine.forkpool import Counters, in_pool_worker
+from repro.engine.executors import VectorizedExecutor
+from repro.engine.forkpool import Counters
 from repro.engine.protocol import Environment, MeasurementRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -114,31 +110,19 @@ def engine_telemetry() -> dict[str, float]:
 
 
 class MeasurementEngine:
-    """Batched, parallel, cached execution of environment measurements.
+    """Batched, cached execution of environment measurements.
+
+    Each batch's cache misses run inline, in one vectorized pass over the
+    environment's ``run_requests`` hook
+    (:class:`~repro.engine.executors.VectorizedExecutor`).  Parallelism
+    lives one level up: :func:`repro.engine.forkpool.fork_map` runs whole
+    eval replays and slice pipelines side by side.
 
     Parameters
     ----------
     environment:
         Any :class:`~repro.engine.protocol.Environment` (the simulator or the
         real network).
-    executor:
-        ``"auto"`` (the default), ``"vectorized"`` or ``"sharded"``;
-        ``None`` picks the kind selected by the ``ATLAS_ENGINE_EXECUTOR``
-        environment variable, falling back to ``auto`` — the adaptive policy
-        of :func:`repro.engine.executors.choose_executor`, which picks
-        vectorized or sharded per batch from the batch shape, the usable
-        cores and the environment's capabilities.  ``vectorized`` collapses
-        each batch into one NumPy pass over the environment's
-        ``run_requests`` hook; ``sharded`` runs that pass inside each
-        process-pool worker so the multi-core and vectorized speedups
-        multiply.
-    max_workers:
-        Parallel workers of the sharded executor (and the concurrency cap
-        of ``auto``'s per-batch choice).  Defaults to the
-        machine's available parallelism; stages pass their
-        ``parallel_queries`` budget here so the paper's scale knobs map
-        directly onto real concurrency.  Engines built in a fork-pool
-        worker (:mod:`repro.engine.forkpool`) always get one worker.
     cache:
         ``True`` (default) uses the process-wide shared cache, ``False``
         disables caching, and a :class:`MeasurementCache` instance gives the
@@ -150,20 +134,12 @@ class MeasurementEngine:
     def __init__(
         self,
         environment: Environment,
-        executor: str | None = None,
-        max_workers: int | None = None,
         cache: MeasurementCache | bool = True,
         seed: int = 0,
     ) -> None:
         self.environment = environment
-        self.executor_kind = executor if executor is not None else default_executor_kind()
-        if in_pool_worker():
-            # The fork pool already fills the cores; a pool of this
-            # engine's own would nest inside it.
-            max_workers = 1
-        self.max_workers = (
-            max(1, int(max_workers)) if max_workers is not None else available_parallelism()
-        )
+        #: The executor dispatching this engine's cache misses.
+        self.executor = VectorizedExecutor()
         if cache is True:
             self._cache: MeasurementCache | None = shared_cache()
         elif cache is False or cache is None:
@@ -171,21 +147,10 @@ class MeasurementEngine:
         else:
             self._cache = cache
         self._seed_sequence = np.random.SeedSequence(int(seed))
-        self._executor = make_executor(self.executor_kind, self.max_workers)
         #: Measurements actually executed (cache hits excluded).
         self.executed_requests = 0
         #: Batches submitted through :meth:`run_batch`.
         self.submitted_batches = 0
-
-    # ---------------------------------------------------------------- executor
-    @property
-    def executor(self):
-        """The executor instance dispatching this engine's batches.
-
-        Useful for introspection: ``engine.executor.last_choice`` under the
-        ``auto`` kind, ``engine.executor.last_shards`` under ``sharded``.
-        """
-        return self._executor
 
     # ------------------------------------------------------------------- cache
     @property
@@ -225,8 +190,8 @@ class MeasurementEngine:
     def run_batch(self, requests: Sequence[MeasurementRequest]) -> list["SimulationResult"]:
         """Execute a batch of requests and return results in submission order.
 
-        Cache hits are served without touching the executor; misses are
-        dispatched together so the executor can chunk them across workers.
+        Cache hits are served without touching the executor; the misses go
+        to it together, as one vectorized pass.
         """
         self.submitted_batches += 1
         _TELEMETRY.record_batch()
@@ -253,7 +218,7 @@ class MeasurementEngine:
             pending.append((index, key, request))
 
         if pending:
-            executed = self._executor.map_requests(environment, [r for _, _, r in pending])
+            executed = self.executor.map_requests(environment, [r for _, _, r in pending])
             self.executed_requests += len(executed)
             _TELEMETRY.record_executed(
                 len(executed), sum(float(result.duration_s) for result in executed)
@@ -297,6 +262,5 @@ class MeasurementEngine:
         """Compact description of the engine's execution setup."""
         return (
             f"MeasurementEngine(environment={type(self.environment).__name__}, "
-            f"executor={self.executor_kind!r}, max_workers={self.max_workers}, "
             f"cache={'off' if self._cache is None else 'on'})"
         )

@@ -10,11 +10,9 @@ pipeline per job.  :func:`fork_map` serves both:
   function and the job list through the pool initializer, so only job
   indices are pickled on the way in: closures, subclasses and test
   monkeypatches reach the workers exactly as they are in the parent;
-* every :class:`~repro.engine.engine.MeasurementEngine` built inside a
-  worker runs its batches inline, with one worker, whatever ``max_workers``
-  its caller passes (``auto`` resolves to ``vectorized``, ``sharded`` plans
-  one shard): the pool already fills the cores, and a shard pool forked
-  inside a pool worker would nest;
+* every :class:`~repro.engine.engine.MeasurementEngine`, in a worker or
+  not, runs its batches inline in one vectorized pass, so this is the one
+  level of parallelism and pools never nest;
 * each job's delta of every :class:`Counters` set alive when the pool
   forks travels back with its result and is folded into the parent's copy,
   in job order.  Those sets are the ones a cost ledger reads: the engine
@@ -27,7 +25,8 @@ pipeline per job.  :func:`fork_map` serves both:
 Each worker works on its own forked copy of every cache: what one job puts
 in memory, a job in another worker can only read back through a store.
 
-:func:`pool_size` holds the sizing rules the two callers share.
+:func:`pool_size` and :func:`available_parallelism` hold the sizing rules
+the two callers share.
 """
 
 from __future__ import annotations
@@ -35,11 +34,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import multiprocessing
+import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, TypeVar
 
-__all__ = ["Counters", "fork_map", "in_pool_worker", "pool_size"]
+__all__ = ["Counters", "available_parallelism", "fork_map", "pool_size"]
 
 Job = TypeVar("Job")
 Result = TypeVar("Result")
@@ -97,9 +97,12 @@ def _live_counters() -> "list[Counters]":
     return [counters for counters in (ref() for ref in _COUNTERS.copy().values()) if counters is not None]
 
 
-def in_pool_worker() -> bool:
-    """Whether this process is a :func:`fork_map` worker."""
-    return _WORKER is not None
+def available_parallelism() -> int:
+    """CPUs usable by this process (cgroup/affinity aware where possible)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux fallback
+        return max(1, os.cpu_count() or 1)
 
 
 def pool_size(n_jobs: int, cores: int) -> int:

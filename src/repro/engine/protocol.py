@@ -5,17 +5,18 @@ during stages 1 and 2 and the real-network prototype during stage 3 and the
 evaluation experiments.  Both expose the same measurement API; the protocol
 below makes that contract explicit so stages, baselines and experiment
 runners are written once against the abstraction and the
-:class:`~repro.engine.engine.MeasurementEngine` can execute, parallelise and
-cache queries uniformly.
+:class:`~repro.engine.engine.MeasurementEngine` can batch and cache queries
+uniformly.
 
 An environment may additionally implement two optional hooks:
 
 ``prepare_batch(requests)``
     Resolve a batch of requests into ``(pure_environment, resolved_requests)``
-    where ``pure_environment`` is side-effect free and picklable.  The real
-    network uses this to route every configuration through its domain
-    managers (quantisation + history logging) in the parent process before
-    the measurements are dispatched to workers.
+    where ``pure_environment`` is side-effect free.  The real network uses
+    this to route every configuration through its domain managers
+    (quantisation + history logging) before the engine looks the requests up
+    in its cache, so the history is the same whether a measurement runs or
+    is served from the cache.
 
 ``with_params(params)``
     Return a copy of the environment under different simulation parameters;
@@ -29,12 +30,12 @@ An environment may additionally implement two optional hooks:
 
 ``run_requests(requests)``
     Evaluate a whole batch of requests in one call and return their results
-    in order — the vectorized hook the ``vectorized`` and ``sharded``
-    executors (and the adaptive ``auto`` policy) dispatch to.  Per-request
-    results must be independent of which other requests share the batch, so
-    executors may freely split one batch into shards; the network simulator
-    satisfies this through per-lane seed-derived random streams (see
-    :mod:`repro.sim.batch`).
+    in order — the vectorized hook the engine's executor dispatches to.
+    Per-request results must be independent of which other requests share
+    the batch, so the engine may serve part of a batch from its cache and
+    run only the rest, and a caller may split one batch into several; the
+    network simulator satisfies this through per-lane seed-derived random
+    streams (see :mod:`repro.sim.batch`).
 """
 
 from __future__ import annotations

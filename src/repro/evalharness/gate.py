@@ -15,12 +15,10 @@ booleans:
     a second time through a fresh runner and must reproduce byte-identical
     canonical metrics
     (:func:`repro.evalharness.runner.canonical_metrics_bytes`).  Every
-    measurement carries an explicit seed and every executor kind computes
-    it through the one vectorized batch path, so this holds across *all*
-    executor kinds — any mismatch means real numerics drift (seed-stream
-    coupling, batch-composition leakage, a nondeterministic reduction),
-    exactly the class of bug the sharded executor work made cheapest to
-    introduce.
+    measurement carries an explicit seed and runs through the one
+    vectorized batch path, so any mismatch means real numerics drift
+    (seed-stream coupling, batch-composition leakage, a nondeterministic
+    reduction, state leaked through the process).
 
 ``coverage``
     Every scenario registered in :mod:`repro.scenarios.catalog` must have
@@ -116,7 +114,7 @@ def check_determinism(
 ) -> list[GateFailure]:
     """Rerun every case's first seed and the pass's last replay; demand identical bytes.
 
-    A fresh :class:`EvalRunner` (same executor choice, no output directory)
+    A fresh :class:`EvalRunner` (same worker bound, no output directory)
     reruns every case's first seed and the pass's last replay; the
     canonical metric bytes of each rerun must match the original run
     exactly.
@@ -131,7 +129,6 @@ def check_determinism(
     shared object) fails the check whether or not the pass was pooled.
     """
     rerunner = EvalRunner(
-        executor=runner.executor,
         max_workers=runner.max_workers,
         latency_bias_ms=runner.latency_bias_ms,
     )

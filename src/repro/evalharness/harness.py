@@ -33,7 +33,6 @@ def evaluate(
     group: str | None = None,
     scenario: str | None = None,
     seeds: Sequence[int] | None = None,
-    executor: str | None = None,
     out_dir: str | Path | None = None,
     max_workers: int | None = None,
     latency_bias_ms: float = 0.0,
@@ -69,7 +68,6 @@ def evaluate(
         cases = [case.replace(seeds=seeds) for case in cases]
 
     runner = EvalRunner(
-        executor=executor,
         out_dir=out_dir,
         max_workers=max_workers,
         latency_bias_ms=latency_bias_ms,
@@ -95,7 +93,6 @@ def evaluate(
     )
     report = build_report(
         case_results,
-        executor=executor,
         gate=gate.as_dict(),
         latency_bias_ms=latency_bias_ms,
         costs=costs,

@@ -5,21 +5,19 @@ catalog-wide analogue of the engine benchmark's ``BENCH_engine.json``.  Two
 determinism contracts hang off its serialisation, so this module is careful
 about bytes:
 
-* **Rerun identity** — the same cases, seeds and executor produce a
-  byte-identical report file.  Nothing time- or host-dependent is recorded
+* **Rerun identity** — the same cases and seeds produce a byte-identical
+  report file.  Nothing time- or host-dependent is recorded
   (no timestamps, no hostnames, no absolute paths), keys are sorted, and
   non-finite floats are sanitised to ``null``.  The one sanctioned
   exception is ``provenance.costs`` — the service-mode cost ledger
   (wall time, cache-tier hit split), present only when the caller passes
   one and deliberately *outside* the canonical section.
-* **Cross-executor identity** — the ``results`` section (every metric of
-  every case and seed) is byte-identical under the ``vectorized``,
-  ``sharded`` and ``auto`` executor kinds, because every kind computes each
-  explicitly seeded measurement through the same batch path.  The *executor* that
-  produced each run is still recorded — in ``provenance`` and per seed run —
-  so those fields live outside the canonical section.
+* **Path identity** — the ``results`` section (every metric of every case
+  and seed) is byte-identical whether the replays ran in a fork pool or
+  in-process, and whether a store served them cold or warm, because every
+  explicitly seeded measurement runs through the one vectorized batch path.
   :func:`canonical_results_bytes` extracts exactly the bytes the
-  cross-executor tests and the determinism gate compare.
+  pool and store tests compare.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ REPORT_SCHEMA = "atlas-eval/1"
 
 def build_report(
     case_results: Sequence[CaseResult],
-    executor: str | None = None,
     gate: dict | None = None,
     latency_bias_ms: float = 0.0,
     costs: dict | None = None,
@@ -52,9 +49,7 @@ def build_report(
     """Assemble the ``atlas-eval/1`` report from scored case results.
 
     ``gate`` is the gate outcome payload (:meth:`GateResult.as_dict`);
-    ``None`` means the gate was not run (report-only mode).  ``executor``
-    is the *requested* kind; each seed run additionally records the kind
-    that actually executed it (``auto`` resolves per batch).  ``costs``
+    ``None`` means the gate was not run (report-only mode).  ``costs``
     is an ``atlas-costs/1`` ledger payload recorded under
     ``provenance.costs`` (service mode); it carries wall-clock fields and
     is the only part of the report allowed to differ between reruns.
@@ -96,16 +91,6 @@ def build_report(
     report = {
         "schema": REPORT_SCHEMA,
         "provenance": {
-            "executor": {
-                "requested": executor if executor is not None else "auto",
-                "runs": sorted(
-                    {
-                        run.executor["resolved"]
-                        for case_result in case_results
-                        for run in case_result.seed_results
-                    }
-                ),
-            },
             "latency_bias_ms": latency_bias_ms,
             "costs": costs,
         },
@@ -123,11 +108,11 @@ def build_report(
 
 
 def canonical_results_bytes(report: dict) -> bytes:
-    """The executor-independent bytes of a report: its ``results`` section.
+    """The path-independent bytes of a report: its ``results`` section.
 
-    These bytes are identical across executor kinds and across reruns; the
-    surrounding provenance/gate sections may legitimately differ (they name
-    the executor and the gate's own rerun outcomes).
+    These bytes are identical across reruns, pooled or in-process, with or
+    without a store; the surrounding provenance section may legitimately
+    differ (its cost ledger holds wall times and the cache-tier split).
     """
     return json.dumps(report["results"], sort_keys=True, separators=(",", ":")).encode()
 

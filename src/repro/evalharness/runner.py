@@ -11,10 +11,10 @@ runs byte for byte — and rests on two decisions:
 
 * every measurement carries an explicit request seed derived from its
   ``(variant, step[, slice])`` coordinates by a fixed scheme.  Every
-  executor kind computes a request through the same vectorized batch path,
-  whose lanes each draw from their own seed-derived stream
-  (:mod:`repro.sim.batch`), so results never depend on the executor kind,
-  batch composition, executor scheduling or cache state (engines run with
+  engine computes a request through the one vectorized batch path, whose
+  lanes each draw from their own seed-derived stream
+  (:mod:`repro.sim.batch`), so results never depend on batch composition,
+  the process that runs the replay or cache state (engines run with
   ``cache=False`` by default; a runner opened with a persistent ``store``
   instead shares one private store-backed cache across its engines — safe
   *because* a cached entry is byte-identical to recomputation);
@@ -59,8 +59,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.engine.engine import MeasurementEngine
-from repro.engine.executors import available_parallelism
-from repro.engine.forkpool import fork_map, pool_size
+from repro.engine.forkpool import available_parallelism, fork_map, pool_size
 from repro.engine.protocol import MeasurementRequest
 from repro.evalharness.dataset import EvalCase
 from repro.evalharness.scorers import (
@@ -126,7 +125,7 @@ def _sanitize(value):
 def canonical_metrics_bytes(metrics: dict[str, float]) -> bytes:
     """Canonical byte serialisation of one metric vector.
 
-    The determinism gate and the cross-executor tests compare these bytes;
+    The determinism gate and the pool-identity tests compare these bytes;
     non-finite values map to ``null`` so the serialisation is strict JSON.
     """
     return json.dumps(_sanitize(dict(metrics)), sort_keys=True, separators=(",", ":")).encode()
@@ -140,7 +139,6 @@ class SeedRunResult:
     group: str
     scenario: str
     seed: int
-    executor: dict[str, str]
     metrics: dict[str, float]
     events: tuple[dict, ...]
     latency_bias_ms: float = 0.0
@@ -154,7 +152,6 @@ class SeedRunResult:
                 "group": self.group,
                 "scenario": self.scenario,
                 "seed": self.seed,
-                "executor": self.executor,
                 "latency_bias_ms": self.latency_bias_ms,
                 "metrics": dict(self.metrics),
             }
@@ -196,17 +193,10 @@ class EvalRunner:
 
     Parameters
     ----------
-    executor:
-        Engine executor kind (``auto``, ``vectorized`` or ``sharded``);
-        ``None`` defers to ``ATLAS_ENGINE_EXECUTOR`` and the ``auto``
-        default.  Every kind returns the same results, so the choice cannot
-        change any metric value — it only changes how batches are
-        scheduled — and it is recorded in every ``result.json``.
     out_dir:
         Root of the run layout; ``None`` keeps results in memory only.
     max_workers:
-        Worker bound: the size cap of the replay pool and, on the
-        in-process path, of the engines' sharded executor.
+        Size cap of the replay pool (1 replays in-process).
     latency_bias_ms:
         Fault-injection offset added to real-network latencies before
         scoring (gate self-tests only — see the module docstring).
@@ -224,14 +214,12 @@ class EvalRunner:
 
     def __init__(
         self,
-        executor: str | None = None,
         out_dir: str | Path | None = None,
         max_workers: int | None = None,
         latency_bias_ms: float = 0.0,
         store=None,
         tracer=None,
     ) -> None:
-        self.executor = executor
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.max_workers = max_workers
         self.latency_bias_ms = float(latency_bias_ms)
@@ -250,17 +238,8 @@ class EvalRunner:
     # ----------------------------------------------------------------- engine
     def _engine(self, environment) -> MeasurementEngine:
         return MeasurementEngine(
-            environment,
-            executor=self.executor,
-            max_workers=self.max_workers,
-            cache=self.cache if self.cache is not None else False,
+            environment, cache=self.cache if self.cache is not None else False
         )
-
-    def _executor_record(self, engine: MeasurementEngine) -> dict[str, str]:
-        record = {"kind": engine.executor_kind}
-        resolved = getattr(engine.executor, "last_choice", None)
-        record["resolved"] = resolved if resolved is not None else engine.executor_kind
-        return record
 
     def _bias(self, latencies: np.ndarray) -> np.ndarray:
         if self.latency_bias_ms == 0.0:
@@ -297,15 +276,14 @@ class EvalRunner:
         spec = get_scenario(case.scenario)
         with self.tracer.span("eval.seed", case=case.case_id, seed=seed):
             if spec.is_multislice:
-                metrics, events, executor = self._run_multislice_seed(case, spec, seed)
+                metrics, events = self._run_multislice_seed(case, spec, seed)
             else:
-                metrics, events, executor = self._run_single_seed(case, spec, seed)
+                metrics, events = self._run_single_seed(case, spec, seed)
         return SeedRunResult(
             case_id=case.case_id,
             group=case.group,
             scenario=case.scenario,
             seed=seed,
-            executor=executor,
             metrics=metrics,
             events=tuple(events),
             latency_bias_ms=self.latency_bias_ms,
@@ -313,7 +291,7 @@ class EvalRunner:
 
     def _run_single_seed(
         self, case: EvalCase, spec: ScenarioSpec, seed: int
-    ) -> tuple[dict[str, float], list[dict], dict[str, str]]:
+    ) -> tuple[dict[str, float], list[dict]]:
         workload = spec.primary
         threshold = workload.sla.latency_threshold_ms
         availability = workload.sla.availability
@@ -347,7 +325,6 @@ class EvalRunner:
             real_results = self._run_faulted_steps(
                 real_engine, requests, case, spec.faults
             )
-        executor = self._executor_record(real_engine)
 
         events: list[dict] = []
         deployed = case.usage_ladder.index(1.0)
@@ -402,11 +379,11 @@ class EvalRunner:
         metrics = self._score(
             real_pool, sim_pool, usages, qoes, violations, availability
         )
-        return metrics, events, executor
+        return metrics, events
 
     def _run_multislice_seed(
         self, case: EvalCase, spec: ScenarioSpec, seed: int
-    ) -> tuple[dict[str, float], list[dict], dict[str, str]]:
+    ) -> tuple[dict[str, float], list[dict]]:
         # Multi-slice replay measures contended rounds: every (variant, step)
         # scales all requested slice configurations by the ladder factor and
         # resolves them against the spec's shared budget.  Traffic levels are
@@ -444,7 +421,6 @@ class EvalRunner:
             duration=case.duration_s,
             engine=real_engine,
         )
-        executor = self._executor_record(real_engine)
 
         events: list[dict] = []
         deployed = case.usage_ladder.index(1.0)
@@ -516,7 +492,7 @@ class EvalRunner:
                 np.concatenate(real_pool) if real_pool else np.zeros(0),
             ),
         }
-        return metrics, events, executor
+        return metrics, events
 
     def _score(
         self,
@@ -567,9 +543,8 @@ class EvalRunner:
         as it is (subclasses and patches included); engines built there run
         every batch inline, and the engine telemetry and the cache and store
         counters they move are folded into this process's.  Replays are pure
-        functions of ``(case, seed)``, so the metrics and events are the
-        same on both paths; only an ``auto`` executor record's ``resolved``
-        field can differ.  With a store, a measurement that one replay
+        functions of ``(case, seed)``, so the run layout is the same on both
+        paths.  With a store, a measurement that one replay
         reuses from another is served from memory, from the store or fresh,
         depending on which worker reached it first; the number of lookups,
         and every ledger identity (executed requests equal cache misses,

@@ -83,14 +83,18 @@ def summarize_latencies(samples) -> LatencySummary:
             maximum=float("nan"),
             drop_rate=1.0 if total else 0.0,
         )
+    # The quantiles depend only on the order statistics, so one sorted copy
+    # serves all four with the bits of four separate calls on ``delivered``.
+    ordered = np.sort(delivered)
+    p90, p95, p99 = np.percentile(ordered, (90, 95, 99))
     return LatencySummary(
         count=int(delivered.size),
         mean=float(delivered.mean()),
         std=float(delivered.std()),
-        median=float(np.median(delivered)),
-        p90=float(np.percentile(delivered, 90)),
-        p95=float(np.percentile(delivered, 95)),
-        p99=float(np.percentile(delivered, 99)),
+        median=float(np.median(ordered)),
+        p90=float(p90),
+        p95=float(p95),
+        p99=float(p99),
         minimum=float(delivered.min()),
         maximum=float(delivered.max()),
         drop_rate=float((total - delivered.size) / total) if total else 0.0,

@@ -180,10 +180,10 @@ class RealNetwork:
         """Resolve engine requests into pure simulator runs.
 
         Each requested configuration is applied through the domain managers
-        in the calling process — exactly as :meth:`measure` does — so the
-        quantised/clamped configuration history stays correct even when the
-        measurements themselves are dispatched to worker processes or served
-        from the engine's cache.  Unseeded requests fall back to the
+        — exactly as :meth:`measure` does — before the engine looks the
+        requests up in its cache, so the quantised/clamped configuration
+        history stays correct even when a measurement is served from the
+        cache.  Unseeded requests fall back to the
         measurement counter, matching the direct :meth:`measure` path.
         """
         prepared = []

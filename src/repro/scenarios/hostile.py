@@ -25,8 +25,8 @@ with a :class:`~repro.sim.faults.FaultSchedule`:
     the controller, which scores them as zero QoE unless it knows better.
 
 The schedules are pure functions of the measurement step (deterministic
-under seed like every trace), so hostile episodes replay byte-identically
-under every executor kind.  ``tests/test_robustness.py`` holds the chaos
+under seed like every trace), so hostile episodes replay
+byte-identically.  ``tests/test_robustness.py`` holds the chaos
 gate: each entry must break the unprotected learner and be survived by the
 watchdog (:mod:`repro.core.watchdog`); the eval harness replays each entry
 in its ``hostile`` case group.

@@ -7,8 +7,8 @@ measurement step, so online learning and the CLI can replay diurnal,
 bursty or flash-crowd load patterns.
 
 Traces are pure functions of the step index — no hidden random state — so
-any two runs of the same catalog entry see byte-identical workloads under
-every executor kind, exactly like the rest of the measurement pipeline.
+any two runs of the same catalog entry see byte-identical workloads,
+exactly like the rest of the measurement pipeline.
 All traces are frozen dataclasses: hashable, picklable and safe to embed
 in :class:`~repro.scenarios.catalog.ScenarioSpec`.
 """

@@ -49,9 +49,10 @@ class ServiceDaemon:
     state_dir:
         Root of the service state tree (created if missing).
     workers:
-        Concurrent job executors.  Jobs parallelise internally through the
-        engine executors, so the default of 1 already saturates the
-        machine; raise it when jobs are queue-bound rather than CPU-bound.
+        Concurrent job threads.  A job runs in its thread, in this process:
+        its engines run each batch inline, and its traced replays and slices
+        stay out of the fork pools.  Raise it when jobs are queue-bound
+        rather than CPU-bound.
     max_jobs:
         Stop after executing this many jobs (``None``: run until signalled).
     idle_exit_s:

@@ -25,15 +25,15 @@ Two job kinds execute through the existing measurement pipeline:
 
 ``run``
     The CLI's stage pipeline (``scenario``/``stage``/``scale``/``seed``/
-    ``executor``/``faults``/``duration`` — the ``python -m repro run``
-    knobs) on one catalog entry.  Engines inside the stages use the
+    ``faults``/``duration`` — the ``python -m repro run`` knobs) on one
+    catalog entry.  Engines inside the stages use the
     process-wide shared cache, which the daemon backs with the persistent
     store, so repeated stage runs share measurements across jobs *and*
     daemon restarts.  The slices run in-process, one after another, even
     where the CLI would fork a slice pool: the daemon records the job's
     spans itself and runs the job in a thread, where forking is unsafe.
 ``eval``
-    The evaluation harness (``group``/``scenario``/``seeds``/``executor``/
+    The evaluation harness (``group``/``scenario``/``seeds``/
     ``determinism``) with the job's own run layout; its engines use a
     store-backed cache, so a repeated eval case is served from disk with
     ~zero recompute (the warm-restart contract of the service tests).
@@ -41,6 +41,10 @@ Two job kinds execute through the existing measurement pipeline:
 Per-job isolation: each job gets fresh environments (the stage/eval code
 constructs them per run), its own tracer, log and ledger, and failures are
 recorded in ``result.json`` without taking the daemon down.
+
+Job records written by older versions may carry an ``executor`` field (an
+engine executor kind, from when there were several).  It is ignored: the
+job runs, and returns the same result, as a record without it.
 """
 
 from __future__ import annotations
@@ -213,7 +217,6 @@ def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> 
     # Imported lazily: the CLI imports this module for its service commands.
     from repro import cli as _cli
     from repro.engine.cache import shared_cache
-    from repro.engine.executors import EXECUTOR_ENV_VAR
     from repro.experiments.scale import get_scale
     from repro.scenarios import get_scenario
 
@@ -226,21 +229,11 @@ def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> 
     duration = params.get("duration")
     duration = float(duration) if duration is not None else scale.measurement_duration_s
 
-    previous_executor = os.environ.get(EXECUTOR_ENV_VAR)
-    if params.get("executor") is not None:
-        os.environ[EXECUTOR_ENV_VAR] = str(params["executor"])
     ledger = CostLedger(cache=shared_cache(), store=store)
-    try:
-        # The tracer keeps the slices in-process, one job.slice span each.
-        slices = _cli._run_slices(
-            scenario_spec, stage, scale, duration, seed, faults=faults, tracer=tracer
-        )
-    finally:
-        if params.get("executor") is not None:
-            if previous_executor is None:
-                os.environ.pop(EXECUTOR_ENV_VAR, None)
-            else:
-                os.environ[EXECUTOR_ENV_VAR] = previous_executor
+    # The tracer keeps the slices in-process, one job.slice span each.
+    slices = _cli._run_slices(
+        scenario_spec, stage, scale, duration, seed, faults=faults, tracer=tracer
+    )
     summary = _cli._jsonable(
         {
             "scenario": scenario_spec.name,
@@ -264,7 +257,6 @@ def _execute_eval(
         group=params.get("group"),
         scenario=params.get("scenario"),
         seeds=[int(seed) for seed in seeds] if seeds is not None else None,
-        executor=params.get("executor"),
         out_dir=job_dir / "eval",
         determinism=bool(params.get("determinism", False)),
         store=store,

@@ -27,7 +27,7 @@ Numerical contract
     spikes reorder completions, which perturbs per-frame pairings but not
     the latency distribution.
 
-Determinism and shard invariance
+Determinism and partition invariance
     Each lane draws from its own generator, seeded exactly like the scalar
     path (``SeedSequence([base_seed, request_seed])``), on a fixed schedule:
     the post-run draws (ping, saturation throughput) first, then one
@@ -43,17 +43,15 @@ Determinism and shard invariance
     completion (spikes make completions non-monotone) would trigger a frame
     in time again — so a lane ends where it would end alone, however long
     its batch-mates run.  And the extra blocks a longer-lived composition
-    draws are never consumed by a stopped lane's result.  The ``sharded``
-    engine executor (``repro/engine/executors.py``) relies on exactly this
-    to split one large batch across worker processes, each running this
-    vectorized pass over its shard, with results byte-identical to the
-    single whole-batch pass; ``tests/test_engine_sharded.py`` gates the
-    equivalence on every catalog scenario and ``tests/test_sim_batch.py``
+    draws are never consumed by a stopped lane's result.  The engine relies
+    on exactly this twice over.  Its cache serves part of a batch and runs
+    only the misses, so the results it mixes must equal one whole-batch
+    pass; and a caller may submit one batch as several engine batches and
+    still get the bytes of the whole.
+    ``tests/test_engine_split_batches.py`` gates split batches through the
+    engine on every catalog scenario, and ``tests/test_sim_batch.py``
     checks every lane of generated mixed batches against its one-lane
-    batch.  Sharding also has a second, less obvious win: a shard groups
-    fewer lanes under one "longest lane", so short-lane shards exit their
-    block loop earlier instead of idling until the global longest lane
-    completes.
+    batch.
 
 Narrow and wide batches
     The recurrence has two implementations with the same arithmetic.  Wide
@@ -365,8 +363,8 @@ def simulate_batch(
 ) -> list["SimulationResult"]:
     """Evaluate N ``(config, scenario, params, duration, rng)`` lanes in one pass.
 
-    The entry point the simulator facade (and through it the ``vectorized``
-    engine executor) uses; all sequences must have equal length N.  Returns
+    The entry point the simulator facade (and through it the engine's
+    executor) uses; all sequences must have equal length N.  Returns
     one :class:`~repro.sim.network.SimulationResult` per lane, in order.
     """
     from repro.sim.network import SimulationResult

@@ -18,9 +18,10 @@ the reproduction a composable, fully deterministic fault model:
 
 A :class:`FaultSchedule` composes any number of the above into a pure
 function of the measurement step — like the traffic traces, there is no
-hidden random state, so two runs of the same schedule are byte-identical
-under every executor kind.  :class:`FaultedEnvironment` injects a schedule
-into any environment (:class:`~repro.sim.network.NetworkSimulator` or
+hidden random state, so two runs of the same schedule are byte-identical,
+whole or split into batches, pooled or in-process.
+:class:`FaultedEnvironment` injects a schedule into any environment
+(:class:`~repro.sim.network.NetworkSimulator` or
 :class:`~repro.prototype.testbed.RealNetwork`) one step at a time, and is
 careful to keep the engine cache honest: measurements taken inside a fault
 window carry the fault fingerprint in their cache key, while out-of-window
@@ -162,7 +163,7 @@ class RandomDropout:
 
     Deterministic under seed — whether a step is dropped is a pure function
     of ``(seed, step)`` through a :class:`numpy.random.SeedSequence` hash, so
-    the mask replays identically under every executor kind.
+    the mask replays identically in every run.
     """
 
     rate: float = 0.1
@@ -191,9 +192,8 @@ class FaultSchedule:
     """A composition of drift ramps, storm windows and dropout masks.
 
     Every query is a pure function of the measurement step: the schedule is
-    frozen, hashable (it participates in engine cache keys through
-    :class:`FaultedEnvironment`) and picklable (it crosses process-pool
-    boundaries inside prepared environments).
+    frozen and hashable (it participates in engine cache keys through
+    :class:`FaultedEnvironment`).
     """
 
     drifts: tuple[DriftRamp, ...] = ()

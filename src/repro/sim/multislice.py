@@ -241,8 +241,8 @@ def run_contended(
     :func:`resolve_contention`, then one
     :class:`~repro.engine.protocol.MeasurementRequest` per slice — each
     carrying its own scenario — goes out as a single batch, so multi-slice
-    rounds parallelise across executor workers and hit the result cache
-    exactly like single-slice measurements.  ``engine`` must wrap
+    rounds run as one vectorized pass and hit the result cache exactly like
+    single-slice measurements.  ``engine`` must wrap
     ``environment``; a private engine is created when omitted.
     """
     from repro.engine.engine import MeasurementEngine
@@ -276,8 +276,7 @@ def run_contended_batch(
     round by round against the same ``budget`` (each round's slices share
     the physical totals; rounds never contend with each other), then the
     slices of *all* rounds go out as one flat
-    :class:`~repro.engine.engine.MeasurementEngine` batch — under the
-    ``vectorized`` executor that is a single
+    :class:`~repro.engine.engine.MeasurementEngine` batch, that is a single
     :func:`repro.sim.batch.simulate_batch` pass over every slice of every
     round.  Results are regrouped into one :class:`MultiSliceResult` per
     round, in submission order.

@@ -221,7 +221,7 @@ class NetworkSimulator:
     def run_requests(self, requests) -> "list[SimulationResult]":
         """Evaluate a batch of engine requests in one vectorized pass.
 
-        The hook the ``vectorized`` engine executor dispatches to: every
+        The hook the engine's executor dispatches to: every
         :class:`~repro.engine.protocol.MeasurementRequest` becomes one lane
         of :func:`repro.sim.batch.simulate_batch`, with per-request
         ``params``/``scenario``/``traffic``/``duration`` overrides resolved
@@ -313,8 +313,8 @@ class NetworkSimulator:
         :func:`repro.sim.multislice.resolve_contention`), then every slice is
         measured under its own scenario as one
         :class:`~repro.engine.engine.MeasurementEngine` batch — so
-        multi-slice rounds parallelise across executor workers and hit the
-        result cache exactly like single-slice measurements.
+        multi-slice rounds run as one vectorized pass and hit the result
+        cache exactly like single-slice measurements.
 
         Parameters
         ----------
@@ -345,8 +345,7 @@ class NetworkSimulator:
         Each round's requested configurations are resolved against
         ``budget`` with the same proportional-fair contention solver as
         :meth:`run_slices`; the slices of every round are then measured as
-        one engine batch (one vectorized pass under the ``vectorized``
-        executor).  Returns one
+        one engine batch (one vectorized pass).  Returns one
         :class:`~repro.sim.multislice.MultiSliceResult` per round, in
         order.  ``engine`` must wrap this simulator; a private engine is
         created when omitted.

@@ -75,16 +75,15 @@ def replay_pool(monkeypatch) -> list[int]:
     """Run the test as if the host had two usable cores, even on a one-core host.
 
     Eval runners and multi-slice ``run`` commands then fork two-worker
-    pools, and engines outside them shard.  Returns the list that the size
-    of every fork pool (:func:`repro.engine.forkpool.fork_map`) started
-    during the test is appended to.
+    pools.  Returns the list that the size of every fork pool
+    (:func:`repro.engine.forkpool.fork_map`) started during the test is
+    appended to.
     """
     import repro.cli as cli_module
-    import repro.engine.executors as executors_module
     import repro.engine.forkpool as forkpool_module
     import repro.evalharness.runner as runner_module
 
-    for module in (executors_module, runner_module, cli_module):
+    for module in (runner_module, cli_module):
         monkeypatch.setattr(module, "available_parallelism", lambda: 2)
     sizes: list[int] = []
 

@@ -23,7 +23,7 @@ def main() -> None:
     store = ResultStore(store_dir)
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), cache=cache)
     # The entry the parent recovers and compares byte-for-byte.
     engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=1234)
     # Torn staging file with our (soon to be dead) pid in its name.

@@ -8,6 +8,7 @@ in CI and the examples.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -139,27 +140,6 @@ class TestRun:
         assert code == 2
         assert "unknown scenario" in captured.err
 
-    def test_run_executor_flag_restores_environment(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("ATLAS_ENGINE_EXECUTOR", raising=False)
-        code, _ = run_cli(
-            capsys,
-            "run",
-            "--scenario",
-            "urllc-control",
-            "--stage",
-            "2",
-            "--scale",
-            "smoke",
-            "--duration",
-            "2.0",
-            "--executor",
-            "vectorized",
-        )
-        assert code == 0
-        assert "ATLAS_ENGINE_EXECUTOR" not in os.environ
-
     @pytest.mark.parametrize(
         "entry",
         [
@@ -170,36 +150,46 @@ class TestRun:
         ],
         ids=lambda entry: "-".join(part.lstrip("-") for part in entry),
     )
-    def test_all_stages_identical_across_executors(self, capsys, tmp_path, entry):
+    def test_all_stages_identical_without_a_store_and_with_a_cold_and_a_warm_store(
+        self, capsys, tmp_path, entry
+    ):
         json_path = tmp_path / "run.json"
-        outputs = set()
-        for kind in ("vectorized", "sharded", "auto"):
-            shared_cache().clear()  # each kind measures afresh
-            before = engine_telemetry()["executed_requests"]
-            code, out = run_cli(
-                capsys,
-                "run",
-                "--scenario",
-                *entry,
-                "--stage",
-                "all",
-                "--scale",
-                "smoke",
-                "--duration",
-                "2",
-                "--executor",
-                kind,
-                "--json",
-                str(json_path),
-            )
+        store = str(tmp_path / "store")
+        passes = {}
+        for name, extra in (("none", ()), ("cold", ("--store", store)), ("warm", ("--store", store))):
+            shared_cache().clear()  # every pass starts from an empty memory tier
+            try:
+                code, out = run_cli(
+                    capsys,
+                    "run",
+                    "--scenario",
+                    *entry,
+                    "--stage",
+                    "all",
+                    "--scale",
+                    "smoke",
+                    "--duration",
+                    "2",
+                    "--json",
+                    str(json_path),
+                    *extra,
+                )
+            finally:
+                attach_shared_store(None)
             assert code == 0
-            assert engine_telemetry()["executed_requests"] > before
-            outputs.add((out.replace(f"| executor {kind} |", "| executor |"), json_path.read_bytes()))
-        assert len(outputs) == 1
+            payload = json.loads(json_path.read_text())
+            costs = payload.pop("costs")
+            # A store-backed run prints its cost ledger; nothing else differs.
+            passes[name] = (costs, json.dumps(payload, indent=2), re.sub(r"\ncosts: [^\n]*\n", "", out))
+        assert passes["none"][0] is None
+        assert passes["cold"][0]["engine_requests"] > 0
+        assert passes["warm"][0]["engine_requests"] == 0
+        assert passes["warm"][0]["cache"]["store_hits"] > 0
+        assert len({(summary, out) for _, summary, out in passes.values()}) == 1
 
 
 class TestExecutorFlag:
-    """Every ``--executor`` flag accepts exactly the three executor kinds."""
+    """The ``--executor`` flags are gone: every command that had one rejects it."""
 
     @pytest.mark.parametrize(
         "prefix",
@@ -211,15 +201,14 @@ class TestExecutorFlag:
         ],
         ids=["run", "eval", "submit-run", "submit-eval"],
     )
-    def test_accepts_the_three_kinds_only(self, prefix, capsys):
-        parser = build_parser()
+    def test_executor_flag_exits_2(self, prefix, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         for kind in ("auto", "sharded", "vectorized"):
-            assert parser.parse_args([*prefix, "--executor", kind]).executor == kind
-        for kind in ("serial", "thread", "process"):
             with pytest.raises(SystemExit) as excinfo:
-                parser.parse_args([*prefix, "--executor", kind])
+                main([*prefix, "--executor", kind])
             assert excinfo.value.code == 2
-            assert f"invalid choice: '{kind}'" in capsys.readouterr().err
+            assert "unrecognized arguments: --executor" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing was submitted or written
 
 
 MIXED_RUN = ("run", "--scenario", "mixed-enterprise", "--scale", "smoke", "--duration", "2")
@@ -414,28 +403,3 @@ class TestEval:
         captured = capsys.readouterr()
         assert code == 2
         assert "not-a-scenario" in captured.err
-
-    def test_eval_executor_flag_is_recorded_but_metric_neutral(self, capsys, tmp_path):
-        registry = self.write_registry(tmp_path)
-        reports = {}
-        for kind in ("vectorized", "sharded"):
-            out = tmp_path / f"out-{kind}"
-            code, _ = run_cli(
-                capsys,
-                "eval",
-                "--cases",
-                str(registry),
-                "--group",
-                "test",
-                "--out",
-                str(out),
-                "--executor",
-                kind,
-                "--no-determinism",
-            )
-            assert code == 0
-            reports[kind] = json.loads((out / "EVAL_report.json").read_text())
-        assert reports["vectorized"]["provenance"]["executor"]["requested"] == "vectorized"
-        assert reports["sharded"]["provenance"]["executor"]["requested"] == "sharded"
-        # Every executor kind computes the same results.
-        assert reports["vectorized"]["results"] == reports["sharded"]["results"]

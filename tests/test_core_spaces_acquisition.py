@@ -106,6 +106,37 @@ class TestSimulationParameterSpace:
         distances = space.parameter_distance(samples)
         assert np.all(distances <= 0.05 + 1e-9)
 
+    @staticmethod
+    def _sample_feasible_row_by_row(space, count, rng):
+        """The per-row rejection loop ``sample_feasible`` replaced, kept as its oracle."""
+        original_unit = space.normalize(space.original.to_array())[0]
+        accepted = []
+        attempts, scale = 0, 1.0
+        while len(accepted) < count:
+            proposals = rng.uniform(0.0, 1.0, size=(count * 2, space.dim))
+            proposals = original_unit + (proposals - original_unit) * scale
+            distances = np.linalg.norm(proposals - original_unit, axis=1) / space.DISTANCE_SCALE
+            for row, distance in zip(proposals, distances):
+                if distance <= space.distance_threshold and len(accepted) < count:
+                    accepted.append(np.clip(row, 0.0, 1.0))
+            attempts += 1
+            if attempts % 3 == 0:
+                scale *= 0.8
+        return space.denormalize(np.array(accepted))
+
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5])
+    @pytest.mark.parametrize("count", [1, 7, 800])
+    def test_feasible_samples_match_the_row_loop_bit_for_bit(self, count, threshold):
+        space = SimulationParameterSpace(distance_threshold=threshold)
+        for seed in range(3):
+            block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            samples = space.sample_feasible(count, block_rng)
+            expected = self._sample_feasible_row_by_row(space, count, row_rng)
+            assert samples.shape == expected.shape == (count, space.dim)
+            assert samples.tobytes() == expected.tobytes()
+            # The generator is left where the row loop leaves it.
+            assert block_rng.bit_generator.state == row_rng.bit_generator.state
+
     def test_is_feasible(self):
         space = SimulationParameterSpace(distance_threshold=0.05)
         assert space.is_feasible(space.original.to_array())

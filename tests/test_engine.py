@@ -1,10 +1,11 @@
 """Tests for the unified measurement engine.
 
 Covers the :class:`Environment` protocol conformance of both concrete
-environments, determinism of the executor kinds (a stage search is
-identical under vectorized and sharded execution), cache hit/miss
-accounting, the engine's deterministic auto-seeding, and the deterministic
-``seed=None`` stream of the simulator.
+environments, the executor's ``map_requests`` contract (engines dispatch
+through the class attribute, which the pipeline benchmark's tracer wraps),
+split-batch identity of a stage search, cache hit/miss accounting, the
+engine's deterministic auto-seeding, and the deterministic ``seed=None``
+stream of the simulator.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from repro.engine import (
     MeasurementEngine,
     MeasurementRequest,
     engine_telemetry,
-    make_executor,
     shared_cache,
 )
 import repro.engine.forkpool as forkpool_module
 from repro.engine.engine import _TELEMETRY
-from repro.engine.executors import EXECUTOR_KINDS, choose_executor, pool_diagnostics
-from repro.engine.forkpool import fork_map, in_pool_worker
+from repro.engine.executors import EXECUTOR_KINDS, VectorizedExecutor, pool_diagnostics
+from repro.engine.forkpool import fork_map
 from repro.prototype.testbed import RealNetwork
 from repro.service.costs import CostLedger
 from repro.service.store import ResultStore
@@ -112,44 +112,55 @@ class TestExecutorDeterminism:
         with pytest.raises(TypeError, match="with_params"):
             engine.run(default_config, seed=1, params=SimulationParameters())
 
-    def test_unknown_executor_kind_raises(self, simulator, monkeypatch):
-        for kind in ("quantum", "serial", "thread", "process"):
-            with pytest.raises(ValueError, match="unknown executor"):
-                MeasurementEngine(simulator, executor=kind)
-            with pytest.raises(ValueError, match="unknown executor"):
-                make_executor(kind)
-            monkeypatch.setenv("ATLAS_ENGINE_EXECUTOR", kind)
-            with pytest.raises(ValueError, match="unknown executor"):
-                MeasurementEngine(simulator)
-
     @pytest.mark.parametrize(
-        "value, kind",
-        [("vectorized", "vectorized"), (" Sharded ", "sharded"), ("AUTO", "auto")],
-        ids=["vectorized", "padded-sharded", "upper-auto"],
+        "option", [{"executor": "vectorized"}, {"max_workers": 2}], ids=["executor", "max_workers"]
     )
-    def test_env_var_selects_each_kind(self, simulator, default_config, monkeypatch, value, kind):
+    def test_engine_takes_no_executor_options(self, simulator, option):
+        with pytest.raises(TypeError, match=next(iter(option))):
+            MeasurementEngine(simulator, **option)
+
+    @pytest.mark.parametrize("value", ["sharded", " AUTO ", "quantum"])
+    def test_old_executor_env_var_is_ignored(self, simulator, default_config, monkeypatch, value):
+        # The variable used to pick an executor kind, and rejected unknown
+        # ones.  Nothing reads it now, whatever it holds.
         requests = _requests(default_config, n=8)
-        reference = MeasurementEngine(simulator, executor="vectorized", cache=False)
-        expected = reference.run_batch(requests)
+        expected = MeasurementEngine(simulator, cache=False).run_batch(requests)
         monkeypatch.setenv("ATLAS_ENGINE_EXECUTOR", value)
-        engine = MeasurementEngine(simulator, max_workers=2, cache=False)
-        assert engine.executor.kind == kind
-        for a, b in zip(expected, engine.run_batch(requests)):
+        engine = MeasurementEngine(simulator, cache=False)
+        assert engine.executor.kind == "vectorized"
+        for a, b in zip(expected, engine.run_batch(requests), strict=True):
             assert _results_equal(a, b)
 
-    @pytest.mark.parametrize("kind", ["auto", "sharded", "vectorized"])
-    def test_executor_kinds_keep_the_map_requests_contract(self, simulator, default_config, kind):
-        # The pipeline benchmark's tracer wraps every kind's class-level
-        # ``map_requests`` and binds its arguments by name.
-        assert sorted(EXECUTOR_KINDS) == ["auto", "sharded", "vectorized"]
-        executor_class = EXECUTOR_KINDS[kind]
-        assert isinstance(executor_class, type) and executor_class.kind == kind
-        parameters = inspect.signature(executor_class.map_requests).parameters
+    def test_executor_keeps_the_map_requests_contract(self, simulator, default_config):
+        # The pipeline benchmark's tracer wraps the class-level
+        # ``map_requests`` of every listed kind and binds its arguments by name.
+        assert EXECUTOR_KINDS == {"vectorized": VectorizedExecutor}
+        assert VectorizedExecutor.kind == "vectorized"
+        parameters = inspect.signature(VectorizedExecutor.map_requests).parameters
         assert list(parameters) == ["self", "environment", "requests"]
         requests = _requests(default_config)
-        results = executor_class(1).map_requests(environment=simulator, requests=requests)
+        results = VectorizedExecutor().map_requests(environment=simulator, requests=requests)
         for a, b in zip(simulator.run_requests(requests), results, strict=True):
             assert _results_equal(a, b)
+
+    def test_engines_dispatch_through_the_class_map_requests(
+        self, simulator, default_config, monkeypatch
+    ):
+        # Wrapped after the engine exists, as the tracer may be: the engine
+        # must look the method up on the class at every batch.
+        engine = MeasurementEngine(simulator, cache=False)
+        original = VectorizedExecutor.map_requests
+        calls: list[tuple[str, int]] = []
+
+        def recording(self, environment, requests):
+            calls.append((self.kind, len(requests)))
+            return original(self, environment, requests)
+
+        monkeypatch.setattr(VectorizedExecutor, "map_requests", recording)
+        engine.run_batch(_requests(default_config, n=3))
+        engine.run(default_config, traffic=1, duration=DURATION, seed=9)
+        assert calls == [("vectorized", 3), ("vectorized", 1)]
+        assert pool_diagnostics()["pools_created"] == 0
 
     def test_auto_seeds_are_deterministic_per_engine_seed(self, simulator, default_config):
         requests = [MeasurementRequest(config=default_config, traffic=1, duration=DURATION)] * 3
@@ -331,8 +342,19 @@ class TestSimulatorSeedStream:
         assert not any(np.array_equal(unseeded, run) for run in explicit)
 
 
-class TestStageDeterminismAcrossExecutors:
-    def test_parameter_search_identical_under_sharded_executor(self, default_config):
+class SplittingEngine(MeasurementEngine):
+    """An engine that runs every batch of two or more requests as two batches."""
+
+    def run_batch(self, requests):
+        requests = list(requests)
+        if len(requests) < 2:
+            return super().run_batch(requests)
+        half = len(requests) // 2
+        return super().run_batch(requests[:half]) + super().run_batch(requests[half:])
+
+
+class TestStageDeterminismAcrossBatchSplits:
+    def test_parameter_search_identical_with_split_batches(self, default_config):
         from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 
         scenario = Scenario(traffic=1, duration_s=8.0)
@@ -348,11 +370,9 @@ class TestStageDeterminismAcrossExecutors:
             seed=0,
         )
 
-        def run_search(executor: str):
+        def run_search(engine_class):
             simulator = NetworkSimulator(scenario=scenario, seed=0)
-            engine = MeasurementEngine(simulator, executor=executor, max_workers=2, cache=False)
-            if executor == "sharded":
-                engine.executor.shards = 2  # shard every batch, on any host
+            engine = engine_class(simulator, cache=False)
             return SimulatorParameterSearch(
                 simulator=simulator,
                 real_collection=collection,
@@ -361,11 +381,14 @@ class TestStageDeterminismAcrossExecutors:
                 engine=engine,
             ).run()
 
-        vectorized_result = run_search("vectorized")
-        sharded_result = run_search("sharded")
-        assert vectorized_result.best_weighted_discrepancy == sharded_result.best_weighted_discrepancy
-        assert [r.parameters for r in vectorized_result.history] == [
-            r.parameters for r in sharded_result.history
+        whole_result = run_search(MeasurementEngine)
+        split_result = run_search(SplittingEngine)
+        assert whole_result.best_weighted_discrepancy == split_result.best_weighted_discrepancy
+        assert [r.parameters for r in whole_result.history] == [
+            r.parameters for r in split_result.history
+        ]
+        assert [r.discrepancy for r in whole_result.history] == [
+            r.discrepancy for r in split_result.history
         ]
 
 
@@ -386,12 +409,11 @@ class TestForkMap:
     def test_results_come_back_in_job_order(self, replay_pool):
         def job(index):
             time.sleep(0.3 if index == 0 else 0.0)  # the first job finishes last
-            return index, os.getpid(), in_pool_worker()
+            return index, os.getpid()
 
         results = list(fork_map(job, range(5), 2))
-        assert [index for index, _, _ in results] == list(range(5))
-        assert all(worker for _, _, worker in results)
-        assert os.getpid() not in {pid for _, pid, _ in results}
+        assert [index for index, _ in results] == list(range(5))
+        assert os.getpid() not in {pid for _, pid in results}
         assert replay_pool == [2]
 
     def test_text_buffered_before_the_fork_is_written_once(self, tmp_path, monkeypatch):
@@ -410,18 +432,14 @@ class TestForkMap:
     def test_engines_in_a_worker_run_inline_and_report_their_work(
         self, replay_pool, simulator, default_config
     ):
-        # Outside the pool, two usable cores shard a 64-request batch.
-        assert choose_executor(64, cores=2) == "sharded"
-        pools = pool_diagnostics()["pools_created"]
-
         def job(_):
-            engine = MeasurementEngine(simulator, executor="auto", max_workers=2, cache=False)
+            engine = MeasurementEngine(simulator, cache=False)
             engine.run_batch(_requests(default_config, n=64, duration=1.0))
-            return engine.max_workers, engine.executor.last_choice, pool_diagnostics()["pools_created"]
+            return engine.executed_requests, pool_diagnostics()["pools_created"]
 
         before = engine_telemetry()["executed_requests"]
         results = list(fork_map(job, range(2), 2))
-        assert results == [(1, "vectorized", pools)] * 2
+        assert results == [(64, 0)] * 2
         assert engine_telemetry()["executed_requests"] - before == 128
         assert replay_pool == [2]
 
@@ -434,10 +452,10 @@ class TestForkMap:
         cache = MeasurementCache(store=store)
         # Before the fork: request 0 is in the store only, request 1 in the
         # cache's memory tier (and the store).
-        MeasurementEngine(simulator, executor="vectorized", cache=MeasurementCache(store=store)).run(
+        MeasurementEngine(simulator, cache=MeasurementCache(store=store)).run(
             default_config, traffic=1, duration=1.0, seed=0
         )
-        MeasurementEngine(simulator, executor="vectorized", cache=cache).run(
+        MeasurementEngine(simulator, cache=cache).run(
             default_config, traffic=1, duration=1.0, seed=1
         )
 
@@ -447,7 +465,7 @@ class TestForkMap:
         def job(batch):
             time.sleep(0.3 if batch[0].seed == 0 else 0.0)  # the first job finishes last
             before = counts()
-            MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(batch)
+            MeasurementEngine(simulator, cache=cache).run_batch(batch)
             return [tuple(a - b for a, b in zip(*pair)) for pair in zip(counts(), before)]
 
         jobs = [requests[0:3], requests[3:4], requests[4:6]]
@@ -475,13 +493,13 @@ class TestForkMap:
         store = ResultStore(tmp_path / "store")
         cache = MeasurementCache(store=store)
         requests = _requests(default_config, n=4, duration=1.0)
-        reference = MeasurementEngine(simulator, executor="vectorized", cache=False).run_batch(requests)
+        reference = MeasurementEngine(simulator, cache=False).run_batch(requests)
 
         def job(index):
             # Every job measures the same four requests, starting at a
             # different one, so the workers race on every key.
             order = [(index + offset) % 4 for offset in range(4)]
-            engine = MeasurementEngine(simulator, executor="vectorized", cache=cache)
+            engine = MeasurementEngine(simulator, cache=cache)
             results = engine.run_batch([requests[position] for position in order])
             return [results[order.index(position)] for position in range(4)]
 
@@ -508,7 +526,7 @@ class TestForkMap:
             # jobs, two workers: there are some) reuse and count into it.
             if not worker_caches:
                 worker_caches.append(MeasurementCache(store=ResultStore(tmp_path / str(os.getpid()))))
-            engine = MeasurementEngine(simulator, executor="vectorized", cache=worker_caches[0])
+            engine = MeasurementEngine(simulator, cache=worker_caches[0])
             engine.run_batch(_requests(default_config, n=2, duration=1.0))
             return os.getpid()
 

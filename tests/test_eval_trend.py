@@ -110,7 +110,6 @@ def test_real_report_shape_appends(tmp_path):
         group="g",
         scenario="frame-offloading",
         seed=0,
-        executor={"kind": "auto", "resolved": "vectorized"},
         metrics={"latency_p95_ms": 250.0},
         events=(),
     )

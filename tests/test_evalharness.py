@@ -1,10 +1,10 @@
 """The evaluation harness: dataset, replay runner, layout, determinism.
 
-The cross-executor classes reuse the byte-identity contract from
-``tests/test_engine_sharded.py``: every executor kind computes each
-explicitly seeded measurement through the same vectorized batch path, so
-the *same* metric bytes must come out of the vectorized, sharded and auto
-executor kinds.
+The replay-pool classes reuse the split-batch identity contract from
+``tests/test_engine_split_batches.py``: every explicitly seeded measurement
+runs through the same vectorized batch path, so the *same* run layout bytes
+must come out of a pooled pass and an in-process pass, with or without a
+store.
 """
 
 from __future__ import annotations
@@ -215,7 +215,10 @@ class TestRunnerLayout:
         assert payload["case"] == "test/urllc-control"
         assert payload["seed"] == 0
         assert set(payload["metrics"]) == set(METRIC_NAMES)
-        assert payload["executor"]["resolved"] in ("vectorized", "sharded")
+        # No executor record: there is one way to execute a batch.
+        assert set(payload) == {
+            "schema", "case", "group", "scenario", "seed", "latency_bias_ms", "metrics",
+        }
 
     def test_events_jsonl_lines_are_parseable_and_complete(self, tmp_path):
         case = small_case()
@@ -272,34 +275,10 @@ class TestRunnerDeterminism:
         assert biased.latency_bias_ms == 100.0
 
 
-class TestCrossExecutorIdentity:
-    """The satellite contract: identical metrics under every executor kind."""
-
-    EXECUTORS = ("vectorized", "sharded", "auto")
-
-    @pytest.mark.parametrize("scenario", ["urllc-control", "embb-bursty", "mixed-enterprise"])
-    def test_metrics_identical_across_executors(self, scenario):
-        case = small_case(scenario=scenario, measurements=1, usage_ladder=(1.0,))
-        blobs = {}
-        records = {}
-        for kind in self.EXECUTORS:
-            run = EvalRunner(executor=kind).run_seed(case, 0)
-            blobs[kind] = canonical_metrics_bytes(run.metrics)
-            records[kind] = run.executor
-        baseline = blobs["vectorized"]
-        assert all(blob == baseline for blob in blobs.values()), blobs
-        # The report must record which executor produced each run.
-        assert records["vectorized"]["kind"] == "vectorized"
-        assert records["sharded"]["kind"] == "sharded"
-        assert records["auto"]["kind"] == "auto"
-        assert records["auto"]["resolved"] in ("vectorized", "sharded")
-
-
 class TestReplayPool:
     """Pooled replays: the in-process bytes and ledgers, in-process traces."""
 
     # A static case, a hostile case and the multi-slice case, two seeds each.
-    # The static case's 9-lane batches shard outside the pool.
     CASES = (
         small_case(seeds=(0, 1), measurements=3, usage_ladder=(0.9, 1.0, 1.1)),
         small_case(scenario="traffic-drift", seeds=(0, 1)),
@@ -314,28 +293,15 @@ class TestReplayPool:
         return results, engine_telemetry()["executed_requests"] - before
 
     def test_pool_size(self, replay_pool):
-        assert EvalRunner(executor="auto").replay_workers(6) == 2
-        assert EvalRunner(executor="sharded").replay_workers(6) == 2
-        assert EvalRunner(executor="auto", max_workers=1).replay_workers(6) == 1
-        assert EvalRunner(executor="auto").replay_workers(1) == 1
+        assert EvalRunner().replay_workers(6) == 2
+        assert EvalRunner(max_workers=1).replay_workers(6) == 1
+        assert EvalRunner().replay_workers(1) == 1
 
-    @pytest.mark.parametrize(
-        "executor, pooled_record",
-        [("auto", {"kind": "auto", "resolved": "vectorized"}),
-         ("sharded", {"kind": "sharded", "resolved": "sharded"})],
-        ids=["auto", "sharded"],
-    )
-    def test_pooled_run_matches_the_in_process_run(
-        self, tmp_path, replay_pool, monkeypatch, executor, pooled_record
-    ):
-        pooled, pooled_executed = self.run(
-            EvalRunner(executor=executor, max_workers=2, out_dir=tmp_path / "pooled")
-        )
+    def test_pooled_run_matches_the_in_process_run(self, tmp_path, replay_pool, monkeypatch):
+        pooled, pooled_executed = self.run(EvalRunner(max_workers=2, out_dir=tmp_path / "pooled"))
         assert replay_pool == [2]
         monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
-        local, local_executed = self.run(
-            EvalRunner(executor=executor, max_workers=2, out_dir=tmp_path / "local")
-        )
+        local, local_executed = self.run(EvalRunner(max_workers=2, out_dir=tmp_path / "local"))
         assert replay_pool == [2]
 
         assert canonical_results_bytes(build_report(pooled)) == canonical_results_bytes(
@@ -346,15 +312,9 @@ class TestReplayPool:
         assert len(runs) == len(self.JOBS)
         for local_run in runs:
             pooled_run = tmp_path / "pooled" / local_run.relative_to(tmp_path / "local")
-            events = (pooled_run / "events.jsonl").read_bytes()
-            assert events and events == (local_run / "events.jsonl").read_bytes()
-            pooled_payload = json.loads((pooled_run / "result.json").read_text())
-            local_payload = json.loads((local_run / "result.json").read_text())
-            assert pooled_payload["executor"] == pooled_record
-            pooled_payload["executor"] = local_payload["executor"]
-            assert pooled_payload == local_payload
-        static = tmp_path / "local" / "test" / "urllc-control" / "seed=0" / "result.json"
-        assert json.loads(static.read_text())["executor"]["resolved"] == "sharded"
+            for name in ("events.jsonl", "result.json"):
+                produced = (pooled_run / name).read_bytes()
+                assert produced and produced == (local_run / name).read_bytes()
 
     def test_store_backed_runner_pools_with_an_exact_ledger(
         self, tmp_path, replay_pool, monkeypatch
@@ -362,15 +322,13 @@ class TestReplayPool:
         store = ResultStore(tmp_path / "store")
         passes = {}
         for temperature in ("cold", "warm"):
-            runner = EvalRunner(
-                executor="auto", max_workers=2, store=store, out_dir=tmp_path / temperature
-            )
+            runner = EvalRunner(max_workers=2, store=store, out_dir=tmp_path / temperature)
             ledger = CostLedger(cache=runner.cache, store=store)
             results, executed = self.run(runner)
             passes[temperature] = results, executed, ledger.finish()
         assert replay_pool == [2, 2]
         monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
-        local, requests = self.run(EvalRunner(executor="auto", out_dir=tmp_path / "local"))
+        local, requests = self.run(EvalRunner(out_dir=tmp_path / "local"))
         assert replay_pool == [2, 2]
 
         runs = sorted(path.parent for path in (tmp_path / "local").rglob("events.jsonl"))
@@ -381,8 +339,9 @@ class TestReplayPool:
             )
             for local_run in runs:
                 pooled_run = tmp_path / temperature / local_run.relative_to(tmp_path / "local")
-                events = (pooled_run / "events.jsonl").read_bytes()
-                assert events and events == (local_run / "events.jsonl").read_bytes()
+                for name in ("events.jsonl", "result.json"):
+                    produced = (pooled_run / name).read_bytes()
+                    assert produced and produced == (local_run / name).read_bytes()
             cache = costs["cache"]
             assert costs["engine_requests"] == executed
             assert cache["store_hits"] == costs["store"]["hits"]
@@ -394,7 +353,7 @@ class TestReplayPool:
 
     def test_traced_runner_stays_in_process_with_a_span_per_replay(self, tmp_path, replay_pool):
         with Tracer(tmp_path / "trace.jsonl") as tracer:
-            self.run(EvalRunner(executor="auto", max_workers=2, tracer=tracer))
+            self.run(EvalRunner(max_workers=2, tracer=tracer))
         spans = [
             record for record in read_trace(tmp_path / "trace.jsonl")
             if record["kind"] == "span" and record["name"] == "eval.seed"

@@ -114,7 +114,7 @@ class TestDeterminismCheck:
                 return shifted(super().run_seed(case, seed), 0.5)  # numerics drift on rerun
 
         cases = [small_case(), small_case(scenario="embb-video"), small_case(scenario="embb-bursty")]
-        runner = EvalRunner(executor="auto", max_workers=max_workers)
+        runner = EvalRunner(max_workers=max_workers)
         results = runner.run_cases(cases)
         monkeypatch.setattr(gate_module, "EvalRunner", DriftingRunner)
         failures = check_determinism(runner, results)
@@ -148,7 +148,7 @@ class TestDeterminismCheck:
                 return shifted(super().run_seed(case, seed), np.random.random())
 
         monkeypatch.setattr(gate_module, "EvalRunner", LeakingRunner)
-        runner = LeakingRunner(executor="auto", max_workers=max_workers)
+        runner = LeakingRunner(max_workers=max_workers)
         failures = check_determinism(runner, runner.run_cases(cases))
         assert replay_pool == pools
         assert failures and all(failure.kind == "determinism" for failure in failures)
@@ -183,7 +183,7 @@ class TestReport:
         cases = [small_case()]
         results = runner.run_cases(cases)
         verdict = run_gate(runner, results, cases=cases, determinism=False, coverage=False)
-        report = build_report(results, executor=None, gate=verdict.as_dict())
+        report = build_report(results, gate=verdict.as_dict())
         assert report["schema"] == REPORT_SCHEMA
         assert report["summary"]["cases"] == 1
         assert report["summary"]["runs"] == 1
@@ -192,7 +192,7 @@ class TestReport:
         assert entry["case"] == "test/urllc-control"
         assert entry["passed"] is True
         assert entry["envelopes"]["latency_p95_ms"]["pass"] is True
-        assert report["provenance"]["executor"]["runs"]
+        assert report["provenance"] == {"latency_bias_ms": 0.0, "costs": None}
 
     def test_nan_metrics_are_sanitised_to_null(self):
         run = SeedRunResult(
@@ -200,7 +200,6 @@ class TestReport:
             group="test",
             scenario="urllc-control",
             seed=0,
-            executor={"kind": "vectorized", "resolved": "vectorized"},
             metrics={"latency_p95_ms": float("nan")},
             events=(),
         )
@@ -221,8 +220,8 @@ class TestReport:
     def test_canonical_results_bytes_exclude_provenance(self):
         runner = EvalRunner()
         results = runner.run_cases([small_case()])
-        report_a = build_report(results, executor="vectorized", gate=None)
-        report_b = build_report(results, executor="sharded", gate=None)
+        report_a = build_report(results, gate=None)
+        report_b = build_report(results, gate=None, costs={"wall_time_s": 1.0})
         assert report_a["provenance"] != report_b["provenance"]
         assert canonical_results_bytes(report_a) == canonical_results_bytes(report_b)
 

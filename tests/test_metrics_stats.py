@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.metrics.stats import empirical_cdf, summarize_latencies
 
@@ -95,3 +98,45 @@ class TestDegenerateCollections:
         values, probabilities = empirical_cdf([np.nan, 10.0, np.inf])
         assert values.tolist() == [10.0]
         assert probabilities.tolist() == [1.0]
+
+
+#: Latency collections with ties, duplicates and dropped (non-finite) frames.
+#: Every element is drawn on its own (no fill value), so arrays are varied.
+collections = hnp.arrays(
+    dtype=float,
+    shape=st.integers(min_value=1, max_value=120),
+    elements=st.one_of(
+        st.sampled_from([0.0, 1.0, 1.0, 2.5, 100.0, np.inf, -np.inf, np.nan]),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    ),
+    fill=st.nothing(),
+)
+
+
+@given(collections)
+# An even count whose middle pair averages to other bits than linear
+# interpolation gives: the median must stay the mean of the two.
+@example(np.array([27.392337464290858, np.nan, -46.04265724722594]))
+@settings(max_examples=100, deadline=None)
+def test_every_field_equals_the_four_quantile_formula_bit_for_bit(samples):
+    """One sorted copy serves the median and percentiles with the bits of four calls."""
+    delivered = samples[np.isfinite(samples)]
+    summary = summarize_latencies(samples)
+    if delivered.size == 0:
+        assert summary.count == 0 and np.isnan(summary.median)
+        return
+    expected = {
+        "count": delivered.size,
+        "mean": float(delivered.mean()),
+        "std": float(delivered.std()),
+        "median": float(np.median(delivered)),
+        "p90": float(np.percentile(delivered, 90)),
+        "p95": float(np.percentile(delivered, 95)),
+        "p99": float(np.percentile(delivered, 99)),
+        "min": float(delivered.min()),
+        "max": float(delivered.max()),
+        "drop_rate": (samples.size - delivered.size) / samples.size,
+    }
+    actual = summary.as_dict()
+    for name, value in expected.items():
+        assert np.float64(actual[name]).tobytes() == np.float64(value).tobytes(), name

@@ -63,12 +63,12 @@ def test_sigkill_mid_put_reopens_clean_and_reproduces_bytes(tmp_path, child_env)
     # it fresh; the two must be byte-identical.
     workload = get_scenario("frame-offloading").primary
     cache = MeasurementCache(store=store)
-    warm = MeasurementEngine(workload.make_simulator(seed=0), executor="auto", cache=cache)
+    warm = MeasurementEngine(workload.make_simulator(seed=0), cache=cache)
     recovered = warm.run(workload.deployed_config, traffic=3, duration=2.0, seed=1234)
     assert warm.executed_requests == 0, "known entry should be served from the store"
     assert cache.stats.store_hits == 1
 
-    fresh = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=False)
+    fresh = MeasurementEngine(workload.make_simulator(seed=0), cache=False)
     recomputed = fresh.run(workload.deployed_config, traffic=3, duration=2.0, seed=1234)
     assert recovered.latencies_ms.tobytes() == recomputed.latencies_ms.tobytes()
     assert recovered.stage_breakdown_ms == recomputed.stage_breakdown_ms

@@ -62,6 +62,43 @@ def test_job_failure_is_contained_and_recorded(tmp_path):
     assert (paths.job_dir(spec.id) / "traceback.txt").exists()
 
 
+OLD_RECORD_PARAMS = {
+    "run": {"scenario": "frame-offloading", "stage": "1", "scale": "smoke", "duration": 2.0},
+    "eval": {"scenario": "frame-offloading", "seeds": [0]},
+}
+
+
+@pytest.mark.parametrize("executor", ["auto", "vectorized", "sharded"])
+@pytest.mark.parametrize("kind", ["run", "eval"])
+def test_queued_record_with_an_old_executor_field_runs_as_without_it(tmp_path, kind, executor):
+    """Records queued by older versions may name an executor kind; it is ignored."""
+    import os
+
+    from repro.engine.cache import shared_cache
+
+    paths = ServicePaths(tmp_path)
+    environment = dict(os.environ)
+    results = []
+    for params in (OLD_RECORD_PARAMS[kind], {**OLD_RECORD_PARAMS[kind], "executor": executor}):
+        shared_cache().clear()  # both jobs measure afresh
+        submit_job(tmp_path, kind, params)
+        claimed = claim_next_job(paths)
+        assert claimed.params == params
+        result = execute_job(claimed, paths, store=None)
+        assert result["status"] == "done", result["error"]
+        reports = sorted(paths.job_dir(claimed.id).rglob("EVAL_report.json"))
+        results.append(
+            (
+                result["summary"],
+                result["costs"]["engine_requests"],
+                [json.loads(report.read_text())["results"] for report in reports],
+            )
+        )
+    assert results[0] == results[1]
+    assert results[0][1] > 0
+    assert dict(os.environ) == environment  # no job touches the process environment
+
+
 # -------------------------------------------------------------------- tracer
 def test_tracer_span_event_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"

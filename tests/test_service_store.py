@@ -192,7 +192,7 @@ def test_cache_degrades_unencodable_keys_to_store_errors(tmp_path):
     store = ResultStore(tmp_path / "store")
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), cache=cache)
     result = engine.run(workload.deployed_config, traffic=2, duration=2.0, seed=5)
     bad_key = ("unencodable", object())
     cache.put(bad_key, result)
@@ -217,7 +217,7 @@ def test_blobs_under_old_three_element_keys_read_back_as_misses(tmp_path):
         store.put((simulator.fingerprint(), request.key(), tag), decoy)
 
     cache = MeasurementCache(store=store)
-    engine = MeasurementEngine(simulator, executor="vectorized", cache=cache)
+    engine = MeasurementEngine(simulator, cache=cache)
     result = engine.run_batch([request])[0]
     assert (cache.stats.store_hits, cache.stats.misses, engine.executed_requests) == (0, 1, 1)
     assert store.stats.corrupt_dropped == 0
@@ -226,7 +226,7 @@ def test_blobs_under_old_three_element_keys_read_back_as_misses(tmp_path):
     assert store.entry_count() == 3
 
     fresh = MeasurementCache(store=store)
-    MeasurementEngine(simulator, executor="vectorized", cache=fresh).run_batch([request])
+    MeasurementEngine(simulator, cache=fresh).run_batch([request])
     assert fresh.stats.store_hits == 1
 
 
@@ -243,7 +243,7 @@ store_dir, out_path, start, stop = sys.argv[1:5]
 store = ResultStore(store_dir)
 cache = MeasurementCache(store=store)
 workload = get_scenario("frame-offloading").primary
-engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
+engine = MeasurementEngine(workload.make_simulator(seed=0), cache=cache)
 ledger = CostLedger(cache=cache, store=store)
 for seed in range(int(start), int(stop)):
     engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed)
@@ -299,7 +299,7 @@ def test_concurrent_processes_share_one_store_and_reconcile(tmp_path, child_env)
     # Sequential rerun over the full range: zero recompute beyond the races.
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), cache=cache)
     for seed in range(16):
         assert engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed) is not None
     assert engine.executed_requests == 0

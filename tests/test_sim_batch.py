@@ -7,7 +7,7 @@ tolerance — see :mod:`repro.sim.batch`), exact equivalence of the vectorized
 LTE helpers against their scalar counterparts, per-request determinism under
 arbitrary batch composition (every lane of a generated mixed batch equals
 its one-lane batch, and the narrow per-lane and wide array recurrences
-agree bit for bit), the ``vectorized`` engine executor (partial cache hits,
+agree bit for bit), the engine's vectorized executor (partial cache hits,
 per-request scenario/params overrides, scalar fallback for environments
 without the batch hook, the real network's ``prepare_batch`` resolution),
 and the batched multi-slice round API.
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MeasurementCache, MeasurementEngine, MeasurementRequest
-from repro.engine import executors as executors_module
 from repro.prototype.testbed import RealNetwork
 from repro.scenarios import get_scenario, list_scenarios
 from repro.sim import batch as batch_module
@@ -308,7 +307,7 @@ class TestVectorizedExecutor:
         ]
 
     def test_partial_cache_hits_shrink_the_batch(self, simulator, default_config):
-        engine = MeasurementEngine(simulator, executor="vectorized", cache=MeasurementCache())
+        engine = MeasurementEngine(simulator, cache=MeasurementCache())
         first = engine.run_batch(self._requests(default_config, [0, 1, 2]))
         assert engine.executed_requests == 3
         combined = engine.run_batch(self._requests(default_config, [0, 1, 2, 3, 4]))
@@ -321,7 +320,7 @@ class TestVectorizedExecutor:
             assert _results_equal(a, b)
         # Per-request determinism: the shrunk two-lane pass produces the same
         # results the requests would get in any other batch composition.
-        fresh = MeasurementEngine(simulator, executor="vectorized", cache=False).run_batch(
+        fresh = MeasurementEngine(simulator, cache=False).run_batch(
             self._requests(default_config, [3, 4])
         )
         for a, b in zip(fresh, combined[3:]):
@@ -329,7 +328,7 @@ class TestVectorizedExecutor:
 
     def test_scenario_override_matches_singleton_batches(self, simulator, default_config):
         other = Scenario(traffic=3, distance_m=120.0, duration_s=12.0)
-        engine = MeasurementEngine(simulator, executor="vectorized", cache=False)
+        engine = MeasurementEngine(simulator, cache=False)
         mixed = engine.run_batch(
             [
                 MeasurementRequest(config=default_config, duration=self.DURATION, seed=1),
@@ -355,7 +354,7 @@ class TestVectorizedExecutor:
 
     def test_params_override_matches_singleton_batches(self, simulator, default_config):
         params = SimulationParameters(compute_time=15.0, backhaul_delay=5.0)
-        engine = MeasurementEngine(simulator, executor="vectorized", cache=False)
+        engine = MeasurementEngine(simulator, cache=False)
         mixed = engine.run_batch(
             [
                 MeasurementRequest(config=default_config, duration=self.DURATION, seed=2),
@@ -370,18 +369,13 @@ class TestVectorizedExecutor:
         assert _results_equal(mixed[1], alone)
         assert not np.array_equal(mixed[0].latencies_ms, mixed[1].latencies_ms)
 
-    @pytest.mark.parametrize("kind", ["vectorized", "sharded", "auto"])
-    def test_falls_back_to_scalar_without_batch_hook(self, default_config, kind, monkeypatch):
-        # Four usable cores: a vectorizable batch of this size would shard.
-        monkeypatch.setattr(executors_module, "available_parallelism", lambda: 4)
+    def test_falls_back_to_scalar_without_batch_hook(self, default_config):
         environment = ScalarOnlyEnvironment()
-        engine = MeasurementEngine(environment, executor=kind, max_workers=4, cache=False)
+        engine = MeasurementEngine(environment, cache=False)
         requests = self._requests(default_config, range(8))
         results = engine.run_batch(requests)
         # One ``run`` per request, in request order.
         assert environment.seeds_run == list(range(8))
-        if kind == "auto":
-            assert engine.executor.last_choice == "vectorized"
         reference = ScalarOnlyEnvironment()
         direct = [
             reference.run(r.config, traffic=r.traffic, duration=r.duration, seed=r.seed)
@@ -393,14 +387,14 @@ class TestVectorizedExecutor:
     def test_real_network_resolves_through_prepare_batch(self, default_config):
         scenario = Scenario(traffic=1, duration_s=10.0)
         real = RealNetwork(scenario=scenario, seed=1)
-        engine = MeasurementEngine(real, executor="vectorized", cache=False)
+        engine = MeasurementEngine(real, cache=False)
         results = engine.run_batch(self._requests(default_config, [1, 2, 3]))
         assert len(results) == 3
         # The domain managers logged every applied configuration in order.
         assert len(real.applied_history) == 3
         # Reproducible: a fresh testbed measuring the same batch agrees.
         again = MeasurementEngine(
-            RealNetwork(scenario=scenario, seed=1), executor="vectorized", cache=False
+            RealNetwork(scenario=scenario, seed=1), cache=False
         ).run_batch(self._requests(default_config, [1, 2, 3]))
         for a, b in zip(results, again):
             assert _results_equal(a, b)
@@ -439,7 +433,7 @@ class TestRunSlicesBatch:
                 assert _results_equal(a, b)
 
     def test_vectorized_engine_executes_all_rounds_in_one_batch(self, simulator):
-        engine = MeasurementEngine(simulator, executor="vectorized", cache=False)
+        engine = MeasurementEngine(simulator, cache=False)
         batched = simulator.run_slices_batch(
             self._rounds(), duration=self.DURATION, engine=engine
         )
