@@ -86,7 +86,10 @@ class DLDA:
         The whole grid is submitted as one engine batch: the grid sweep runs
         as one vectorized pass, and repeated sweeps (the
         Fig. 18/19 availability and threshold experiments re-collect the same
-        grid) are served from the engine's cache.
+        grid) are served from the engine's cache.  It is the widest batch in
+        the repository (729 lanes at ``small`` scale, 4096 at ``paper``), and
+        it runs on one core; ``docs/performance.md`` ("Why there is no shard
+        pool") measures what that costs.
         """
         grid = self.space.grid(self.config.grid_points_per_dim)
         requests = [

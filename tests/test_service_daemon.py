@@ -68,10 +68,12 @@ OLD_RECORD_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("executor", ["auto", "vectorized", "sharded"])
-@pytest.mark.parametrize("kind", ["run", "eval"])
+@pytest.mark.parametrize(("kind", "executor"), [("run", "sharded"), ("eval", "auto")])
 def test_queued_record_with_an_old_executor_field_runs_as_without_it(tmp_path, kind, executor):
-    """Records queued by older versions may name an executor kind; it is ignored."""
+    """Records queued by older versions may name an executor kind; it is ignored.
+
+    Nothing reads the field, so one value per job kind covers it.
+    """
     import os
 
     from repro.engine.cache import shared_cache
