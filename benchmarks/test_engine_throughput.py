@@ -7,9 +7,11 @@ verifying the vectorized results statistically equivalent, plus the
 warm-cache repeat and the persistent store's cold and warm passes.  The
 *large* batch (192 requests, the city-scale shape) records the vectorized
 pass's wide-batch throughput as an ungated number.  The numbers are printed
-as tables *and* written to ``BENCH_engine.json`` at the repository root —
-the machine-readable perf trajectory CI uploads on every push (schema
-``atlas-bench-engine/5``, documented in ``docs/performance.md``).
+as tables *and* written to ``benchmarks/out/BENCH_engine.json`` — the
+machine-readable perf trajectory CI uploads on every push (schema
+``atlas-bench-engine/5``, documented in ``docs/performance.md``).  The
+``BENCH_engine.json`` committed at the repository root is a copy of one
+such file, refreshed on purpose; running the benchmark leaves it alone.
 
 One speedup gate: the vectorized pass must beat the discrete-event loop by
 ``REQUIRED_VECTORIZED_SPEEDUP`` (it collapses the batch into one NumPy
@@ -56,8 +58,8 @@ REQUIRED_VECTORIZED_SPEEDUP = 5.0
 SMALL_REPEATS = 3
 #: Repetitions of the large batch (~0.1 s per pass); its median is reported.
 LARGE_REPEATS = 5
-#: Where the machine-readable results land (the repository root).
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+#: Where the machine-readable results land (ignored by git).
+BENCH_JSON_PATH = Path(__file__).resolve().parent / "out" / "BENCH_engine.json"
 #: Schema identifier of the emitted JSON (bump on breaking changes).
 BENCH_SCHEMA = "atlas-bench-engine/5"
 
@@ -245,6 +247,7 @@ def test_engine_throughput(scale):
         "cache": stats.as_dict(),
         "store": store_summary,
     }
+    BENCH_JSON_PATH.parent.mkdir(exist_ok=True)
     BENCH_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[atlas-bench] wrote {BENCH_JSON_PATH}")
 

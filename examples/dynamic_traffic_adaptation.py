@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import NetworkSimulator, RealNetwork, SLA
-from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingConfig
-from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
+from repro.core.atlas import offline_training_config, online_learning_config
+from repro.core.offline_training import OfflineConfigurationTrainer
+from repro.core.online_learning import OnlineConfigurationLearner
 from repro.experiments.scale import get_scale
 from repro.prototype.testbed import default_ground_truth
 from repro.sim.scenario import Scenario
@@ -39,14 +40,7 @@ def configure_for_traffic(traffic: int) -> dict:
         simulator=augmented_simulator,
         sla=sla,
         traffic=traffic,
-        config=OfflineTrainingConfig(
-            iterations=scale.stage2_iterations,
-            initial_random=scale.stage2_initial_random,
-            parallel_queries=scale.stage2_parallel,
-            candidate_pool=scale.stage2_candidate_pool,
-            measurement_duration_s=duration,
-            seed=traffic,
-        ),
+        config=offline_training_config(scale, duration, seed=traffic),
     )
     policy = trainer.run().policy
 
@@ -56,13 +50,7 @@ def configure_for_traffic(traffic: int) -> dict:
         real_network=real_network,
         sla=sla,
         traffic=traffic,
-        config=OnlineLearningConfig(
-            iterations=scale.stage3_iterations,
-            offline_queries_per_step=scale.stage3_offline_queries,
-            candidate_pool=scale.stage3_candidate_pool,
-            measurement_duration_s=duration,
-            seed=traffic,
-        ),
+        config=online_learning_config(scale, duration, seed=traffic),
     )
     online = learner.run()
     best = online.policy.best_config

@@ -6,22 +6,19 @@ This example walks through the public API in a few minutes of compute:
    the scenario catalog's ``frame-offloading`` entry,
 2. measure one slice configuration on both and compare (the motivation of
    the paper: the sim-to-real discrepancy),
-3. run the full three-stage Atlas pipeline, and
-4. print the configuration Atlas converged to and its regrets.
+3. run the three Atlas stages with the stage driver, which prints one line
+   per stage, and
+4. print the simulation parameters and the configuration Atlas converged to.
 
 Budgets follow ``ATLAS_BENCH_SCALE`` (smoke / small / paper); the same
-pipeline is also available as ``python -m repro run --scenario
-frame-offloading --stage all``.
+driver runs ``python -m repro run --scenario frame-offloading --stage all``.
 
 Run with:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
-from repro import Atlas, AtlasConfig
-from repro.core.offline_training import OfflineTrainingConfig
-from repro.core.online_learning import OnlineLearningConfig
-from repro.core.simulator_learning import ParameterSearchConfig
+from repro import Atlas
 from repro.experiments.scale import get_scale
 from repro.metrics import histogram_kl_divergence
 from repro.scenarios import get_scenario
@@ -30,7 +27,8 @@ from repro.scenarios import get_scenario
 def main() -> None:
     scale = get_scale()
     duration = scale.measurement_duration_s
-    workload = get_scenario("frame-offloading").primary
+    spec = get_scenario("frame-offloading")
+    workload = spec.primary
     simulator = workload.make_simulator(seed=0)
     real_network = workload.make_real_network(seed=1)
     sla = workload.sla
@@ -49,53 +47,16 @@ def main() -> None:
     print(f"KL divergence between the latency distributions: {discrepancy:.2f}\n")
 
     # ------------------------------------------------------------------ step 2
+    # The driver measures with a simulator seeded 0 and a real network seeded
+    # 1, like the two built above; stage 1's parameters build stage 2's
+    # simulator, and stage 2's policy starts stage 3.
     print(f"== Running the three Atlas stages ({scale.name} budget) ==")
-    atlas = Atlas(
-        simulator,
-        real_network,
-        AtlasConfig(
-            sla=sla,
-            traffic=1,
-            deployed_config=config,
-            online_collection_runs=max(2, scale.motivation_runs),
-            online_collection_duration_s=duration,
-            stage1=ParameterSearchConfig(
-                iterations=scale.stage1_iterations,
-                initial_random=scale.stage1_initial_random,
-                parallel_queries=scale.stage1_parallel,
-                candidate_pool=scale.stage1_candidate_pool,
-                measurement_duration_s=duration,
-            ),
-            stage2=OfflineTrainingConfig(
-                iterations=scale.stage2_iterations,
-                initial_random=scale.stage2_initial_random,
-                parallel_queries=scale.stage2_parallel,
-                candidate_pool=scale.stage2_candidate_pool,
-                measurement_duration_s=duration,
-            ),
-            stage3=OnlineLearningConfig(
-                iterations=scale.stage3_iterations,
-                offline_queries_per_step=scale.stage3_offline_queries,
-                candidate_pool=scale.stage3_candidate_pool,
-                measurement_duration_s=duration,
-            ),
-        ),
-    )
-    result = atlas.run_all()
+    summary = Atlas(workload, spec, scale, duration, seed=0).run({"1", "2", "3"})
 
-    stage1 = result.stage1
-    print(f"stage 1: discrepancy {stage1.original_discrepancy:.2f} -> {stage1.best_discrepancy:.2f} "
-          f"(parameter distance {stage1.best_distance:.3f})")
-    policy = result.offline_policy
-    print(f"stage 2: best offline config uses {100 * policy.best_usage:.1f}% resources "
-          f"at simulator QoE {policy.best_qoe:.3f}")
-    online = result.stage3
-    final = online.policy
-    print(f"stage 3: avg usage regret {100 * online.average_usage_regret():+.2f}%, "
-          f"avg QoE regret {online.average_qoe_regret():.3f}")
-    print(f"         final online config: {final.best_config}")
-    print(f"         real-network QoE of that config: {final.best_qoe:.3f} "
-          f"at {100 * final.best_usage:.1f}% usage")
+    parameters = summary["stage1"]["_result"].best_parameters
+    print(f"\naugmented simulation parameters: {parameters}")
+    final = summary["stage3"]["_best_config"]
+    print(f"final online config ({100 * final.resource_usage():.1f}% usage): {final}")
 
 
 if __name__ == "__main__":

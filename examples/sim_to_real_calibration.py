@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
+from repro.core.atlas import parameter_search_config
+from repro.core.simulator_learning import SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
 from repro.experiments.scale import get_scale
 from repro.metrics import histogram_kl_divergence, summarize_latencies
@@ -53,14 +54,7 @@ def main() -> None:
         real_collection=collection.samples(),
         deployed_config=deployed,
         space=SimulationParameterSpace(),
-        config=ParameterSearchConfig(
-            iterations=scale.stage1_iterations,
-            initial_random=scale.stage1_initial_random,
-            parallel_queries=scale.stage1_parallel,
-            candidate_pool=scale.stage1_candidate_pool,
-            measurement_duration_s=duration,
-            alpha=7.0,
-        ),
+        config=parameter_search_config(scale, duration, seed=0, alpha=7.0),
     )
     result = search.run()
 

@@ -23,8 +23,9 @@ import numpy as np
 
 from repro import NetworkSimulator, RealNetwork, SLA, SliceConfig
 from repro.baselines.dlda import DLDA, DLDAConfig
-from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingConfig
-from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
+from repro.core.atlas import offline_training_config, online_learning_config
+from repro.core.offline_training import OfflineConfigurationTrainer
+from repro.core.online_learning import OnlineConfigurationLearner
 from repro.experiments.scale import get_scale
 from repro.prototype.slice_manager import NetworkSlice, SliceManager
 from repro.prototype.testbed import default_ground_truth
@@ -62,13 +63,7 @@ def main() -> None:
         simulator=augmented_simulator,
         sla=sla,
         traffic=scenario.traffic,
-        config=OfflineTrainingConfig(
-            iterations=scale.stage2_iterations,
-            initial_random=scale.stage2_initial_random,
-            parallel_queries=scale.stage2_parallel,
-            candidate_pool=scale.stage2_candidate_pool,
-            measurement_duration_s=duration,
-        ),
+        config=offline_training_config(scale, duration, seed=0),
     )
     offline = trainer.run()
     policy = offline.policy
@@ -87,12 +82,7 @@ def main() -> None:
         real_network=real_network,
         sla=sla,
         traffic=scenario.traffic,
-        config=OnlineLearningConfig(
-            iterations=scale.stage3_iterations,
-            offline_queries_per_step=scale.stage3_offline_queries,
-            candidate_pool=scale.stage3_candidate_pool,
-            measurement_duration_s=duration,
-        ),
+        config=online_learning_config(scale, duration, seed=0),
     )
     online = learner.run()
     qoes = online.qoes()

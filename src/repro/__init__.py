@@ -32,7 +32,7 @@ if "numpy" not in sys.modules:
     for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_variable, "1")
 
-from repro.core.atlas import Atlas, AtlasConfig
+from repro.core.atlas import Atlas
 from repro.core.spaces import ConfigurationSpace, SimulationParameterSpace
 from repro.prototype.slice_manager import SLA
 from repro.prototype.testbed import RealNetwork
@@ -43,7 +43,6 @@ from repro.sim.parameters import SimulationParameters
 
 __all__ = [
     "Atlas",
-    "AtlasConfig",
     "ConfigurationSpace",
     "SimulationParameterSpace",
     "SLA",

@@ -8,7 +8,8 @@ Four subcommands cover the catalog workflow:
     Full detail of one entry: per-slice scenarios, deployed configurations,
     traffic traces, contention budget and stage-1 search defaults.
 ``run --scenario <name> --stage 1|2|3|all``
-    Execute the Atlas pipeline on a catalog entry.  Stage budgets come from
+    Execute the Atlas pipeline on a catalog entry through the stage driver,
+    :func:`repro.core.atlas.run_slices`.  Stage budgets come from
     ``--scale`` (smoke / small / paper, the ``ATLAS_BENCH_SCALE`` levels).
     Multi-slice entries measure all slices concurrently under resource
     contention before and after optimisation, and run each slice's stages
@@ -19,7 +20,7 @@ Four subcommands cover the catalog workflow:
     under the :mod:`repro.core.watchdog` safe-mode watchdog with the
     scenario's fault schedule injected, and ``--faults unprotected`` runs
     the bare learner through the same faults for comparison — see
-    ``docs/robustness.md``.
+    ``docs/robustness.md``.  A fault mode the entry cannot run exits 2.
 ``eval``
     Replay the curated evaluation dataset over the whole catalog, score
     every run with the :mod:`repro.metrics` scorers, write the structured
@@ -59,352 +60,29 @@ later stages.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from contextlib import nullcontext, redirect_stdout
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingConfig
-from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
-from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
-from repro.core.spaces import SimulationParameterSpace
-from repro.engine.forkpool import available_parallelism, fork_map, pool_size
-from repro.experiments.scale import SCALES, ExperimentScale, get_scale
-from repro.experiments.scenarios import collect_online_dataset
-from repro.scenarios import (
-    ScenarioSpec,
-    SliceWorkload,
-    UnknownScenarioError,
-    get_scenario,
-    list_scenarios,
+from repro.core.atlas import (
+    FaultModeError,
+    check_faults,
+    jsonable,
+    run_slices,
+    sla_label,
+    traffic_label,
 )
+from repro.experiments.scale import SCALES, get_scale
+from repro.scenarios import UnknownScenarioError, get_scenario, list_scenarios
 from repro.sim.multislice import CONTENDED_DIMENSIONS, MultiSliceResult, SliceRun
 
 __all__ = ["build_parser", "main"]
 
 
 # ------------------------------------------------------------------ formatting
-def _sla_label(workload: SliceWorkload) -> str:
-    sla = workload.sla
-    return f"{sla.latency_threshold_ms:.0f}ms @ {100.0 * sla.availability:.0f}%"
-
-
-def _traffic_label(workload: SliceWorkload) -> str:
-    if workload.trace is None:
-        return str(workload.scenario.traffic)
-    return f"{type(workload.trace).__name__}(~{workload.mean_traffic()})"
-
-
 def _print_multislice_round(result: MultiSliceResult, title: str) -> None:
     print(f"\n{result.format_table(title)}")
-
-
-# -------------------------------------------------------------------- pipeline
-def _stage1(
-    workload: SliceWorkload, spec: ScenarioSpec, scale: ExperimentScale, duration: float, seed: int
-) -> dict:
-    """Search the simulation parameters against the workload's testbed (stage 1)."""
-    simulator = workload.make_simulator(seed=seed)
-    real_network = workload.make_real_network(seed=seed + 1)
-    real_collection = collect_online_dataset(
-        real_network,
-        config=workload.deployed_config,
-        traffic=workload.mean_traffic(),
-        runs=scale.motivation_runs,
-        duration_s=duration,
-    )
-    search = SimulatorParameterSearch(
-        simulator=simulator,
-        real_collection=real_collection,
-        deployed_config=workload.deployed_config,
-        space=SimulationParameterSpace(
-            original=simulator.params, distance_threshold=spec.stage1_distance_threshold
-        ),
-        config=ParameterSearchConfig(
-            iterations=scale.stage1_iterations,
-            initial_random=scale.stage1_initial_random,
-            parallel_queries=scale.stage1_parallel,
-            candidate_pool=scale.stage1_candidate_pool,
-            measurement_duration_s=duration,
-            alpha=spec.stage1_alpha,
-            seed=seed,
-        ),
-        traffic=workload.mean_traffic(),
-    )
-    result = search.run()
-    print(
-        f"  stage 1: discrepancy {result.original_discrepancy:.3f} -> "
-        f"{result.best_discrepancy:.3f} (parameter distance {result.best_distance:.3f})"
-    )
-    return {
-        "original_discrepancy": result.original_discrepancy,
-        "best_discrepancy": result.best_discrepancy,
-        "best_distance": result.best_distance,
-        "best_parameters": list(result.best_parameters.to_array()),
-        "_result": result,
-    }
-
-
-def _stage2(
-    workload: SliceWorkload,
-    scale: ExperimentScale,
-    duration: float,
-    seed: int,
-    params=None,
-    announce: bool = True,
-) -> dict:
-    """Train the offline configuration policy in the (augmented) simulator (stage 2)."""
-    simulator = workload.make_simulator(seed=seed)
-    if params is not None:
-        simulator = simulator.with_params(params)
-    trainer = OfflineConfigurationTrainer(
-        simulator=simulator,
-        sla=workload.sla,
-        traffic=workload.mean_traffic(),
-        config=OfflineTrainingConfig(
-            iterations=scale.stage2_iterations,
-            initial_random=scale.stage2_initial_random,
-            parallel_queries=scale.stage2_parallel,
-            candidate_pool=scale.stage2_candidate_pool,
-            measurement_duration_s=duration,
-            seed=seed,
-        ),
-    )
-    result = trainer.run()
-    policy = result.policy
-    if announce:
-        print(
-            f"  stage 2: best offline config at {100 * policy.best_usage:.1f}% usage, "
-            f"simulator QoE {policy.best_qoe:.3f}"
-        )
-    return {
-        "best_usage": policy.best_usage,
-        "best_qoe": policy.best_qoe,
-        "best_config": list(policy.best_config.to_array()),
-        "_best_config": policy.best_config,
-        "_policy": policy,
-        "_simulator": simulator,
-    }
-
-
-def _stage3(
-    workload: SliceWorkload,
-    scale: ExperimentScale,
-    duration: float,
-    seed: int,
-    offline: dict,
-) -> dict:
-    """Learn online against the real network (stage 3), replaying any traffic trace."""
-    real_network = workload.make_real_network(seed=seed + 1)
-    levels = [workload.traffic_at(step) for step in range(scale.stage3_iterations)]
-    segments: list[tuple[int, int]] = []  # (traffic level, iterations)
-    for level in levels:
-        if segments and segments[-1][0] == level:
-            segments[-1] = (level, segments[-1][1] + 1)
-        else:
-            segments.append((level, 1))
-    usages: list[float] = []
-    qoes: list[float] = []
-    violations = 0
-    last_config = None
-    for index, (level, iterations) in enumerate(segments):
-        learner = OnlineConfigurationLearner(
-            offline_policy=offline["_policy"],
-            simulator=offline["_simulator"],
-            real_network=real_network,
-            sla=workload.sla,
-            traffic=level,
-            config=OnlineLearningConfig(
-                iterations=iterations,
-                offline_queries_per_step=scale.stage3_offline_queries,
-                candidate_pool=scale.stage3_candidate_pool,
-                measurement_duration_s=duration,
-                simulator_duration_s=max(duration / 2.0, 5.0),
-                seed=seed + index,
-            ),
-        )
-        result = learner.run()
-        usages.extend(result.usages().tolist())
-        qoes.extend(result.qoes().tolist())
-        violations += sum(1 for record in result.history if not record.sla_met)
-        last_config = result.policy.best_config
-    iterations_total = max(1, len(usages))
-    mean_usage = sum(usages) / iterations_total
-    mean_qoe = sum(qoes) / iterations_total
-    print(
-        f"  stage 3: {len(segments)} traffic segment(s), mean usage {100 * mean_usage:.1f}%, "
-        f"mean QoE {mean_qoe:.3f}, SLA violations {violations}/{len(usages)}"
-    )
-    best_config = last_config if last_config is not None else offline["_policy"].best_config
-    return {
-        "segments": [{"traffic": level, "iterations": n} for level, n in segments],
-        "mean_usage": mean_usage,
-        "mean_qoe": mean_qoe,
-        "sla_violations": violations,
-        "best_config": list(best_config.to_array()),
-        "_best_config": best_config,
-    }
-
-
-def _stage3_faulted(
-    workload: SliceWorkload,
-    spec: ScenarioSpec,
-    scale: ExperimentScale,
-    duration: float,
-    seed: int,
-    offline: dict,
-    mode: str,
-) -> dict:
-    """Run the fault-injected online episode (stage 3 under ``--faults``).
-
-    The whole episode runs as one step-indexed chaos run at the workload's
-    representative traffic level — the fault schedule, not the trace
-    segmentation, owns the timeline.  ``guarded`` supervises the learner
-    with the watchdog (safe-mode fallback to the deployed configuration);
-    ``unprotected`` is the control arm that learns straight through every
-    fault window.
-    """
-    from repro.core.watchdog import OnlineWatchdog, run_unprotected
-
-    learner = OnlineConfigurationLearner(
-        offline_policy=offline["_policy"],
-        simulator=offline["_simulator"],
-        real_network=workload.make_real_network(seed=seed + 1),
-        sla=workload.sla,
-        traffic=workload.mean_traffic(),
-        config=OnlineLearningConfig(
-            iterations=scale.stage3_iterations,
-            offline_queries_per_step=scale.stage3_offline_queries,
-            candidate_pool=scale.stage3_candidate_pool,
-            measurement_duration_s=duration,
-            simulator_duration_s=max(duration / 2.0, 5.0),
-            seed=seed,
-        ),
-    )
-    if mode == "guarded":
-        guarded = OnlineWatchdog(
-            learner,
-            fault_schedule=spec.faults,
-            fallback_config=workload.deployed_config,
-        ).run()
-        summary = guarded.summary()
-        print(
-            f"  stage 3 (faults: guarded): {summary['steps']} steps, "
-            f"violation rate {summary['sla_violation_rate']:.3f}, "
-            f"safe-mode entries {summary['safe_mode_entries']}, "
-            f"recoveries {summary['recoveries']}, dropped {summary['dropped_steps']}, "
-            f"final mode {summary['final_mode']}"
-        )
-        return {"faults": "guarded", "watchdog": summary}
-    result = run_unprotected(learner, spec.faults)
-    rate = result.sla_violation_rate()
-    violations = sum(1 for record in result.history if not record.sla_met)
-    print(
-        f"  stage 3 (faults: unprotected): {len(result.history)} steps, "
-        f"violation rate {rate:.3f} ({violations}/{len(result.history)})"
-    )
-    return {
-        "faults": "unprotected",
-        "steps": len(result.history),
-        "sla_violations": violations,
-        "sla_violation_rate": rate,
-    }
-
-
-def _run_workload(
-    workload: SliceWorkload,
-    spec: ScenarioSpec,
-    stages: set[str],
-    scale: ExperimentScale,
-    duration: float,
-    seed: int,
-    faults: str = "off",
-) -> dict:
-    """Run the requested stages for one slice workload and return its summary."""
-    print(
-        f"\n[{workload.name}] traffic {_traffic_label(workload)}, SLA {_sla_label(workload)}"
-    )
-    summary: dict = {"slice": workload.name}
-    params = None
-    if "1" in stages:
-        summary["stage1"] = _stage1(workload, spec, scale, duration, seed)
-        params = summary["stage1"]["_result"].best_parameters
-    offline = None
-    if "2" in stages:
-        offline = _stage2(workload, scale, duration, seed, params=params)
-        summary["stage2"] = offline
-    if "3" in stages:
-        if offline is None:
-            print("  stage 3: training prerequisite offline policy first")
-            offline = _stage2(workload, scale, duration, seed, params=params, announce=False)
-        if faults != "off":
-            summary["stage3"] = _stage3_faulted(
-                workload, spec, scale, duration, seed, offline, faults
-            )
-        else:
-            summary["stage3"] = _stage3(workload, scale, duration, seed, offline)
-    return summary
-
-
-def _run_slices(
-    spec: ScenarioSpec,
-    stage: str,
-    scale: ExperimentScale,
-    duration: float,
-    seed: int,
-    faults: str = "off",
-    tracer=None,
-) -> list[dict]:
-    """Run the requested stages on every slice of ``spec``; summaries in slice order.
-
-    Each summary is :func:`_jsonable` apart from ``_config``, the
-    configuration the slice's stages learned (``None`` without stage 2 or
-    3), which the optimised contended round deploys.  Slices share nothing
-    before that round, so each slice's pipeline runs whole in a fork-pool
-    worker (:func:`repro.engine.forkpool.fork_map`, one worker per usable
-    core and slice), which captures its stdout; this process writes it in
-    slice order, so the output bytes are those of an in-process run.
-
-    A store attached to the shared cache serves the workers too, and the
-    pool folds their engine, cache and store counters into this process's,
-    so a ``--store`` run's cost ledger counts every slice.  Runs with a
-    ``tracer`` (service jobs, one ``job.slice`` span per slice, run in a
-    daemon thread) run the slices in-process, one after another, because
-    this process records the spans and forking a threaded process is
-    unsafe; so do the runs :func:`~repro.engine.forkpool.pool_size` keeps
-    in-process.
-    """
-    stages = {"1", "2", "3"} if stage == "all" else {stage}
-
-    def run_slice(workload: SliceWorkload) -> dict:
-        span = (
-            tracer.span("job.slice", scenario=spec.name, slice=workload.name, stage=stage)
-            if tracer is not None
-            else nullcontext()
-        )
-        with span:
-            summary = _run_workload(workload, spec, stages, scale, duration, seed, faults=faults)
-        learned = summary.get("stage3", summary.get("stage2", {})).get("_best_config")
-        return {**_jsonable(summary), "_config": learned}
-
-    def run_captured(workload: SliceWorkload) -> tuple[dict, str]:
-        with redirect_stdout(io.StringIO()) as output:
-            summary = run_slice(workload)
-        return summary, output.getvalue()
-
-    if tracer is not None:
-        workers = 1
-    else:
-        workers = pool_size(len(spec.slices), available_parallelism())
-    if workers < 2:
-        return [run_slice(workload) for workload in spec.slices]
-    summaries = []
-    for summary, output in fork_map(run_captured, spec.slices, workers):
-        sys.stdout.write(output)
-        summaries.append(summary)
-    return summaries
 
 
 # ------------------------------------------------------------------- commands
@@ -414,9 +92,9 @@ def cmd_list_scenarios(args: argparse.Namespace) -> int:
     print(f"{'name':<26} {'slices':>6} {'traffic':<22} {'SLA':<14} description")
     for spec in specs:
         primary = spec.primary
-        sla = _sla_label(primary) if not spec.is_multislice else "per-slice"
+        sla = sla_label(primary) if not spec.is_multislice else "per-slice"
         traffic = (
-            _traffic_label(primary)
+            traffic_label(primary)
             if not spec.is_multislice
             else "+".join(str(w.scenario.traffic) for w in spec.slices)
         )
@@ -439,9 +117,9 @@ def cmd_show(args: argparse.Namespace) -> int:
         print(f"shared budget: {budget}")
     for workload in spec.slices:
         scenario = workload.scenario
-        print(f"\nslice {workload.name!r}: SLA {_sla_label(workload)}")
+        print(f"\nslice {workload.name!r}: SLA {sla_label(workload)}")
         print(
-            f"  workload: traffic {_traffic_label(workload)}, "
+            f"  workload: traffic {traffic_label(workload)}, "
             f"frames {scenario.frame_size_mean_bytes / 1e3:.1f}±{scenario.frame_size_std_bytes / 1e3:.1f} kB up / "
             f"{scenario.result_size_bytes / 1e3:.1f} kB down, "
             f"compute {scenario.compute_time_mean_ms:.0f}±{scenario.compute_time_std_ms:.0f} ms"
@@ -471,20 +149,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     duration = args.duration if args.duration is not None else scale.measurement_duration_s
     stages = {"1", "2", "3"} if args.stage == "all" else {args.stage}
-    if args.faults != "off":
-        if spec.faults is None:
-            print(
-                f"error: scenario {spec.name!r} has no fault schedule; "
-                "--faults needs a hostile catalog entry (tag 'hostile')",
-                file=sys.stderr,
-            )
-            return 2
-        if "3" not in stages:
-            print("error: --faults applies to stage 3 (use --stage 3 or all)", file=sys.stderr)
-            return 2
-        if spec.is_multislice:
-            print("error: --faults does not support multi-slice scenarios", file=sys.stderr)
-            return 2
+    # run_slices checks the same; checking here too fails before any output.
+    check_faults(spec, stages, args.faults)
     print(
         f"scenario {spec.name!r} | stage {args.stage} | scale {scale.name} | "
         f"measurement duration {duration:g}s"
@@ -502,7 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             spec.slice_runs(seed=args.seed + 9000), budget=spec.budget, duration=duration
         )
         _print_multislice_round(before, "contended round (deployed configurations):")
-    summary["slices"] = _run_slices(
+    summary["slices"] = run_slices(
         spec, args.stage, scale, duration, args.seed, faults=args.faults
     )
     # An "optimised" contended round only makes sense when a stage that
@@ -537,7 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"(hit rate {cache.get('hit_rate', 0.0):.1%})"
         )
     if args.json is not None:
-        payload = _jsonable(
+        payload = jsonable(
             {
                 **summary,
                 "multislice_before": before.summary() if before is not None else None,
@@ -669,17 +335,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _jsonable(value):
-    """Drop private keys and coerce numpy scalars so ``json.dump`` succeeds."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items() if not k.startswith("_")}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
-
-
 # --------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
@@ -761,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=None,
-        help="override every case's replay seeds (default: the seeds in cases.yaml)",
+        help="override every case's replay seeds (default: the seeds in cases.toml)",
     )
     eval_parser.add_argument(
         "--out",
@@ -771,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument(
         "--cases",
         default=None,
-        help="alternative case-registry file (default: the checked-in cases.yaml)",
+        help="alternative case-registry file (default: the checked-in cases.toml)",
     )
     eval_parser.add_argument(
         "--json",
@@ -881,7 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UnknownScenarioError as error:
+    except (UnknownScenarioError, FaultModeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Exception as error:

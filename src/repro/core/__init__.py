@@ -12,7 +12,9 @@
   the augmented simulator (Alg. 2).
 * :mod:`repro.core.online_learning` — stage 3, safe online learning on the
   real network (Alg. 3).
-* :mod:`repro.core.atlas` — the end-to-end orchestration of the three stages.
+* :mod:`repro.core.atlas` — the stage driver that chains the three stages on
+  every slice of a catalog entry, and the one mapping from an experiment
+  scale to the stage configurations.
 """
 
 from repro.core.acquisition import (
@@ -22,7 +24,7 @@ from repro.core.acquisition import (
     probability_of_improvement,
     upper_confidence_bound,
 )
-from repro.core.atlas import Atlas, AtlasConfig, AtlasResult
+from repro.core.atlas import Atlas
 from repro.core.offline_training import (
     OfflineConfigurationTrainer,
     OfflineTrainingConfig,
@@ -51,8 +53,6 @@ from repro.core.spaces import ConfigurationSpace, SimulationParameterSpace
 
 __all__ = [
     "Atlas",
-    "AtlasConfig",
-    "AtlasResult",
     "ConfigurationSpace",
     "SimulationParameterSpace",
     "AdaptiveMultiplier",

@@ -3,7 +3,7 @@
 The harness replays a curated dataset of scenario × seed cases through the
 measurement engine, scores each run with the same :mod:`repro.metrics` the
 paper's artifacts use, and gates the outcome against expected metric
-envelopes checked into ``cases.yaml``:
+envelopes checked into ``cases.toml``:
 
 * :mod:`repro.evalharness.dataset` — eval cases, envelopes, the registry
   file and its (dependency-free) parser;
@@ -31,7 +31,6 @@ from repro.evalharness.dataset import (
     EvalCase,
     EvalDatasetError,
     load_cases,
-    parse_cases_yaml,
 )
 from repro.evalharness.gate import (
     GateFailure,
@@ -88,7 +87,6 @@ __all__ = [
     "evaluate",
     "load_cases",
     "load_trend",
-    "parse_cases_yaml",
     "render_drift",
     "render_report",
     "run_gate",

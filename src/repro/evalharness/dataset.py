@@ -4,29 +4,21 @@ The evaluation harness runs a checked-in registry of **replay cases** —
 one or more per scenario-catalog entry — each pinning a scenario, the seeds
 to replay, the replay shape (measurement count, duration, the usage ladder
 of configuration variants) and the **expected metric envelopes** the gate
-enforces.  The registry lives in ``cases.yaml`` next to this module; its
-format is a restricted YAML subset parsed by :func:`parse_cases_yaml` so
-the harness works without a YAML dependency (the container images this
-repo targets ship NumPy/SciPy only).
+enforces.  The registry lives in ``cases.toml`` next to this module and is
+read with the standard library's :mod:`tomllib`; a file that is not valid
+TOML raises :class:`EvalDatasetError`.
 
-Restricted YAML subset
-    * two-space indentation, mappings as ``key: value``;
-    * lists of mappings as ``- key: value`` items (continuation lines
-      indented two further spaces);
-    * inline scalar lists as ``[a, b, c]``;
-    * scalars: integers, floats, booleans (``true``/``false``), bare or
-      quoted strings;
-    * full-line ``#`` comments and blank lines are ignored.
-
-Top-level keys are ``defaults`` (field values shared by every case) and
-``cases`` (the list of case mappings).  Every case must name a registered
-catalog scenario, carry at least one seed, and bound at least one metric;
-see ``docs/evaluation.md`` for the schema and envelope-derivation rules.
+Top-level keys are ``defaults`` (a table of field values shared by every
+case) and ``cases`` (an array of case tables, ``[[cases]]``, each with an
+``envelopes`` table).  Every case must name a registered catalog scenario,
+carry at least one seed, and bound at least one metric; see
+``docs/evaluation.md`` for the schema and envelope-derivation rules.
 """
 
 from __future__ import annotations
 
 import math
+import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -37,11 +29,10 @@ __all__ = [
     "EvalCase",
     "EvalDatasetError",
     "load_cases",
-    "parse_cases_yaml",
 ]
 
 #: The checked-in registry of replay cases, shipped with the package.
-DEFAULT_CASES_PATH = Path(__file__).resolve().parent / "cases.yaml"
+DEFAULT_CASES_PATH = Path(__file__).resolve().parent / "cases.toml"
 
 #: Metric names scorers may produce and envelopes may bound (see scorers.py).
 METRIC_NAMES: tuple[str, ...] = (
@@ -150,117 +141,14 @@ class EvalCase:
         return replace(self, **changes)
 
 
-# ------------------------------------------------------------ mini-YAML parse
-def _parse_scalar(token: str):
-    token = token.strip()
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part) for part in inner.split(",")]
-    if len(token) >= 2 and token[0] in "'\"" and token[-1] == token[0]:
-        return token[1:-1]
-    if token in ("true", "True"):
-        return True
-    if token in ("false", "False"):
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return token
-
-
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    lines: list[tuple[int, str]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        leading = raw[: len(raw) - len(raw.lstrip())]
-        indent = len(raw) - len(raw.lstrip(" "))
-        if "\t" in leading or indent % 2:
-            raise EvalDatasetError(
-                f"cases.yaml line {number}: indentation must be an even number of spaces"
-            )
-        lines.append((indent, stripped))
-    return lines
-
-
-def _parse_block(lines: list[tuple[int, str]], start: int, indent: int):
-    """Parse one mapping or list starting at ``start`` with exactly ``indent``."""
-    if start >= len(lines) or lines[start][0] != indent:
-        raise EvalDatasetError(f"cases.yaml: expected a block indented {indent} spaces")
-    if lines[start][1].startswith("- "):
-        return _parse_list(lines, start, indent)
-    return _parse_mapping(lines, start, indent)
-
-
-def _parse_mapping(lines: list[tuple[int, str]], start: int, indent: int):
-    mapping: dict = {}
-    index = start
-    while index < len(lines) and lines[index][0] == indent:
-        content = lines[index][1]
-        if content.startswith("- "):
-            break
-        if ":" not in content:
-            raise EvalDatasetError(f"cases.yaml: expected 'key: value', got {content!r}")
-        key, _, value = content.partition(":")
-        key = key.strip()
-        if key in mapping:
-            raise EvalDatasetError(f"cases.yaml: duplicate key {key!r}")
-        value = value.strip()
-        if value:
-            mapping[key] = _parse_scalar(value)
-            index += 1
-        else:
-            nested, index = _parse_block(lines, index + 1, indent + 2)
-            mapping[key] = nested
-    return mapping, index
-
-
-def _parse_list(lines: list[tuple[int, str]], start: int, indent: int):
-    items: list = []
-    index = start
-    while index < len(lines) and lines[index][0] == indent and lines[index][1].startswith("- "):
-        head = lines[index][1][2:].strip()
-        if ":" not in head:
-            items.append(_parse_scalar(head))
-            index += 1
-            continue
-        # A mapping item: re-feed the head line as if indented two deeper,
-        # then absorb the continuation lines at that depth.
-        item_lines = [(indent + 2, head)]
-        index += 1
-        while index < len(lines) and lines[index][0] >= indent + 2:
-            item_lines.append(lines[index])
-            index += 1
-        item, consumed = _parse_mapping(item_lines, 0, indent + 2)
-        if consumed != len(item_lines):
-            raise EvalDatasetError("cases.yaml: malformed list item (inconsistent indentation)")
-        items.append(item)
-    return items, index
-
-
-def parse_cases_yaml(text: str) -> dict:
-    """Parse the restricted YAML subset of the case registry into a dict."""
-    lines = _significant_lines(text)
-    if not lines:
-        return {}
-    document, consumed = _parse_mapping(lines, 0, 0)
-    if consumed != len(lines):
-        indent, content = lines[consumed]
-        raise EvalDatasetError(
-            f"cases.yaml: unexpected content {content!r} at indentation {indent}"
-        )
-    return document
-
-
 # ------------------------------------------------------------------- loading
+def _read_registry(path: Path) -> dict:
+    try:
+        return tomllib.loads(path.read_text())
+    except tomllib.TOMLDecodeError as error:
+        raise EvalDatasetError(f"{path}: not valid TOML: {error}") from error
+
+
 _CASE_FIELDS = {
     "group",
     "scenario",
@@ -324,7 +212,7 @@ def load_cases(
         nothing.
     """
     registry_path = Path(path) if path is not None else DEFAULT_CASES_PATH
-    document = parse_cases_yaml(registry_path.read_text())
+    document = _read_registry(registry_path)
     defaults = document.get("defaults", {})
     raw_cases = document.get("cases", [])
     if not isinstance(raw_cases, list) or not raw_cases:
@@ -353,6 +241,6 @@ def load_cases(
 
 
 def _all_cases(path: Path) -> Iterable[EvalCase]:
-    document = parse_cases_yaml(path.read_text())
+    document = _read_registry(path)
     defaults = document.get("defaults", {})
     return [_build_case(raw, defaults) for raw in document.get("cases", [])]

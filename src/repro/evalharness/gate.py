@@ -6,7 +6,7 @@ booleans:
 
 ``envelope``
     Every case's aggregate metrics must sit inside the expected envelopes
-    checked into ``cases.yaml``.  A breach names the case, the metric, the
+    checked into ``cases.toml``.  A breach names the case, the metric, the
     measured value and the expected bounds — enough to decide whether the
     change is a regression or the envelope needs recalibrating.
 
@@ -175,7 +175,7 @@ def check_coverage(cases: Iterable[EvalCase]) -> list[GateFailure]:
                     case=name,
                     message=(
                         f"catalog scenario {name!r} has no eval case; add one with "
-                        "expected envelopes to src/repro/evalharness/cases.yaml "
+                        "expected envelopes to src/repro/evalharness/cases.toml "
                         "so the regression gate covers it"
                     ),
                 )

@@ -45,7 +45,7 @@ def evaluate(
 
     ``cases`` short-circuits dataset loading (tests hand in synthetic
     cases); otherwise the registry at ``cases_path`` (default: the
-    checked-in ``cases.yaml``) is loaded with the given filters.
+    checked-in ``cases.toml``) is loaded with the given filters.
     ``coverage=None`` resolves to "check unless filtered or explicit
     cases were supplied".
 

@@ -10,7 +10,15 @@ Each module groups the experiments of one evaluation subsection:
 Every runner takes an :class:`~repro.experiments.scale.ExperimentScale`
 (defaulting to the value selected by the ``ATLAS_BENCH_SCALE`` environment
 variable) so the same code drives quick benchmark runs and full paper-scale
-reproductions.
+reproductions.  The runners wire the stage classes themselves, because
+they compare variants the stage driver (:mod:`repro.core.atlas`) does not
+run, but they build every stage configuration through the driver's
+mapping (:func:`~repro.core.atlas.parameter_search_config`,
+:func:`~repro.core.atlas.offline_training_config`,
+:func:`~repro.core.atlas.online_learning_config`).  Two values still differ
+from ``python -m repro run`` and are passed as overrides: stage-1
+measurements last at least 30 s, and stage-3 simulator queries at least
+10 s.
 """
 
 from repro.experiments.scale import ExperimentScale, get_scale

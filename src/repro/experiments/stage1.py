@@ -3,7 +3,9 @@
 All runners share the same structure: collect the online dataset ``D_r`` from
 the real network under the deployed configuration, search the simulation
 parameters with the requested method, and evaluate the resulting augmented
-simulator.
+simulator.  Every search's configuration comes from
+:func:`repro.core.atlas.parameter_search_config`, measuring at least 30 s
+per query.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.simulator_learning import (
-    ParameterSearchConfig,
-    ParameterSearchResult,
-    SimulatorParameterSearch,
-)
+from repro.core.atlas import parameter_search_config
+from repro.core.simulator_learning import ParameterSearchResult, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
 from repro.engine import MeasurementEngine, MeasurementRequest
 from repro.experiments.scale import ExperimentScale, get_scale
@@ -48,43 +47,36 @@ __all__ = [
 ]
 
 
-def _stage1_duration(scale: ExperimentScale) -> float:
-    """Stage-1 measurements need enough samples for a stable KL estimate."""
+def _search_duration(scale: ExperimentScale) -> float:
+    """Stage-1 measurements need enough samples for a stable KL estimate.
+
+    The figures measure at least 30 s where ``python -m repro run`` measures
+    the scale's duration; the figures' outputs rest on this value.
+    """
     return max(scale.measurement_duration_s, 30.0)
-
-
-def _stage1_config(scale: ExperimentScale, surrogate: str = "bnn", **overrides) -> ParameterSearchConfig:
-    defaults = dict(
-        iterations=scale.stage1_iterations,
-        initial_random=scale.stage1_initial_random,
-        parallel_queries=scale.stage1_parallel,
-        candidate_pool=scale.stage1_candidate_pool,
-        measurement_duration_s=_stage1_duration(scale),
-        surrogate=surrogate,
-        seed=0,
-    )
-    defaults.update(overrides)
-    return ParameterSearchConfig(**defaults)
 
 
 def _run_search(
     scale: ExperimentScale,
     surrogate: str = "bnn",
     real_collection: np.ndarray | None = None,
+    seed: int = 0,
     **config_overrides,
 ) -> ParameterSearchResult:
     simulator = make_simulator(seed=0)
     if real_collection is None:
         real_network = make_real_network(seed=1)
         real_collection = collect_online_dataset(
-            real_network, runs=scale.motivation_runs, duration_s=_stage1_duration(scale)
+            real_network, runs=scale.motivation_runs, duration_s=_search_duration(scale)
         )
     search = SimulatorParameterSearch(
         simulator=simulator,
         real_collection=real_collection,
         deployed_config=default_deployed_config(),
         space=SimulationParameterSpace(),
-        config=_stage1_config(scale, surrogate, **config_overrides),
+        config=parameter_search_config(
+            scale, _search_duration(scale), seed, surrogate=surrogate, **config_overrides
+        ),
     )
     return search.run()
 
@@ -127,7 +119,7 @@ def fig8_table4_parameter_search(scale: ExperimentScale | None = None) -> Parame
     scale = scale if scale is not None else get_scale()
     real_network = make_real_network(seed=1)
     real_collection = collect_online_dataset(
-        real_network, runs=scale.motivation_runs, duration_s=_stage1_duration(scale)
+        real_network, runs=scale.motivation_runs, duration_s=_search_duration(scale)
     )
     ours = _run_search(scale, surrogate="bnn", real_collection=real_collection)
     gp = _run_search(scale, surrogate="gp", real_collection=real_collection)
@@ -270,7 +262,7 @@ def fig12_pareto_alpha(
     scale = scale if scale is not None else get_scale()
     real_network = make_real_network(seed=1)
     real_collection = collect_online_dataset(
-        real_network, runs=scale.motivation_runs, duration_s=_stage1_duration(scale)
+        real_network, runs=scale.motivation_runs, duration_s=_search_duration(scale)
     )
     discrepancies, distances = [], []
     for index, alpha in enumerate(alphas):
@@ -299,7 +291,7 @@ def fig13_parallel_queries(
     scale = scale if scale is not None else get_scale()
     real_network = make_real_network(seed=1)
     real_collection = collect_online_dataset(
-        real_network, runs=scale.motivation_runs, duration_s=_stage1_duration(scale)
+        real_network, runs=scale.motivation_runs, duration_s=_search_duration(scale)
     )
     result = ParallelQueriesResult(parallel_counts=list(parallel_counts))
     for count in parallel_counts:

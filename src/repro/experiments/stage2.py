@@ -3,7 +3,8 @@
 All runners train configuration policies purely offline, i.e. against the
 (augmented) simulator, and compare Atlas' BNN + parallel-Thompson-sampling
 trainer with GP-based Bayesian optimisation (EI/PI/UCB acquisitions) and
-DLDA's grid-trained DNN.
+DLDA's grid-trained DNN.  Atlas' trainer takes its configuration from
+:func:`repro.core.atlas.offline_training_config`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ from dataclasses import dataclass, field
 
 from repro.baselines.dlda import DLDA, DLDAConfig
 from repro.baselines.gp_bo import GPConfigurationOptimizer, GPOptimizerConfig
-from repro.core.offline_training import (
-    OfflineConfigurationTrainer,
-    OfflineTrainingConfig,
-    OfflineTrainingResult,
-)
+from repro.core.atlas import offline_training_config
+from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingResult
 from repro.engine import MeasurementEngine
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.experiments.scenarios import default_sla, make_simulator
@@ -33,22 +31,7 @@ __all__ = [
     "fig18_pareto_availability",
     "ThresholdSweepResult",
     "fig19_threshold_sweep",
-    "offline_training_config",
 ]
-
-
-def offline_training_config(scale: ExperimentScale, **overrides) -> OfflineTrainingConfig:
-    """Stage-2 configuration scaled to the requested experiment budget."""
-    defaults = dict(
-        iterations=scale.stage2_iterations,
-        initial_random=scale.stage2_initial_random,
-        parallel_queries=scale.stage2_parallel,
-        candidate_pool=scale.stage2_candidate_pool,
-        measurement_duration_s=scale.measurement_duration_s,
-        seed=0,
-    )
-    defaults.update(overrides)
-    return OfflineTrainingConfig(**defaults)
 
 
 def _make_augmented_simulator(seed: int = 0) -> NetworkSimulator:
@@ -82,7 +65,7 @@ def fig16_offline_progress(
         simulator=_make_augmented_simulator(),
         sla=sla,
         traffic=1,
-        config=offline_training_config(scale),
+        config=offline_training_config(scale, scale.measurement_duration_s, 0),
     )
     return trainer.run()
 
@@ -122,7 +105,10 @@ def fig17_offline_comparison(
     for method in methods:
         if method == "ours":
             trainer = OfflineConfigurationTrainer(
-                simulator=simulator, sla=sla, traffic=1, config=offline_training_config(scale)
+                simulator=simulator,
+                sla=sla,
+                traffic=1,
+                config=offline_training_config(scale, scale.measurement_duration_s, 0),
             )
             policy = trainer.run().policy
             best_config = policy.best_config

@@ -4,6 +4,10 @@ The online learning experiments compare Atlas against the Baseline (direct
 GP-EI Bayesian optimisation), VirtualEdge and DLDA on the real network, and
 ablate Atlas' own components: the acquisition function (Fig. 22), the online
 approximation function (Fig. 23) and the three stages themselves (Fig. 24).
+Atlas' stages take their configurations from
+:func:`repro.core.atlas.offline_training_config` and
+:func:`repro.core.atlas.online_learning_config`, with simulator queries of
+at least 10 s.
 """
 
 from __future__ import annotations
@@ -15,18 +19,22 @@ import numpy as np
 from repro.baselines.dlda import DLDA, DLDAConfig
 from repro.baselines.gp_bo import GPConfigurationOptimizer, GPOptimizerConfig
 from repro.baselines.virtualedge import VirtualEdge, VirtualEdgeConfig
+from repro.core.atlas import offline_training_config, online_learning_config
 from repro.core.offline_training import OfflineConfigurationTrainer
-from repro.core.online_learning import (
-    OnlineConfigurationLearner,
-    OnlineLearningConfig,
-    OnlineLearningResult,
-)
-from repro.core.policy import OfflinePolicy
+from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
+from repro.core.policy import OfflinePolicy, build_features
 from repro.engine import MeasurementEngine, MeasurementRequest
 from repro.experiments.scale import ExperimentScale, get_scale
-from repro.experiments.scenarios import default_sla, make_real_network
-from repro.experiments.stage2 import _make_augmented_simulator, offline_training_config
+from repro.experiments.scenarios import (
+    default_deployed_config,
+    default_sla,
+    make_real_network,
+    make_simulator,
+)
+from repro.experiments.stage2 import _make_augmented_simulator
+from repro.models.bnn import BayesianNeuralNetwork
 from repro.prototype.slice_manager import SLA
+from repro.sim.network import NetworkSimulator
 
 __all__ = [
     "MethodOnlineRun",
@@ -41,22 +49,19 @@ __all__ = [
     "DynamicTrafficResult",
     "fig25_26_dynamic_traffic",
     "train_offline_policy",
-    "online_learning_config",
 ]
 
 
-def online_learning_config(scale: ExperimentScale, **overrides) -> OnlineLearningConfig:
-    """Stage-3 configuration scaled to the requested experiment budget."""
-    defaults = dict(
-        iterations=scale.stage3_iterations,
-        offline_queries_per_step=scale.stage3_offline_queries,
-        candidate_pool=scale.stage3_candidate_pool,
-        measurement_duration_s=scale.measurement_duration_s,
-        simulator_duration_s=max(scale.measurement_duration_s / 2.0, 10.0),
-        seed=0,
+def _online_config(scale: ExperimentScale, seed: int = 0, **overrides) -> OnlineLearningConfig:
+    """Stage 3's budget for the figures: the shared mapping at the scale's duration.
+
+    The figures query the simulator for at least 10 s where ``python -m repro
+    run`` queries it for at least 5 s; the figures' outputs rest on this value.
+    """
+    duration = scale.measurement_duration_s
+    return online_learning_config(
+        scale, duration, seed, simulator_duration_s=max(duration / 2.0, 10.0), **overrides
     )
-    defaults.update(overrides)
-    return OnlineLearningConfig(**defaults)
 
 
 def train_offline_policy(
@@ -67,9 +72,34 @@ def train_offline_policy(
         simulator=_make_augmented_simulator(seed=seed),
         sla=sla,
         traffic=traffic,
-        config=offline_training_config(scale, seed=seed),
+        config=offline_training_config(scale, scale.measurement_duration_s, seed),
     )
     return trainer.run().policy
+
+
+def _uninformed_policy(simulator: NetworkSimulator, sla: SLA, seed: int) -> OfflinePolicy:
+    """A placeholder offline policy for the Fig. 24 variant without stage 2.
+
+    The BNN is fitted on a handful of random points with pessimistic QoE
+    so it carries essentially no information; the starting configuration
+    is the mid-range deployed configuration.
+    """
+    deployed = default_deployed_config()
+    state = (1.0, float(simulator.scenario.distance_m), 0.0)
+    model = BayesianNeuralNetwork(input_dim=len(state) + 1 + 6, hidden_layers=(16,), seed=seed)
+    rng = np.random.default_rng(seed)
+    random_actions = rng.uniform(0.0, 1.0, size=(8, 6))
+    features = build_features(state, sla, random_actions)
+    model.fit(features, np.full(len(features), 0.5), epochs=30)
+    return OfflinePolicy(
+        qoe_model=model,
+        sla=sla,
+        state=state,
+        best_config=deployed,
+        best_qoe=0.5,
+        best_usage=deployed.resource_usage(),
+        multiplier=0.0,
+    )
 
 
 # --------------------------------------------------- Figs. 20–21 and Table 5
@@ -170,7 +200,7 @@ def fig20_21_table5_online_comparison(
                 real_network=real_network,
                 sla=sla,
                 traffic=traffic,
-                config=online_learning_config(scale),
+                config=_online_config(scale),
             )
             run = learner.run()
             result.runs[method] = _record_run(
@@ -226,8 +256,6 @@ def fig20_21_table5_online_comparison(
         elif method == "dlda":
             # DLDA has no learning-based simulator stage: its offline grid
             # dataset comes from the original (un-augmented) simulator.
-            from repro.experiments.scenarios import make_simulator
-
             dlda = DLDA(
                 simulator=make_simulator(seed=0, traffic=traffic),
                 sla=sla,
@@ -291,7 +319,7 @@ def fig22_acquisition_ablation(
             simulator=simulator,
             real_network=real_network,
             sla=sla,
-            config=online_learning_config(scale, acquisition=acquisition, seed=index),
+            config=_online_config(scale, seed=index, acquisition=acquisition),
         )
         run = learner.run()
         result.footprints[acquisition] = {"usage": run.usages(), "qoe": run.qoes()}
@@ -320,7 +348,7 @@ def fig23_online_model_ablation(
         offline_policy = train_offline_policy(scale, sla)
     result = ModelAblationResult()
     for index, variant in enumerate(variants):
-        overrides: dict = {"seed": index}
+        overrides: dict = {}
         if variant == "ours":
             pass
         elif variant == "bnn":
@@ -337,7 +365,7 @@ def fig23_online_model_ablation(
             simulator=simulator,
             real_network=real_network,
             sla=sla,
-            config=online_learning_config(scale, **overrides),
+            config=_online_config(scale, seed=index, **overrides),
         )
         run = learner.run()
         result.regrets[variant] = {
@@ -364,57 +392,42 @@ def fig24_stage_ablation(
     variants: tuple[str, ...] = ("ours", "no_stage1", "no_stage2", "no_stage3"),
 ) -> StageAblationResult:
     """Reproduce Fig. 24: the impact of removing each of Atlas' three stages."""
-    from repro.core.atlas import Atlas, AtlasConfig
-    from repro.experiments.scenarios import default_deployed_config, make_simulator
-    from repro.core.simulator_learning import ParameterSearchConfig
-
     scale = scale if scale is not None else get_scale()
     sla = sla if sla is not None else default_sla()
     result = StageAblationResult()
 
     for index, variant in enumerate(variants):
-        enable_stage1 = variant != "no_stage1"
-        enable_stage2 = variant != "no_stage2"
-        enable_stage3 = variant != "no_stage3"
-        simulator = make_simulator(seed=0)
-        if enable_stage1:
-            # Stage 1 is represented by the pre-searched augmented parameters to
-            # keep the ablation affordable; "no_stage1" keeps the original ones.
+        # Stage 1 is represented by the pre-searched augmented parameters to
+        # keep the ablation affordable; "no_stage1" keeps the original ones.
+        if variant == "no_stage1":
+            simulator = make_simulator(seed=0)
+        else:
             simulator = _make_augmented_simulator(seed=0)
         real_network = make_real_network(seed=80 + index)
-        atlas = Atlas(
-            simulator=simulator,
-            real_network=real_network,
-            config=AtlasConfig(
+        if variant == "no_stage2":
+            policy = _uninformed_policy(simulator, sla, seed=index)
+        else:
+            policy = OfflineConfigurationTrainer(
+                simulator=simulator,
                 sla=sla,
                 traffic=1,
-                deployed_config=default_deployed_config(),
-                online_collection_runs=1,
-                online_collection_duration_s=scale.measurement_duration_s,
-                stage1=ParameterSearchConfig(
-                    iterations=max(2, scale.stage1_iterations // 4),
-                    initial_random=2,
-                    parallel_queries=2,
-                    candidate_pool=scale.stage1_candidate_pool,
-                    measurement_duration_s=scale.measurement_duration_s,
-                ),
-                stage2=offline_training_config(scale, seed=index),
-                stage3=online_learning_config(scale, seed=index),
-                enable_stage1=False,  # parameters are injected above
-                enable_stage2=enable_stage2,
-                enable_stage3=enable_stage3,
-                seed=index,
-            ),
-        )
-        atlas_result = atlas.run_all()
+                config=offline_training_config(scale, scale.measurement_duration_s, index),
+            ).run().policy
 
-        if enable_stage3 and atlas_result.stage3 is not None:
-            usages = atlas_result.stage3.usages()
-            qoes = atlas_result.stage3.qoes()
+        if variant != "no_stage3":
+            run = OnlineConfigurationLearner(
+                offline_policy=policy,
+                simulator=simulator,
+                real_network=real_network,
+                sla=sla,
+                traffic=1,
+                config=_online_config(scale, seed=index),
+            ).run()
+            usages = run.usages()
+            qoes = run.qoes()
         else:
             # Without online learning the offline best action is applied
             # repeatedly; the repeats go out as one engine batch.
-            policy = atlas_result.offline_policy
             requests = [
                 MeasurementRequest(
                     config=policy.best_config,

@@ -13,13 +13,13 @@ same models are implemented here on top of numpy/scipy:
   function sampling for Thompson sampling and Monte-Carlo mean/std
   prediction.
 * :class:`~repro.models.gp.GaussianProcessRegressor` — exact GP regression
-  with Matérn-2.5 / RBF kernels, target normalisation and marginal-likelihood
+  with a constant × Matérn-2.5 kernel, target normalisation and marginal-likelihood
   hyper-parameter fitting.
 """
 
 from repro.models.bnn import BayesianNeuralNetwork
 from repro.models.gp import GaussianProcessRegressor
-from repro.models.kernels import ConstantKernel, Matern52Kernel, RBFKernel, SumKernel, WhiteKernel
+from repro.models.kernels import ConstantKernel, Matern52Kernel
 from repro.models.mlp import MLPRegressor
 from repro.models.scaler import StandardScaler
 
@@ -28,9 +28,6 @@ __all__ = [
     "GaussianProcessRegressor",
     "MLPRegressor",
     "StandardScaler",
-    "RBFKernel",
     "Matern52Kernel",
-    "WhiteKernel",
     "ConstantKernel",
-    "SumKernel",
 ]

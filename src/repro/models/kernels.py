@@ -1,7 +1,9 @@
 """Covariance kernels for Gaussian-process regression.
 
 The paper's online GP uses the Matérn kernel with ``nu = 2.5`` (a
-generalisation of the RBF kernel) from scikit-learn; the same kernels are
+generalisation of the RBF kernel) from scikit-learn, scaled by a constant
+signal variance: ``ConstantKernel() * Matern52Kernel()``, the default of
+:class:`~repro.models.gp.GaussianProcessRegressor`.  The kernels are
 implemented here with log-parameterised hyper-parameters so they can be
 optimised by maximising the marginal likelihood.
 """
@@ -12,11 +14,8 @@ import numpy as np
 
 __all__ = [
     "Kernel",
-    "RBFKernel",
     "Matern52Kernel",
-    "WhiteKernel",
     "ConstantKernel",
-    "SumKernel",
     "ProductKernel",
 ]
 
@@ -57,39 +56,9 @@ class Kernel:
         """Log-space bounds for each hyper-parameter."""
         return [(-6.0, 6.0)] * self.n_params
 
-    def __add__(self, other: "Kernel") -> "SumKernel":
-        """The sum kernel of ``self`` and ``other``."""
-        return SumKernel(self, other)
-
     def __mul__(self, other: "Kernel") -> "ProductKernel":
         """The product kernel of ``self`` and ``other``."""
         return ProductKernel(self, other)
-
-
-class RBFKernel(Kernel):
-    """Squared-exponential kernel ``exp(-0.5 * d^2 / l^2)``."""
-
-    def __init__(self, length_scale: float = 1.0) -> None:
-        if length_scale <= 0:
-            raise ValueError("length_scale must be positive")
-        self.length_scale = float(length_scale)
-
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        sq = _pairwise_sq_dists(np.atleast_2d(x1), np.atleast_2d(x2))
-        return np.exp(-0.5 * sq / self.length_scale**2)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal of the kernel matrix of ``points``."""
-        return np.ones(len(np.atleast_2d(x)))
-
-    def get_log_params(self) -> np.ndarray:
-        """The kernel's tunable log-parameters as a flat vector."""
-        return np.array([np.log(self.length_scale)])
-
-    def set_log_params(self, log_params: np.ndarray) -> None:
-        """Set the kernel's log-parameters from a flat vector."""
-        self.length_scale = float(np.exp(log_params[0]))
 
 
 class Matern52Kernel(Kernel):
@@ -120,41 +89,8 @@ class Matern52Kernel(Kernel):
         self.length_scale = float(np.exp(log_params[0]))
 
 
-class WhiteKernel(Kernel):
-    """Observation-noise kernel: ``noise_level`` on the diagonal, zero elsewhere."""
-
-    def __init__(self, noise_level: float = 1e-3) -> None:
-        if noise_level <= 0:
-            raise ValueError("noise_level must be positive")
-        self.noise_level = float(noise_level)
-
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        x1 = np.atleast_2d(x1)
-        x2 = np.atleast_2d(x2)
-        if x1.shape == x2.shape and np.array_equal(x1, x2):
-            return self.noise_level * np.eye(len(x1))
-        return np.zeros((len(x1), len(x2)))
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal of the kernel matrix of ``points``."""
-        return np.full(len(np.atleast_2d(x)), self.noise_level)
-
-    def get_log_params(self) -> np.ndarray:
-        """The kernel's tunable log-parameters as a flat vector."""
-        return np.array([np.log(self.noise_level)])
-
-    def set_log_params(self, log_params: np.ndarray) -> None:
-        """Set the kernel's log-parameters from a flat vector."""
-        self.noise_level = float(np.exp(log_params[0]))
-
-    def bounds(self) -> list[tuple[float, float]]:
-        """Optimisation bounds of the log-parameters."""
-        return [(-12.0, 2.0)]
-
-
 class ConstantKernel(Kernel):
-    """Constant (signal-variance) kernel, usually multiplied with RBF/Matérn."""
+    """Constant (signal-variance) kernel, multiplied with the Matérn kernel."""
 
     def __init__(self, constant: float = 1.0) -> None:
         if constant <= 0:
@@ -178,12 +114,20 @@ class ConstantKernel(Kernel):
         self.constant = float(np.exp(log_params[0]))
 
 
-class _CompositeKernel(Kernel):
-    """Shared machinery for kernels built from two sub-kernels."""
+class ProductKernel(Kernel):
+    """Element-wise product of two kernels."""
 
     def __init__(self, left: Kernel, right: Kernel) -> None:
         self.left = left
         self.right = right
+
+    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Evaluate the kernel matrix between two point sets."""
+        return self.left(x1, x2) * self.right(x1, x2)
+
+    def diag(self, x: np.ndarray) -> np.ndarray:
+        """Diagonal of the kernel matrix of ``points``."""
+        return self.left.diag(x) * self.right.diag(x)
 
     def get_log_params(self) -> np.ndarray:
         """The kernel's tunable log-parameters as a flat vector."""
@@ -198,27 +142,3 @@ class _CompositeKernel(Kernel):
     def bounds(self) -> list[tuple[float, float]]:
         """Optimisation bounds of the log-parameters."""
         return self.left.bounds() + self.right.bounds()
-
-
-class SumKernel(_CompositeKernel):
-    """Sum of two kernels."""
-
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        return self.left(x1, x2) + self.right(x1, x2)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal of the kernel matrix of ``points``."""
-        return self.left.diag(x) + self.right.diag(x)
-
-
-class ProductKernel(_CompositeKernel):
-    """Element-wise product of two kernels."""
-
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        return self.left(x1, x2) * self.right(x1, x2)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        """Diagonal of the kernel matrix of ``points``."""
-        return self.left.diag(x) * self.right.diag(x)

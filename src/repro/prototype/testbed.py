@@ -27,7 +27,7 @@ import numpy as np
 from repro.prototype.domain_managers import EndToEndOrchestrator
 from repro.sim.config import SliceConfig
 from repro.sim.imperfections import Imperfections
-from repro.sim.multislice import MultiSliceResult, ResourceBudget, SliceRun, run_contended
+from repro.sim.multislice import MultiSliceResult, ResourceBudget, SliceRun, run_contended_batch
 from repro.sim.network import NetworkSimulator, SimulationResult
 from repro.sim.parameters import SimulationParameters
 from repro.sim.scenario import Scenario
@@ -240,4 +240,4 @@ class RealNetwork:
         applied history records the quantised per-slice allocations and the
         measurements dispatch as one engine batch.
         """
-        return run_contended(self, runs, budget=budget, duration=duration, engine=engine)
+        return run_contended_batch(self, [runs], budget=budget, duration=duration, engine=engine)[0]

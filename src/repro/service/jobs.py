@@ -24,14 +24,18 @@ locks — the loser just moves on to the next queue entry.
 Two job kinds execute through the existing measurement pipeline:
 
 ``run``
-    The CLI's stage pipeline (``scenario``/``stage``/``scale``/``seed``/
-    ``faults``/``duration`` — the ``python -m repro run`` knobs) on one
-    catalog entry.  Engines inside the stages use the
+    The stage driver, :func:`repro.core.atlas.run_slices`, on one catalog
+    entry (``scenario``/``stage``/``scale``/``seed``/``faults``/
+    ``duration`` — the ``python -m repro run`` knobs).  It applies the
+    same fault checks as ``run``: a fault mode the entry cannot run fails
+    the job with ``run``'s message.  Engines inside the stages use the
     process-wide shared cache, which the daemon backs with the persistent
     store, so repeated stage runs share measurements across jobs *and*
     daemon restarts.  The slices run in-process, one after another, even
     where the CLI would fork a slice pool: the daemon records the job's
     spans itself and runs the job in a thread, where forking is unsafe.
+    Nor does a job measure the CLI's contended rounds of a multi-slice
+    entry.
 ``eval``
     The evaluation harness (``group``/``scenario``/``seeds``/
     ``determinism``) with the job's own run layout; its engines use a
@@ -214,8 +218,7 @@ def claim_next_job(paths: ServicePaths) -> JobSpec | None:
 
 # ------------------------------------------------------------------ execution
 def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> tuple[dict, dict]:
-    # Imported lazily: the CLI imports this module for its service commands.
-    from repro import cli as _cli
+    from repro.core.atlas import jsonable, run_slices
     from repro.engine.cache import shared_cache
     from repro.experiments.scale import get_scale
     from repro.scenarios import get_scenario
@@ -231,10 +234,8 @@ def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> 
 
     ledger = CostLedger(cache=shared_cache(), store=store)
     # The tracer keeps the slices in-process, one job.slice span each.
-    slices = _cli._run_slices(
-        scenario_spec, stage, scale, duration, seed, faults=faults, tracer=tracer
-    )
-    summary = _cli._jsonable(
+    slices = run_slices(scenario_spec, stage, scale, duration, seed, faults=faults, tracer=tracer)
+    summary = jsonable(
         {
             "scenario": scenario_spec.name,
             "stage": stage,

@@ -38,7 +38,6 @@ __all__ = [
     "SliceRun",
     "MultiSliceResult",
     "resolve_contention",
-    "run_contended",
     "run_contended_batch",
 ]
 
@@ -225,44 +224,6 @@ def resolve_contention(
     ]
 
 
-def run_contended(
-    environment,
-    runs: Sequence[SliceRun],
-    budget: ResourceBudget | None = None,
-    duration: float | None = None,
-    engine=None,
-) -> MultiSliceResult:
-    """Resolve contention and measure every slice as one engine batch.
-
-    Shared implementation behind
-    :meth:`repro.sim.network.NetworkSimulator.run_slices` and
-    :meth:`repro.prototype.testbed.RealNetwork.measure_slices`: the requested
-    configurations are scaled onto ``budget`` with
-    :func:`resolve_contention`, then one
-    :class:`~repro.engine.protocol.MeasurementRequest` per slice — each
-    carrying its own scenario — goes out as a single batch, so multi-slice
-    rounds run as one vectorized pass and hit the result cache exactly like
-    single-slice measurements.  ``engine`` must wrap
-    ``environment``; a private engine is created when omitted.
-    """
-    from repro.engine.engine import MeasurementEngine
-    from repro.engine.protocol import MeasurementRequest
-
-    budget = budget if budget is not None else ResourceBudget()
-    runs = list(runs)
-    allocated = resolve_contention([run.config for run in runs], budget)
-    if engine is None:
-        engine = MeasurementEngine(environment)
-    elif engine.environment is not environment:
-        raise ValueError("engine must wrap the environment whose slices it measures")
-    requests = [
-        MeasurementRequest(config=config, duration=duration, seed=run.seed, scenario=run.scenario)
-        for run, config in zip(runs, allocated)
-    ]
-    results = engine.run_batch(requests)
-    return MultiSliceResult(runs=runs, allocated=allocated, results=results, budget=budget)
-
-
 def run_contended_batch(
     environment,
     rounds: Sequence[Sequence[SliceRun]],
@@ -272,14 +233,19 @@ def run_contended_batch(
 ) -> "list[MultiSliceResult]":
     """Resolve and measure many contended rounds as one engine batch.
 
-    The batched counterpart of :func:`run_contended`: contention is resolved
-    round by round against the same ``budget`` (each round's slices share
-    the physical totals; rounds never contend with each other), then the
-    slices of *all* rounds go out as one flat
+    Contention is resolved round by round against the same ``budget``
+    (:func:`resolve_contention`: each round's slices share the physical
+    totals; rounds never contend with each other), then one
+    :class:`~repro.engine.protocol.MeasurementRequest` per slice of *all*
+    rounds — each carrying its slice's own scenario — goes out as one flat
     :class:`~repro.engine.engine.MeasurementEngine` batch, that is a single
     :func:`repro.sim.batch.simulate_batch` pass over every slice of every
-    round.  Results are regrouped into one :class:`MultiSliceResult` per
-    round, in submission order.
+    round, cached exactly like single-slice measurements.  Results are
+    regrouped into one :class:`MultiSliceResult` per round, in submission
+    order.  ``engine`` must wrap ``environment``; a private engine is
+    created when omitted.  One round is the shared implementation of
+    :meth:`repro.sim.network.NetworkSimulator.run_slices` and
+    :meth:`repro.prototype.testbed.RealNetwork.measure_slices`.
     """
     from repro.engine.engine import MeasurementEngine
     from repro.engine.protocol import MeasurementRequest

@@ -22,13 +22,7 @@ from repro.sim.events import EventScheduler
 from repro.sim.imperfections import Imperfections
 from repro.sim.application import OffloadingApplication
 from repro.sim.parameters import SimulationParameters
-from repro.sim.multislice import (
-    MultiSliceResult,
-    ResourceBudget,
-    SliceRun,
-    run_contended,
-    run_contended_batch,
-)
+from repro.sim.multislice import MultiSliceResult, ResourceBudget, SliceRun, run_contended_batch
 from repro.sim.ran import RadioAccessNetwork
 from repro.sim.scenario import Scenario
 from repro.sim.transport import BackhaulLink, BASE_PROPAGATION_DELAY_MS
@@ -331,26 +325,7 @@ class NetworkSimulator:
             Engine to batch through; must wrap this environment.  A private
             engine is created when omitted.
         """
-        return run_contended(self, runs, budget=budget, duration=duration, engine=engine)
-
-    def run_slices_batch(
-        self,
-        rounds: "Sequence[Sequence[SliceRun]]",
-        budget: ResourceBudget | None = None,
-        duration: float | None = None,
-        engine=None,
-    ) -> "list[MultiSliceResult]":
-        """Measure many contended multi-slice rounds as one batch.
-
-        Each round's requested configurations are resolved against
-        ``budget`` with the same proportional-fair contention solver as
-        :meth:`run_slices`; the slices of every round are then measured as
-        one engine batch (one vectorized pass).  Returns one
-        :class:`~repro.sim.multislice.MultiSliceResult` per round, in
-        order.  ``engine`` must wrap this simulator; a private engine is
-        created when omitted.
-        """
-        return run_contended_batch(self, rounds, budget=budget, duration=duration, engine=engine)
+        return run_contended_batch(self, [runs], budget=budget, duration=duration, engine=engine)[0]
 
     # ------------------------------------------------------------------- ping
     def _ping_delay_ms(

@@ -79,11 +79,11 @@ def replay_pool(monkeypatch) -> list[int]:
     (:func:`repro.engine.forkpool.fork_map`) started during the test is
     appended to.
     """
-    import repro.cli as cli_module
+    import repro.core.atlas as atlas_module
     import repro.engine.forkpool as forkpool_module
     import repro.evalharness.runner as runner_module
 
-    for module in (runner_module, cli_module):
+    for module in (runner_module, atlas_module):
         monkeypatch.setattr(module, "available_parallelism", lambda: 2)
     sizes: list[int] = []
 

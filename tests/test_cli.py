@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-import repro.cli as cli_module
+import repro.core.atlas as atlas_module
 from repro.cli import build_parser, main
 from repro.engine import attach_shared_store, engine_telemetry, shared_cache
 from repro.experiments.scale import get_scale
@@ -229,7 +229,7 @@ class TestSlicePool:
         json_path = tmp_path / "summary.json"
         pooled = self.run(capsys, json_path, "--stage", "all")
         assert replay_pool == [2]
-        monkeypatch.setattr(cli_module, "available_parallelism", lambda: 1)
+        monkeypatch.setattr(atlas_module, "available_parallelism", lambda: 1)
         local = self.run(capsys, json_path, "--stage", "all")
         assert replay_pool == [2]
         assert pooled == local
@@ -246,7 +246,7 @@ class TestSlicePool:
         pooled = json.loads(payload)
         costs = pooled.pop("costs")
         assert costs["engine_requests"] == executed == costs["cache"]["misses"] > 0
-        monkeypatch.setattr(cli_module, "available_parallelism", lambda: 1)
+        monkeypatch.setattr(atlas_module, "available_parallelism", lambda: 1)
         _, payload, _ = self.run(capsys, tmp_path / "local.json", "--stage", "2")
         local = json.loads(payload)
         assert local.pop("costs") is None
@@ -255,7 +255,7 @@ class TestSlicePool:
     def test_traced_slices_stay_in_process_with_a_span_per_slice(self, tmp_path, replay_pool):
         spec = get_scenario("mixed-enterprise")
         with Tracer(tmp_path / "trace.jsonl") as tracer:
-            summaries = cli_module._run_slices(spec, "1", get_scale("smoke"), 2.0, 0, tracer=tracer)
+            summaries = atlas_module.run_slices(spec, "1", get_scale("smoke"), 2.0, 0, tracer=tracer)
         spans = [
             record["attrs"]["slice"] for record in read_trace(tmp_path / "trace.jsonl")
             if record["kind"] == "span" and record["name"] == "job.slice"
@@ -266,35 +266,36 @@ class TestSlicePool:
 
     @pytest.mark.parametrize("cores, pools", [(2, [2]), (1, [])], ids=["pooled", "in-process"])
     def test_a_failing_slice_raises_through_main(self, replay_pool, monkeypatch, cores, pools):
-        run_workload = cli_module._run_workload
+        run = atlas_module.Atlas.run
 
-        def failing(workload, *args, **kwargs):
-            if workload.name == "embb-video":
-                raise RuntimeError(f"{workload.name} pipeline failed")
-            return run_workload(workload, *args, **kwargs)
+        def failing(atlas, *args, **kwargs):
+            if atlas.workload.name == "embb-video":
+                raise RuntimeError(f"{atlas.workload.name} pipeline failed")
+            return run(atlas, *args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "_run_workload", failing)
-        monkeypatch.setattr(cli_module, "available_parallelism", lambda: cores)
+        monkeypatch.setattr(atlas_module.Atlas, "run", failing)
+        monkeypatch.setattr(atlas_module, "available_parallelism", lambda: cores)
         with pytest.raises(RuntimeError, match="embb-video pipeline failed"):
             main([*MIXED_RUN, "--stage", "1"])
         assert replay_pool == pools
 
 
 SMALL_REGISTRY = """\
-defaults:
-  seeds: [0]
-  measurements: 2
-  duration_s: 3.0
-  usage_ladder: [0.9, 1.0]
-cases:
-  - group: test
-    scenario: urllc-control
-    envelopes:
-      latency_p95_ms: [0, 100000]
-      sla_violation_rate: [0, 1]
-      avg_usage_regret: [-10, 10]
-      avg_qoe_regret: [-10, 10]
-      sim_real_symmetric_kl: [0, 1000]
+[defaults]
+seeds = [0]
+measurements = 2
+duration_s = 3.0
+usage_ladder = [0.9, 1.0]
+
+[[cases]]
+group = "test"
+scenario = "urllc-control"
+[cases.envelopes]
+latency_p95_ms = [0, 100000]
+sla_violation_rate = [0, 1]
+avg_usage_regret = [-10, 10]
+avg_qoe_regret = [-10, 10]
+sim_real_symmetric_kl = [0, 1000]
 """
 
 
@@ -302,7 +303,7 @@ class TestEval:
     """The `eval` subcommand: report, run layout, gate exit codes."""
 
     def write_registry(self, tmp_path, text=SMALL_REGISTRY):
-        registry = tmp_path / "cases.yaml"
+        registry = tmp_path / "cases.toml"
         registry.write_text(text)
         return registry
 
@@ -350,7 +351,7 @@ class TestEval:
     def test_eval_gate_failure_exits_1(self, capsys, tmp_path):
         registry = self.write_registry(
             tmp_path,
-            SMALL_REGISTRY.replace("latency_p95_ms: [0, 100000]", "latency_p95_ms: [0, 0.001]"),
+            SMALL_REGISTRY.replace("latency_p95_ms = [0, 100000]", "latency_p95_ms = [0, 0.001]"),
         )
         code, text = run_cli(
             capsys,
@@ -403,3 +404,11 @@ class TestEval:
         captured = capsys.readouterr()
         assert code == 2
         assert "not-a-scenario" in captured.err
+
+    def test_eval_invalid_toml_exits_2(self, capsys, tmp_path):
+        registry = self.write_registry(tmp_path, SMALL_REGISTRY.replace("[[cases]]", "[[cases]"))
+        code = main(["eval", "--cases", str(registry), "--out", str(tmp_path / "out"), "--no-determinism"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "not valid TOML" in captured.err
+        assert not (tmp_path / "out").exists()

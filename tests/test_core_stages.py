@@ -8,13 +8,18 @@ convergence quality, which the benchmarks cover.
 import numpy as np
 import pytest
 
-from repro.core.atlas import Atlas, AtlasConfig
+import repro.core.atlas as atlas_module
+from repro.core.atlas import Atlas
 from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingConfig
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
+from repro.experiments.scale import get_scale
+from repro.experiments.scenarios import default_deployed_config
+from repro.experiments.stage3 import fig24_stage_ablation
 from repro.prototype.slice_manager import SLA
 from repro.prototype.testbed import RealNetwork
+from repro.scenarios import get_scenario
 from repro.sim.config import SliceConfig
 from repro.sim.network import NetworkSimulator
 from repro.sim.scenario import Scenario
@@ -236,63 +241,64 @@ class TestOnlineLearning:
             OnlineLearningConfig(residual_model="tree")
 
 
+SMOKE = get_scale("smoke")
+FRAME = get_scenario("frame-offloading")
+
+
+def _atlas() -> Atlas:
+    """The stage driver on the paper's slice at smoke scale, measuring 2 s per query."""
+    return Atlas(FRAME.primary, FRAME, SMOKE, 2.0, 0)
+
+
 class TestAtlasOrchestration:
-    def _atlas(self, **config_overrides):
-        defaults = dict(
-            sla=SLA_DEFAULT,
-            traffic=1,
-            deployed_config=CONFIG,
-            online_collection_runs=1,
-            online_collection_duration_s=8.0,
-            stage1=ParameterSearchConfig(
-                iterations=2, initial_random=1, parallel_queries=2, candidate_pool=80,
-                measurement_duration_s=8.0, surrogate_epochs=10, seed=0,
-            ),
-            stage2=OfflineTrainingConfig(
-                iterations=3, initial_random=2, parallel_queries=2, candidate_pool=100,
-                measurement_duration_s=8.0, surrogate_epochs=10, seed=0,
-            ),
-            stage3=OnlineLearningConfig(
-                iterations=2, offline_queries_per_step=1, candidate_pool=100,
-                measurement_duration_s=8.0, simulator_duration_s=8.0, seed=0,
-            ),
-        )
-        defaults.update(config_overrides)
-        return Atlas(_simulator(), _real_network(), AtlasConfig(**defaults))
+    def test_full_pipeline_runs_all_three_stages(self, capsys):
+        summary = _atlas().run({"1", "2", "3"})
+        assert {"stage1", "stage2", "stage3"} <= set(summary)
+        parameters = summary["stage1"]["_result"].best_parameters
+        assert summary["stage2"]["_policy"] is not None
+        # Stage 1's parameters build the simulator stage 2 trains in.
+        assert summary["stage2"]["_simulator"].params == parameters
+        out = capsys.readouterr().out
+        assert all(f"stage {n}:" in out for n in (1, 2, 3))
 
-    def test_full_pipeline_runs_all_three_stages(self):
-        atlas = self._atlas()
-        result = atlas.run_all()
-        assert result.stage1 is not None
-        assert result.stage2 is not None
-        assert result.stage3 is not None
-        assert result.augmented_parameters is not None
-        assert result.offline_policy is not None
-        assert atlas.augmented_simulator.params == result.stage1.best_parameters
+    def test_stage2_without_stage1_trains_in_the_original_simulator(self):
+        summary = _atlas().run({"2"})
+        assert "stage1" not in summary
+        assert summary["stage2"]["_simulator"].params == FRAME.primary.make_simulator().params
 
-    def test_stage1_can_be_disabled(self):
-        atlas = self._atlas(enable_stage1=False)
-        result = atlas.run_all()
-        assert result.stage1 is None
-        assert atlas.augmented_simulator.params == atlas.simulator.params
+    def test_stage3_alone_trains_the_prerequisite_policy(self, capsys):
+        summary = _atlas().run({"3"})
+        assert "stage2" not in summary
+        assert summary["stage3"]["segments"]
+        assert "training prerequisite offline policy first" in capsys.readouterr().out
+
+    def test_online_collection_is_built_once(self, monkeypatch):
+        calls = []
+        collect = atlas_module.collect_online_dataset
+
+        def recording(network, **kwargs):
+            calls.append(kwargs)
+            return collect(network, **kwargs)
+
+        monkeypatch.setattr(atlas_module, "collect_online_dataset", recording)
+        _atlas().run({"1"})
+        assert len(calls) == 1
+        assert calls[0]["config"] == FRAME.primary.deployed_config
+        assert calls[0]["runs"] == SMOKE.motivation_runs
 
     def test_stage2_ablation_uses_uninformed_policy(self):
-        atlas = self._atlas(enable_stage1=False, enable_stage2=False)
-        result = atlas.run_all()
-        assert result.stage2 is None
-        assert result.stage3 is not None
+        result = fig24_stage_ablation(SMOKE, variants=("no_stage2",))
+        usages = result.footprints["no_stage2"]["usage"]
+        assert len(usages) == SMOKE.stage3_iterations
+        # Stage 3 starts from the uninformed policy's deployed configuration.
+        assert usages[0] == default_deployed_config().resource_usage()
 
-    def test_stage3_can_be_disabled(self):
-        atlas = self._atlas(enable_stage1=False, enable_stage3=False)
-        result = atlas.run_all()
-        assert result.stage3 is None
+    def test_stage3_ablation_runs_no_learner(self, monkeypatch):
+        def learn(learner):
+            raise AssertionError("the no_stage3 variant ran the online learner")
 
-    def test_learn_online_before_offline_raises(self):
-        atlas = self._atlas()
-        with pytest.raises(RuntimeError):
-            atlas.learn_online()
-
-    def test_online_collection_is_built_once(self):
-        atlas = self._atlas(enable_stage2=False, enable_stage3=False)
-        atlas.run_all()
-        assert len(atlas.online_collection) > 0
+        monkeypatch.setattr(OnlineConfigurationLearner, "run", learn)
+        result = fig24_stage_ablation(SMOKE, variants=("no_stage3",))
+        usages = result.footprints["no_stage3"]["usage"]
+        assert len(usages) == SMOKE.stage3_iterations
+        assert np.all(usages == usages[0])  # the offline best, applied at every step

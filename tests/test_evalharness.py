@@ -27,7 +27,6 @@ from repro.evalharness import (
     canonical_results_bytes,
     check_coverage,
     load_cases,
-    parse_cases_yaml,
     scaled_config,
 )
 from repro.scenarios import get_scenario, scenario_names
@@ -59,50 +58,40 @@ def small_case(scenario: str = "urllc-control", **changes) -> EvalCase:
     return base.replace(**changes) if changes else base
 
 
-class TestMiniYamlParser:
-    def test_scalars_lists_and_nesting(self):
-        document = parse_cases_yaml(
+class TestRegistryFile:
+    def test_defaults_merge_into_every_case(self, tmp_path):
+        registry = tmp_path / "cases.toml"
+        registry.write_text(
             "\n".join(
                 [
                     "# a comment",
-                    "defaults:",
-                    "  seeds: [0, 1]",
-                    "  duration_s: 6.0",
-                    "cases:",
-                    "  - group: static",
-                    "    scenario: embb-video",
-                    "    envelopes:",
-                    "      latency_p95_ms: [10, 20.5]",
-                    "  - group: dynamic",
-                    "    scenario: flash-crowd",
-                    "    envelopes:",
-                    "      sla_violation_rate: [0, 1]",
+                    "[defaults]",
+                    "seeds = [0, 1]",
+                    "duration_s = 6.0",
+                    "[[cases]]",
+                    'group = "static"',
+                    'scenario = "embb-video"',
+                    "[cases.envelopes]",
+                    "latency_p95_ms = [10, 20.5]",
+                    "[[cases]]",
+                    'group = "dynamic"',
+                    'scenario = "flash-crowd"',
+                    "seeds = [3]",
+                    "[cases.envelopes]",
+                    "sla_violation_rate = [0, 1]",
                 ]
             )
         )
-        assert document["defaults"] == {"seeds": [0, 1], "duration_s": 6.0}
-        assert len(document["cases"]) == 2
-        assert document["cases"][0]["envelopes"]["latency_p95_ms"] == [10, 20.5]
-        assert document["cases"][1]["group"] == "dynamic"
+        static, dynamic = load_cases(path=registry)
+        assert (static.seeds, static.duration_s) == ((0, 1), 6.0)
+        assert static.envelopes == {"latency_p95_ms": Envelope(10.0, 20.5)}
+        assert (dynamic.group, dynamic.seeds, dynamic.duration_s) == ("dynamic", (3,), 6.0)
 
-    def test_quoted_strings_and_booleans(self):
-        document = parse_cases_yaml('flag: true\nname: "hello world"\n')
-        assert document == {"flag": True, "name": "hello world"}
-
-    def test_tab_indentation_is_rejected(self):
-        with pytest.raises(EvalDatasetError, match="indentation"):
-            parse_cases_yaml("cases:\n\t- group: x\n")
-
-    def test_odd_indentation_is_rejected(self):
-        with pytest.raises(EvalDatasetError, match="even number"):
-            parse_cases_yaml("cases:\n   odd: 1\n")
-
-    def test_duplicate_keys_are_rejected(self):
-        with pytest.raises(EvalDatasetError, match="duplicate key"):
-            parse_cases_yaml("a: 1\na: 2\n")
-
-    def test_empty_document_parses_to_empty_mapping(self):
-        assert parse_cases_yaml("# only a comment\n") == {}
+    def test_invalid_toml_raises_a_dataset_error(self, tmp_path):
+        registry = tmp_path / "cases.toml"
+        registry.write_text('[[cases]]\ngroup = "static\n')
+        with pytest.raises(EvalDatasetError, match="not valid TOML"):
+            load_cases(path=registry)
 
 
 class TestDataset:
@@ -157,14 +146,15 @@ class TestDataset:
         assert Envelope(0.0, 1.0).contains(0.0) and Envelope(0.0, 1.0).contains(1.0)
 
     def test_duplicate_case_ids_in_registry_are_rejected(self, tmp_path):
-        registry = tmp_path / "cases.yaml"
+        registry = tmp_path / "cases.toml"
         entry = (
-            "  - group: g\n"
-            "    scenario: urllc-control\n"
-            "    envelopes:\n"
-            "      latency_p95_ms: [0, 100]\n"
+            "[[cases]]\n"
+            'group = "g"\n'
+            'scenario = "urllc-control"\n'
+            "[cases.envelopes]\n"
+            "latency_p95_ms = [0, 100]\n"
         )
-        registry.write_text("cases:\n" + entry + entry)
+        registry.write_text(entry + entry)
         with pytest.raises(EvalDatasetError, match="duplicate case id"):
             load_cases(path=registry)
 
@@ -179,10 +169,10 @@ class TestCoverageGuard:
         assert len(failures) == 1
         assert failures[0].kind == "coverage"
         assert "flash-crowd" in failures[0].message
-        assert "cases.yaml" in failures[0].message
+        assert "cases.toml" in failures[0].message
 
     def test_default_registry_file_is_the_checked_in_one(self):
-        assert DEFAULT_CASES_PATH.name == "cases.yaml"
+        assert DEFAULT_CASES_PATH.name == "cases.toml"
         assert DEFAULT_CASES_PATH.exists()
 
 

@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 
 from repro.models.gp import GaussianProcessRegressor
-from repro.models.kernels import (
-    ConstantKernel,
-    Matern52Kernel,
-    ProductKernel,
-    RBFKernel,
-    SumKernel,
-    WhiteKernel,
-)
+from repro.models.kernels import ConstantKernel, Matern52Kernel, ProductKernel
 
 
 class TestKernels:
-    @pytest.mark.parametrize("kernel", [RBFKernel(0.7), Matern52Kernel(1.3)])
+    @pytest.mark.parametrize("kernel", [Matern52Kernel(0.7), Matern52Kernel(1.3)])
     def test_gram_matrix_is_symmetric_psd_with_unit_diagonal(self, kernel):
         rng = np.random.default_rng(0)
         x = rng.uniform(-2, 2, size=(25, 3))
@@ -25,47 +18,35 @@ class TestKernels:
         eigenvalues = np.linalg.eigvalsh(gram + 1e-10 * np.eye(len(x)))
         assert np.all(eigenvalues > -1e-8)
 
-    @pytest.mark.parametrize("kernel", [RBFKernel(1.0), Matern52Kernel(1.0)])
+    @pytest.mark.parametrize("kernel", [Matern52Kernel(0.5), Matern52Kernel(1.0)])
     def test_kernel_decays_with_distance(self, kernel):
         origin = np.zeros((1, 2))
         near = np.array([[0.1, 0.0]])
         far = np.array([[3.0, 0.0]])
         assert kernel(origin, near)[0, 0] > kernel(origin, far)[0, 0]
 
-    def test_white_kernel_is_diagonal_only_on_identical_inputs(self):
-        kernel = WhiteKernel(0.5)
-        x = np.random.default_rng(1).normal(size=(4, 2))
-        assert np.allclose(kernel(x, x), 0.5 * np.eye(4))
-        assert np.allclose(kernel(x, x + 1.0), 0.0)
-
     def test_constant_kernel_value(self):
         kernel = ConstantKernel(2.5)
         assert np.allclose(kernel(np.zeros((2, 1)), np.zeros((3, 1))), 2.5)
 
     def test_composite_kernels_combine_values_and_params(self):
-        left, right = ConstantKernel(2.0), RBFKernel(1.0)
+        left, right = ConstantKernel(2.0), Matern52Kernel(1.0)
         product = ProductKernel(left, right)
-        sum_kernel = SumKernel(left, right)
         x = np.array([[0.0], [1.0]])
         assert np.allclose(product(x, x), 2.0 * right(x, x))
-        assert np.allclose(sum_kernel(x, x), 2.0 + right(x, x))
         assert product.n_params == 2
         params = product.get_log_params()
         product.set_log_params(params + np.log(2.0))
         assert product.left.constant == pytest.approx(4.0)
 
     def test_operator_overloads(self):
-        combined = ConstantKernel(1.0) * Matern52Kernel(1.0) + WhiteKernel(1e-2)
-        assert isinstance(combined, SumKernel)
-        assert combined.n_params == 3
+        combined = ConstantKernel(1.0) * Matern52Kernel(1.0)
+        assert isinstance(combined, ProductKernel)
+        assert combined.n_params == 2
 
     def test_invalid_hyperparameters_raise(self):
         with pytest.raises(ValueError):
-            RBFKernel(0.0)
-        with pytest.raises(ValueError):
             Matern52Kernel(-1.0)
-        with pytest.raises(ValueError):
-            WhiteKernel(0.0)
         with pytest.raises(ValueError):
             ConstantKernel(0.0)
 

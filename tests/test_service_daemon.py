@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.service import (
     JobSpec,
     ServicePaths,
@@ -99,6 +100,44 @@ def test_queued_record_with_an_old_executor_field_runs_as_without_it(tmp_path, k
     assert results[0] == results[1]
     assert results[0][1] > 0
     assert dict(os.environ) == environment  # no job touches the process environment
+
+
+def _execute_one(state, params: dict) -> dict:
+    """Submit a run job under ``state``, execute it here and return its result."""
+    submit_job(state, "run", params)
+    paths = ServicePaths(state)
+    return execute_job(claim_next_job(paths), paths, store=None)
+
+
+@pytest.mark.parametrize(
+    "scenario, stage",
+    [("frame-offloading", "all"), ("mixed-enterprise", "all"), ("sla-storm", "1")],
+    ids=["no-fault-schedule", "multi-slice-without-schedule", "stage-1-only"],
+)
+def test_run_job_rejects_faults_with_the_message_run_exits_2_on(tmp_path, capsys, scenario, stage):
+    argv = ["--scenario", scenario, "--stage", stage, "--scale", "smoke", "--duration", "2"]
+    assert main(["run", *argv, "--faults", "guarded"]) == 2
+    message = capsys.readouterr().err.strip().removeprefix("error: ")
+    assert "--faults" in message
+    result = _execute_one(
+        tmp_path,
+        {"scenario": scenario, "stage": stage, "scale": "smoke", "duration": 2.0, "faults": "guarded"},
+    )
+    assert result["status"] == "failed"
+    assert result["error"] == f"FaultModeError: {message}"
+    assert result["summary"] == {}
+
+
+@pytest.mark.parametrize("scenario, stage", [("frame-offloading", "all"), ("mixed-enterprise", "1")])
+def test_run_job_slices_equal_run_json_slices(tmp_path, scenario, stage):
+    json_path = tmp_path / "run.json"
+    argv = ["--scenario", scenario, "--stage", stage, "--scale", "smoke", "--duration", "2"]
+    assert main(["run", *argv, "--json", str(json_path)]) == 0
+    result = _execute_one(
+        tmp_path / "state", {"scenario": scenario, "stage": stage, "scale": "smoke", "duration": 2.0}
+    )
+    assert result["status"] == "done", result["error"]
+    assert result["summary"]["slices"] == json.loads(json_path.read_text())["slices"]
 
 
 # -------------------------------------------------------------------- tracer

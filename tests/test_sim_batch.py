@@ -28,7 +28,7 @@ from repro.scenarios import get_scenario, list_scenarios
 from repro.sim import batch as batch_module
 from repro.sim import lte
 from repro.sim.config import SliceConfig
-from repro.sim.multislice import ResourceBudget, SliceRun
+from repro.sim.multislice import ResourceBudget, SliceRun, run_contended_batch
 from repro.sim.network import NetworkSimulator
 from repro.sim.parameters import SimulationParameters
 from repro.sim.scenario import Scenario
@@ -403,7 +403,7 @@ class TestVectorizedExecutor:
 # --------------------------------------------------------------------------
 # Batched multi-slice rounds.
 # --------------------------------------------------------------------------
-class TestRunSlicesBatch:
+class TestRunContendedBatch:
     DURATION = 6.0
 
     def _rounds(self):
@@ -424,7 +424,7 @@ class TestRunSlicesBatch:
 
     def test_matches_per_round_run_slices(self, simulator):
         budget = ResourceBudget()
-        batched = simulator.run_slices_batch(self._rounds(), budget=budget, duration=self.DURATION)
+        batched = run_contended_batch(simulator, self._rounds(), budget=budget, duration=self.DURATION)
         assert len(batched) == 2
         for round_runs, batch_result in zip(self._rounds(), batched):
             single = simulator.run_slices(round_runs, budget=budget, duration=self.DURATION)
@@ -434,8 +434,8 @@ class TestRunSlicesBatch:
 
     def test_vectorized_engine_executes_all_rounds_in_one_batch(self, simulator):
         engine = MeasurementEngine(simulator, cache=False)
-        batched = simulator.run_slices_batch(
-            self._rounds(), duration=self.DURATION, engine=engine
+        batched = run_contended_batch(
+            simulator, self._rounds(), duration=self.DURATION, engine=engine
         )
         assert engine.submitted_batches == 1
         assert engine.executed_requests == 4
@@ -448,11 +448,11 @@ class TestRunSlicesBatch:
     def test_engine_environment_mismatch_raises(self, simulator):
         foreign = MeasurementEngine(NetworkSimulator(seed=99))
         with pytest.raises(ValueError, match="engine must wrap the environment"):
-            simulator.run_slices_batch(self._rounds(), engine=foreign)
+            run_contended_batch(simulator, self._rounds(), engine=foreign)
 
     def test_contention_conserves_budget_per_round(self, simulator):
         budget = ResourceBudget()
-        for result in simulator.run_slices_batch(self._rounds(), budget=budget, duration=self.DURATION):
+        for result in run_contended_batch(simulator, self._rounds(), budget=budget, duration=self.DURATION):
             for dimension in ("bandwidth_ul", "bandwidth_dl", "backhaul_bw", "cpu_ratio"):
                 total = sum(getattr(config, dimension) for config in result.allocated)
                 assert total <= budget.total(dimension) + 1e-9
