@@ -9,7 +9,7 @@ Four subcommands cover the catalog workflow:
     traffic traces, contention budget and stage-1 search defaults.
 ``run --scenario <name> --stage 1|2|3|all``
     Execute the Atlas pipeline on a catalog entry through the stage driver,
-    :func:`repro.core.atlas.run_slices`.  Stage budgets come from
+    :func:`repro.core.atlas.run_entry`.  Stage budgets come from
     ``--scale`` (smoke / small / paper, the ``ATLAS_BENCH_SCALE`` levels).
     Multi-slice entries measure all slices concurrently under resource
     contention before and after optimisation, and run each slice's stages
@@ -34,10 +34,11 @@ Four subcommands cover the catalog workflow:
 Service mode (see ``docs/service.md``) adds four more:
 
 ``serve --state <dir>``
-    Run the job daemon against a service state tree: claims queued jobs,
-    executes them through the measurement engine with the tree's
-    persistent store attached, shuts down gracefully on SIGTERM/SIGINT
-    (``--max-jobs`` / ``--idle-exit`` bound the run for CI).
+    Run the job daemon against a service state tree: claims queued jobs
+    and executes them one at a time through the measurement engine with the
+    tree's persistent store attached, shuts down gracefully on
+    SIGTERM/SIGINT (``--max-jobs`` / ``--idle-exit`` bound the run for CI).
+    More daemons on one tree run more jobs at once.
 ``submit --state <dir> run|eval ...``
     Enqueue a stage run or an eval run and print its job id (works with
     or without a live daemon).
@@ -66,23 +67,18 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.atlas import (
+    FAULT_MODES,
+    STAGES,
     FaultModeError,
-    check_faults,
-    jsonable,
-    run_slices,
+    run_entry,
     sla_label,
     traffic_label,
 )
 from repro.experiments.scale import SCALES, get_scale
 from repro.scenarios import UnknownScenarioError, get_scenario, list_scenarios
-from repro.sim.multislice import CONTENDED_DIMENSIONS, MultiSliceResult, SliceRun
+from repro.sim.multislice import CONTENDED_DIMENSIONS
 
 __all__ = ["build_parser", "main"]
-
-
-# ------------------------------------------------------------------ formatting
-def _print_multislice_round(result: MultiSliceResult, title: str) -> None:
-    print(f"\n{result.format_table(title)}")
 
 
 # ------------------------------------------------------------------- commands
@@ -148,69 +144,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = get_scenario(args.scenario)
     scale = get_scale(args.scale)
     duration = args.duration if args.duration is not None else scale.measurement_duration_s
-    stages = {"1", "2", "3"} if args.stage == "all" else {args.stage}
-    # run_slices checks the same; checking here too fails before any output.
-    check_faults(spec, stages, args.faults)
-    print(
-        f"scenario {spec.name!r} | stage {args.stage} | scale {scale.name} | "
-        f"measurement duration {duration:g}s"
+    payload = run_entry(
+        spec, args.stage, scale, duration, args.seed, faults=args.faults, ledger=ledger
     )
-    summary: dict = {
-        "scenario": spec.name,
-        "stage": args.stage,
-        "scale": scale.name,
-        "slices": [],
-    }
-    before = after = None
-    if spec.is_multislice:
-        real_network = spec.primary.make_real_network(seed=args.seed + 1)
-        before = real_network.measure_slices(
-            spec.slice_runs(seed=args.seed + 9000), budget=spec.budget, duration=duration
-        )
-        _print_multislice_round(before, "contended round (deployed configurations):")
-    summary["slices"] = run_slices(
-        spec, args.stage, scale, duration, args.seed, faults=args.faults
-    )
-    # An "optimised" contended round only makes sense when a stage that
-    # produces configurations actually ran; stage 1 alone learns
-    # simulation parameters, not allocations.
-    if spec.is_multislice and stages & {"2", "3"}:
-        learned_runs = [
-            SliceRun(
-                name=workload.name,
-                config=slice_summary["_config"],
-                scenario=workload.scenario,
-                sla=workload.sla,
-                seed=args.seed + 9100 + index,
-            )
-            for index, (workload, slice_summary) in enumerate(
-                zip(spec.slices, summary["slices"])
-            )
-        ]
-        real_network = spec.primary.make_real_network(seed=args.seed + 1)
-        after = real_network.measure_slices(
-            learned_runs, budget=spec.budget, duration=duration
-        )
-        _print_multislice_round(after, "contended round (optimised configurations):")
-    costs = ledger.finish() if ledger is not None else None
-    if costs is not None:
-        cache = costs["cache"] or {}
-        print(
-            f"\ncosts: {costs['engine_requests']} measurements executed "
-            f"({costs['sim_seconds']:g} sim-s), cache served "
-            f"{cache.get('memory_hits', 0)} from memory + "
-            f"{cache.get('store_hits', 0)} from the store "
-            f"(hit rate {cache.get('hit_rate', 0.0):.1%})"
-        )
     if args.json is not None:
-        payload = jsonable(
-            {
-                **summary,
-                "multislice_before": before.summary() if before is not None else None,
-                "multislice_after": after.summary() if after is not None else None,
-                "costs": costs,
-            }
-        )
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"\nwrote JSON summary to {args.json}")
@@ -261,7 +198,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     return serve(
         args.state,
-        workers=args.workers,
         max_jobs=args.max_jobs,
         idle_exit_s=args.idle_exit,
         store_max_bytes=args.store_max_bytes,
@@ -359,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--scenario", required=True, help="catalog entry name")
     run_parser.add_argument(
         "--stage",
-        choices=("1", "2", "3", "all"),
+        choices=STAGES,
         default="all",
         help="which Atlas stage(s) to run (default: all)",
     )
@@ -372,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--seed", type=int, default=0, help="base random seed (default: 0)")
     run_parser.add_argument(
         "--faults",
-        choices=("off", "guarded", "unprotected"),
+        choices=FAULT_MODES,
         default="off",
         help=(
             "inject the scenario's fault schedule into stage 3 (hostile catalog entries "
@@ -461,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--state", required=True, help="service state directory")
     serve_parser.add_argument(
-        "--workers", type=int, default=1, help="concurrent job executors (default: 1)"
-    )
-    serve_parser.add_argument(
         "--max-jobs",
         type=int,
         default=None,
@@ -490,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit_sub = submit_parser.add_subparsers(dest="job_kind", required=True)
     submit_run = submit_sub.add_parser("run", help="enqueue a pipeline stage run")
     submit_run.add_argument("--scenario", required=True, help="catalog entry name")
-    submit_run.add_argument("--stage", choices=("1", "2", "3", "all"), default="all")
+    submit_run.add_argument("--stage", choices=STAGES, default="all")
     submit_run.add_argument("--scale", choices=tuple(sorted(SCALES)), default=None)
     submit_run.add_argument("--seed", type=int, default=0)
-    submit_run.add_argument("--faults", choices=("off", "guarded", "unprotected"), default="off")
+    submit_run.add_argument("--faults", choices=FAULT_MODES, default="off")
     submit_run.add_argument("--duration", type=float, default=None)
     submit_eval = submit_sub.add_parser("eval", help="enqueue an eval-harness run")
     submit_eval.add_argument("--group", default=None, help="only replay cases in this group")

@@ -5,9 +5,10 @@ paper's workflow does (Appendix D): stage 1 builds the online collection
 ``D_r`` from the real network and searches the simulation parameters, stage 2
 trains the offline policy in the simulator those parameters build, and stage
 3 starts from that policy and learns online in the real network.
-:func:`run_slices` runs it on every slice of a catalog entry; ``python -m
-repro run`` and the service's run jobs both call it, so both reject the same
-fault modes with the same messages (:func:`check_faults`).
+:func:`run_slices` runs it on every slice of a catalog entry, and
+:func:`run_entry` on a whole entry for ``python -m repro run`` and the
+service's run jobs, so both print the same lines, build the same payload
+and reject the same stages and fault modes (:func:`check_run`).
 
 The stage budgets come from one mapping:
 :func:`parameter_search_config`, :func:`offline_training_config` and
@@ -32,19 +33,29 @@ from repro.engine.forkpool import available_parallelism, fork_map, pool_size
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.scenarios import collect_online_dataset
 from repro.scenarios import ScenarioSpec, SliceWorkload
+from repro.sim.multislice import SliceRun
 
 __all__ = [
     "Atlas",
+    "FAULT_MODES",
     "FaultModeError",
-    "check_faults",
+    "STAGES",
+    "check_run",
     "jsonable",
     "offline_training_config",
     "online_learning_config",
     "parameter_search_config",
+    "run_entry",
     "run_slices",
     "sla_label",
     "traffic_label",
 ]
+
+#: The stage selections a run accepts: one stage, or ``"all"`` (1 → 2 → 3).
+STAGES = ("1", "2", "3", "all")
+
+#: The fault modes of stage 3 (see :meth:`Atlas.stage3_faulted`).
+FAULT_MODES = ("off", "guarded", "unprotected")
 
 
 # --------------------------------------------------------------- the mapping
@@ -362,14 +373,24 @@ class FaultModeError(ValueError):
     """A fault mode the catalog entry or the requested stages cannot run."""
 
 
-def check_faults(spec: ScenarioSpec, stages: set[str], faults: str) -> None:
-    """Raise :class:`FaultModeError` unless ``spec`` can run ``stages`` under ``faults``.
+def check_run(spec: ScenarioSpec, stage: str, faults: str) -> set[str]:
+    """The stages ``stage`` selects, once ``spec`` can run them under ``faults``.
 
-    Faults are injected into stage 3 of a one-slice entry that has a fault
-    schedule (the ``hostile`` entries); ``faults="off"`` always passes.
+    A ``stage`` outside :data:`STAGES` raises :class:`ValueError`.  A
+    ``faults`` mode outside :data:`FAULT_MODES`, or one the entry cannot
+    run, raises :class:`FaultModeError`: faults are injected into stage 3
+    of a one-slice entry that has a fault schedule (the ``hostile``
+    entries); ``faults="off"`` always passes.
     """
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}; expected one of {', '.join(STAGES)}")
+    if faults not in FAULT_MODES:
+        raise FaultModeError(
+            f"unknown fault mode {faults!r}; expected one of {', '.join(FAULT_MODES)}"
+        )
+    stages = {"1", "2", "3"} if stage == "all" else {stage}
     if faults == "off":
-        return
+        return stages
     if spec.faults is None:
         raise FaultModeError(
             f"scenario {spec.name!r} has no fault schedule; "
@@ -379,6 +400,7 @@ def check_faults(spec: ScenarioSpec, stages: set[str], faults: str) -> None:
         raise FaultModeError("--faults applies to stage 3 (use --stage 3 or all)")
     if spec.is_multislice:
         raise FaultModeError("--faults does not support multi-slice scenarios")
+    return stages
 
 
 def run_slices(
@@ -390,13 +412,14 @@ def run_slices(
     faults: str = "off",
     tracer=None,
 ) -> list[dict]:
-    """Run ``stage`` (``"1"``, ``"2"``, ``"3"`` or ``"all"``) on every slice of ``spec``.
+    """Run ``stage`` (one of :data:`STAGES`) on every slice of ``spec``.
 
     Returns one :class:`Atlas` summary per slice, in slice order.  Each is
     :func:`jsonable` apart from ``_config``, the configuration the slice's
-    stages learned (``None`` without stage 2 or 3), which the CLI's
-    optimised contended round deploys.  :func:`check_faults` runs first, so
-    a fault mode the entry cannot run fails before any slice does.
+    stages learned (``None`` without stage 2 or 3), which the optimised
+    contended round of :func:`run_entry` deploys.  :func:`check_run` runs
+    first, so a stage or fault mode the entry cannot run fails before any
+    slice does.
 
     Slices share nothing, so each slice's pipeline runs whole in a
     fork-pool worker (:func:`repro.engine.forkpool.fork_map`, one worker per
@@ -405,14 +428,12 @@ def run_slices(
     A store attached to the shared cache serves the workers too, and the
     pool folds their engine, cache and store counters into this process's,
     so a ``--store`` run's cost ledger counts every slice.  Runs with a
-    ``tracer`` (service jobs, one ``job.slice`` span per slice, run in a
-    daemon thread) run the slices in-process, one after another, because
-    this process records the spans and forking a threaded process is
-    unsafe; so do the runs :func:`~repro.engine.forkpool.pool_size` keeps
-    in-process.
+    ``tracer`` (service jobs, one ``job.slice`` span per slice) run the
+    slices in-process, one after another, because this process records the
+    spans and a forked worker's spans would not reach it; so do the runs
+    :func:`~repro.engine.forkpool.pool_size` keeps in-process.
     """
-    stages = {"1", "2", "3"} if stage == "all" else {stage}
-    check_faults(spec, stages, faults)
+    stages = check_run(spec, stage, faults)
 
     def run_slice(workload: SliceWorkload) -> dict:
         span = (
@@ -441,3 +462,73 @@ def run_slices(
         sys.stdout.write(output)
         summaries.append(summary)
     return summaries
+
+
+def run_entry(
+    spec: ScenarioSpec,
+    stage: str,
+    scale: ExperimentScale,
+    duration: float,
+    seed: int,
+    faults: str = "off",
+    ledger=None,
+    tracer=None,
+) -> dict:
+    """Print what ``python -m repro run`` prints for ``spec`` and return its ``--json`` payload.
+
+    Around :func:`run_slices`, a multi-slice entry measures a contended
+    round of the deployed configurations and, when stage 2 or 3 ran, one of
+    the learned configurations.  A :class:`~repro.service.costs.CostLedger`
+    adds the cost line and the payload's ``costs`` (``None`` without one).
+    """
+    stages = check_run(spec, stage, faults)
+    print(
+        f"scenario {spec.name!r} | stage {stage} | scale {scale.name} | "
+        f"measurement duration {duration:g}s"
+    )
+    before = after = None
+    if spec.is_multislice:
+        real_network = spec.primary.make_real_network(seed=seed + 1)
+        before = real_network.measure_slices(
+            spec.slice_runs(seed=seed + 9000), budget=spec.budget, duration=duration
+        )
+        print(f"\n{before.format_table('contended round (deployed configurations):')}")
+    slices = run_slices(spec, stage, scale, duration, seed, faults=faults, tracer=tracer)
+    # An "optimised" contended round only makes sense when a stage that
+    # produces configurations actually ran; stage 1 alone learns
+    # simulation parameters, not allocations.
+    if spec.is_multislice and stages & {"2", "3"}:
+        learned_runs = [
+            SliceRun(
+                name=workload.name,
+                config=slice_summary["_config"],
+                scenario=workload.scenario,
+                sla=workload.sla,
+                seed=seed + 9100 + index,
+            )
+            for index, (workload, slice_summary) in enumerate(zip(spec.slices, slices))
+        ]
+        real_network = spec.primary.make_real_network(seed=seed + 1)
+        after = real_network.measure_slices(learned_runs, budget=spec.budget, duration=duration)
+        print(f"\n{after.format_table('contended round (optimised configurations):')}")
+    costs = ledger.finish() if ledger is not None else None
+    if costs is not None:
+        cache = costs["cache"] or {}
+        print(
+            f"\ncosts: {costs['engine_requests']} measurements executed "
+            f"({costs['sim_seconds']:g} sim-s), cache served "
+            f"{cache.get('memory_hits', 0)} from memory + "
+            f"{cache.get('store_hits', 0)} from the store "
+            f"(hit rate {cache.get('hit_rate', 0.0):.1%})"
+        )
+    return jsonable(
+        {
+            "scenario": spec.name,
+            "stage": stage,
+            "scale": scale.name,
+            "slices": slices,
+            "multislice_before": before.summary() if before is not None else None,
+            "multislice_after": after.summary() if after is not None else None,
+            "costs": costs,
+        }
+    )

@@ -111,8 +111,8 @@ def _copy_result(result: "SimulationResult") -> "SimulationResult":
 class MeasurementCache:
     """Bounded LRU cache of :class:`~repro.sim.network.SimulationResult`.
 
-    Thread safe: service-mode jobs run in threads, so engines in several
-    threads may insert and look up results in one shared cache.
+    Thread safe: engines in several threads may insert and look up results
+    in one shared cache.
 
     ``store`` optionally attaches a persistent second tier (see the module
     docstring); memory stays the first tier, so hot keys never touch disk.

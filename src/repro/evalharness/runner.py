@@ -519,11 +519,11 @@ class EvalRunner:
         """Size of the replay pool for a pass of ``n_jobs`` replays (1: in-process).
 
         The pool gets min(usable cores, ``max_workers``, ``n_jobs``)
-        workers, with or without a store.  Runners with a real tracer always
-        replay in-process: this process records the ``eval.seed`` spans, and
-        the daemon, whose jobs carry the tracers, runs each job in a thread,
-        where forking is unsafe.  So do runners on a platform without
-        ``fork`` (:func:`repro.engine.forkpool.pool_size`).
+        workers, with or without a store.  Runners with a real tracer (service
+        eval jobs) always replay in-process: this process records the
+        ``eval.seed`` spans, and a forked worker's spans would not reach it.
+        So do runners on a platform without ``fork``
+        (:func:`repro.engine.forkpool.pool_size`).
         """
         from repro.service.tracer import NullTracer
 

@@ -37,6 +37,7 @@ from repro.prototype.slice_manager import SLA
 from repro.sim.network import NetworkSimulator
 
 __all__ = [
+    "ONLINE_METHODS",
     "MethodOnlineRun",
     "OnlineComparisonResult",
     "fig20_21_table5_online_comparison",
@@ -50,6 +51,9 @@ __all__ = [
     "fig25_26_dynamic_traffic",
     "train_offline_policy",
 ]
+
+#: The online methods of Figs. 20–21 and 25–26, in their default order.
+ONLINE_METHODS = ("ours", "baseline", "virtualedge", "dlda")
 
 
 def _online_config(scale: ExperimentScale, seed: int = 0, **overrides) -> OnlineLearningConfig:
@@ -180,10 +184,15 @@ def fig20_21_table5_online_comparison(
     scale: ExperimentScale | None = None,
     sla: SLA | None = None,
     traffic: int = 1,
-    methods: tuple[str, ...] = ("ours", "baseline", "virtualedge", "dlda"),
+    methods: tuple[str, ...] = ONLINE_METHODS,
     offline_policy: OfflinePolicy | None = None,
 ) -> OnlineComparisonResult:
-    """Reproduce Figs. 20–21 and Table 5: online learning on the real network."""
+    """Reproduce Figs. 20–21 and Table 5: online learning on the real network.
+
+    Each method learns against a real network of its own, seeded with 10
+    plus the method's position in :data:`ONLINE_METHODS`, whichever
+    ``methods`` run.
+    """
     scale = scale if scale is not None else get_scale()
     sla = sla if sla is not None else default_sla()
     result = OnlineComparisonResult(qoe_requirement=sla.availability)
@@ -192,7 +201,9 @@ def fig20_21_table5_online_comparison(
         offline_policy = train_offline_policy(scale, sla, traffic=traffic)
 
     for method in methods:
-        real_network = make_real_network(seed=10 + hash(method) % 50, traffic=traffic)
+        if method not in ONLINE_METHODS:
+            raise ValueError(f"unknown online method {method!r}")
+        real_network = make_real_network(seed=10 + ONLINE_METHODS.index(method), traffic=traffic)
         if method == "ours":
             learner = OnlineConfigurationLearner(
                 offline_policy=offline_policy,
@@ -277,8 +288,6 @@ def fig20_21_table5_online_comparison(
                 run.average_qoe_regret(),
                 run.sla_violation_rate(),
             )
-        else:
-            raise ValueError(f"unknown online method {method!r}")
     result.recompute_regrets()
     return result
 
@@ -462,7 +471,7 @@ class DynamicTrafficResult:
 def fig25_26_dynamic_traffic(
     scale: ExperimentScale | None = None,
     traffic_levels: tuple[int, ...] = (2, 3, 4),
-    methods: tuple[str, ...] = ("ours", "baseline", "virtualedge", "dlda"),
+    methods: tuple[str, ...] = ONLINE_METHODS,
     threshold_ms: float = 500.0,
 ) -> DynamicTrafficResult:
     """Reproduce Figs. 25–26: online regrets under dynamic traffic (Y = 500 ms)."""

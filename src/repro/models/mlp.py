@@ -66,6 +66,7 @@ class MLPRegressor:
         self.hidden_layers = tuple(int(h) for h in hidden_layers)
         self.output_dim = output_dim
         self.l2 = l2
+        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._x_scaler = StandardScaler()
         self._y_scaler = StandardScaler()
@@ -175,6 +176,7 @@ class MLPRegressor:
             hidden_layers=self.hidden_layers,
             output_dim=self.output_dim,
             l2=self.l2,
+            seed=self.seed,
         )
         twin.weights = [w.copy() for w in self.weights]
         twin.biases = [b.copy() for b in self.biases]

@@ -13,11 +13,12 @@ package turns the reproduction into a long-lived service:
     LRU eviction).
 
 :mod:`repro.service.jobs` / :mod:`repro.service.daemon`
-    A filesystem-spool job queue plus the asyncio daemon behind
+    A filesystem-spool job queue plus the daemon behind
     ``python -m repro serve`` / ``submit`` / ``status`` / ``tail``: stage
     and eval runs execute through the existing
     :class:`~repro.engine.engine.MeasurementEngine` with per-job isolation
-    and graceful shutdown.
+    and graceful shutdown.  A daemon runs one job at a time; more daemon
+    processes on one state tree run more jobs at once.
 
 :mod:`repro.service.tracer` / :mod:`repro.service.costs`
     Structured span/event streaming (JSONL, schema ``atlas-trace/1``) and

@@ -13,7 +13,7 @@ daemon restarts, and is trivially inspectable::
       jobs/<job-id>/costs.json     # atlas-costs/1 ledger of this job
       jobs/<job-id>/eval/          # eval jobs: run layout + EVAL_report.json
       store/                   # persistent result store shared by all jobs
-      daemon.json              # daemon liveness record
+      daemons/<pid>.json       # liveness record of each daemon process
 
 Submission and claiming are both atomic renames: a submit stages the spec
 in a temp file and renames it into ``queue/``; a claim renames the queue
@@ -24,18 +24,19 @@ locks — the loser just moves on to the next queue entry.
 Two job kinds execute through the existing measurement pipeline:
 
 ``run``
-    The stage driver, :func:`repro.core.atlas.run_slices`, on one catalog
+    The stage driver, :func:`repro.core.atlas.run_entry`, on one catalog
     entry (``scenario``/``stage``/``scale``/``seed``/``faults``/
-    ``duration`` — the ``python -m repro run`` knobs).  It applies the
-    same fault checks as ``run``: a fault mode the entry cannot run fails
-    the job with ``run``'s message.  Engines inside the stages use the
-    process-wide shared cache, which the daemon backs with the persistent
-    store, so repeated stage runs share measurements across jobs *and*
-    daemon restarts.  The slices run in-process, one after another, even
-    where the CLI would fork a slice pool: the daemon records the job's
-    spans itself and runs the job in a thread, where forking is unsafe.
-    Nor does a job measure the CLI's contended rounds of a multi-slice
-    entry.
+    ``duration`` — the ``python -m repro run`` knobs).  The job prints what
+    ``run`` prints, the contended rounds of a multi-slice entry and the cost
+    line included, and its ``summary`` is the ``run --json`` payload apart
+    from ``costs``, which land in ``costs.json``.  An unknown stage or fault
+    mode, or a fault mode the entry cannot run, fails the job with the
+    driver's message.  Engines inside the stages use the process-wide
+    shared cache, which the daemon backs with the persistent store, so
+    repeated stage runs share measurements across jobs *and* daemon
+    restarts.  The slices run in-process, one after another, even where the
+    CLI would fork a slice pool: the job records a ``job.slice`` span per
+    slice, and a forked worker's spans would not reach its trace.
 ``eval``
     The evaluation harness (``group``/``scenario``/``seeds``/
     ``determinism``) with the job's own run layout; its engines use a
@@ -114,9 +115,9 @@ class ServicePaths:
         return self.root / "store"
 
     @property
-    def daemon_file(self) -> Path:
-        """The daemon liveness record."""
-        return self.root / "daemon.json"
+    def daemons(self) -> Path:
+        """Directory of the daemons' liveness records (one per daemon process)."""
+        return self.root / "daemons"
 
     def job_dir(self, job_id: str) -> Path:
         """The directory of one claimed job."""
@@ -124,7 +125,7 @@ class ServicePaths:
 
     def ensure(self) -> "ServicePaths":
         """Create the layout directories (idempotent)."""
-        for path in (self.queue, self.jobs, self.store_dir):
+        for path in (self.queue, self.jobs, self.store_dir, self.daemons):
             path.mkdir(parents=True, exist_ok=True)
         return self
 
@@ -218,7 +219,7 @@ def claim_next_job(paths: ServicePaths) -> JobSpec | None:
 
 # ------------------------------------------------------------------ execution
 def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> tuple[dict, dict]:
-    from repro.core.atlas import jsonable, run_slices
+    from repro.core.atlas import run_entry
     from repro.engine.cache import shared_cache
     from repro.experiments.scale import get_scale
     from repro.scenarios import get_scenario
@@ -226,25 +227,20 @@ def _execute_run(spec: JobSpec, store: "ResultStore | None", tracer: Tracer) -> 
     params = spec.params
     scenario_spec = get_scenario(str(params["scenario"]))
     scale = get_scale(params.get("scale"))
-    stage = str(params.get("stage", "all"))
-    seed = int(params.get("seed", 0))
-    faults = str(params.get("faults", "off"))
     duration = params.get("duration")
     duration = float(duration) if duration is not None else scale.measurement_duration_s
-
-    ledger = CostLedger(cache=shared_cache(), store=store)
-    # The tracer keeps the slices in-process, one job.slice span each.
-    slices = run_slices(scenario_spec, stage, scale, duration, seed, faults=faults, tracer=tracer)
-    summary = jsonable(
-        {
-            "scenario": scenario_spec.name,
-            "stage": stage,
-            "scale": scale.name,
-            "seed": seed,
-            "slices": slices,
-        }
+    payload = run_entry(
+        scenario_spec,
+        str(params.get("stage", "all")),
+        scale,
+        duration,
+        int(params.get("seed", 0)),
+        faults=str(params.get("faults", "off")),
+        ledger=CostLedger(cache=shared_cache(), store=store),
+        tracer=tracer,
     )
-    return summary, ledger.finish()
+    costs = payload.pop("costs")
+    return payload, costs
 
 
 def _execute_eval(

@@ -4,6 +4,10 @@ These run at the "smoke" scale — the goal is to verify every runner produces
 well-formed results; the benchmarks run them at a meaningful scale.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 from repro.sim.parameters import SimulationParameters
 
 SMOKE = SCALES["smoke"]
+
+_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestScale:
@@ -191,3 +197,40 @@ class TestStage3Runners:
         assert result.traffic_levels == [2]
         assert len(result.usage_regret["ours"]) == 1
         assert len(result.qoe_regret["dlda"]) == 1
+
+
+_ONLINE_FIGURES = """
+import json
+from repro.experiments import stage3
+from repro.experiments.scale import SCALES
+
+smoke = SCALES["smoke"]
+online = stage3.fig20_21_table5_online_comparison(smoke)
+dynamic = stage3.fig25_26_dynamic_traffic(smoke, traffic_levels=(2,), methods=("ours", "dlda"))
+print(json.dumps({
+    "series": {name: [run.usages.tolist(), run.qoes.tolist()] for name, run in online.runs.items()},
+    "table5": online.table5_rows(),
+    "dynamic": [dynamic.usage_regret, dynamic.qoe_regret],
+}))
+"""
+
+
+def test_online_figures_are_the_same_in_every_process(child_env):
+    """Figs. 20-21 and 25-26 do not depend on the process's string-hash salt."""
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-c", _ONLINE_FIGURES],
+            cwd=_REPO_ROOT,
+            env={**child_env, "PYTHONHASHSEED": hash_seed},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in ("1", "2")
+    ]
+    outputs = []
+    for process in processes:
+        out, err = process.communicate(timeout=300)
+        assert process.returncode == 0, err[-2000:]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

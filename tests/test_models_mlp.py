@@ -78,6 +78,18 @@ class TestMLPRegressor:
         twin.fit(x, -y, epochs=200, reset_scalers=False)
         assert not np.allclose(model.predict(x), twin.predict(x))
 
+    def test_clones_of_a_seeded_model_train_identically(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(100, 2))
+        y = x.sum(axis=1)
+        teacher = MLPRegressor(input_dim=2, hidden_layers=(16,), seed=7)
+        teacher.fit(x, y, epochs=20)
+        first, second = teacher.clone(), teacher.clone()
+        for student in (first, second):
+            student.fit(x, -y, epochs=10, reset_scalers=False)
+        for a, b in zip(first.weights + first.biases, second.weights + second.biases):
+            assert np.array_equal(a, b)
+
     def test_continue_training_without_resetting_scalers(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, size=(100, 1))

@@ -8,13 +8,18 @@ agreeing.
 """
 
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.atlas import run_slices
+from repro.experiments.scale import get_scale
+from repro.scenarios import get_scenario
 from repro.service import (
     JobSpec,
     ServicePaths,
@@ -128,16 +133,51 @@ def test_run_job_rejects_faults_with_the_message_run_exits_2_on(tmp_path, capsys
     assert result["summary"] == {}
 
 
-@pytest.mark.parametrize("scenario, stage", [("frame-offloading", "all"), ("mixed-enterprise", "1")])
-def test_run_job_slices_equal_run_json_slices(tmp_path, scenario, stage):
-    json_path = tmp_path / "run.json"
-    argv = ["--scenario", scenario, "--stage", stage, "--scale", "smoke", "--duration", "2"]
-    assert main(["run", *argv, "--json", str(json_path)]) == 0
+@pytest.mark.parametrize(
+    "stage, faults", [("4", "off"), ("3", "bogus")], ids=["unknown-stage", "unknown-fault-mode"]
+)
+def test_run_job_with_an_unknown_stage_or_fault_mode_fails_with_the_drivers_message(
+    tmp_path, stage, faults
+):
+    with pytest.raises(ValueError) as excinfo:
+        run_slices(get_scenario("sla-storm"), stage, get_scale("smoke"), 2.0, 0, faults=faults)
     result = _execute_one(
-        tmp_path / "state", {"scenario": scenario, "stage": stage, "scale": "smoke", "duration": 2.0}
+        tmp_path,
+        {"scenario": "sla-storm", "stage": stage, "faults": faults, "scale": "smoke", "duration": 2.0},
+    )
+    assert result["status"] == "failed"
+    assert result["error"] == f"{type(excinfo.value).__name__}: {excinfo.value}"
+    assert result["summary"] == {}
+    assert (ServicePaths(tmp_path).job_dir(result["job"]) / "log.txt").read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "scenario, stage, faults",
+    [
+        ("mixed-enterprise", "all", "off"),
+        ("mixed-enterprise", "1", "off"),
+        ("frame-offloading", "all", "off"),
+        ("sla-storm", "all", "guarded"),
+    ],
+    ids=["mixed-enterprise-all", "mixed-enterprise-1", "frame-offloading-all", "sla-storm-all-guarded"],
+)
+def test_run_job_summary_is_the_run_json_payload(tmp_path, scenario, stage, faults):
+    json_path = tmp_path / "run.json"
+    argv = ["--scenario", scenario, "--stage", stage, "--faults", faults, "--scale", "smoke"]
+    assert main(["run", *argv, "--duration", "2", "--json", str(json_path)]) == 0
+    state = tmp_path / "state"
+    result = _execute_one(
+        state, {"scenario": scenario, "stage": stage, "faults": faults, "scale": "smoke", "duration": 2.0}
     )
     assert result["status"] == "done", result["error"]
-    assert result["summary"]["slices"] == json.loads(json_path.read_text())["slices"]
+    job_dir = ServicePaths(state).job_dir(result["job"])
+    payload = json.loads(json_path.read_text())
+    assert payload.pop("costs") is None
+    assert json.loads((job_dir / "result.json").read_text())["summary"] == payload
+    log = (job_dir / "log.txt").read_text()
+    multislice = scenario == "mixed-enterprise"
+    assert ("contended round (deployed configurations):" in log) == multislice
+    assert ("contended round (optimised configurations):" in log) == (multislice and stage == "all")
 
 
 # -------------------------------------------------------------------- tracer
@@ -186,7 +226,7 @@ def test_daemon_executes_run_job_with_costs_and_trace(tmp_path):
     spec = submit_job(
         tmp_path, "run", {"scenario": "frame-offloading", "stage": "1", "scale": "smoke"}
     )
-    assert serve(tmp_path, workers=1, max_jobs=1, idle_exit_s=1.0) == 0
+    assert serve(tmp_path, max_jobs=1, idle_exit_s=1.0) == 0
     record = job_record(tmp_path, spec.id)
     assert record["status"] == "done"
     costs = record["result"]["costs"]
@@ -199,19 +239,107 @@ def test_daemon_executes_run_job_with_costs_and_trace(tmp_path):
     assert any(span["name"] == "job" and span["status"] == "ok" for span in spans)
     assert any(span["name"] == "job.slice" for span in spans)
     assert "stage 1" in (job_dir / "log.txt").read_text()
-    daemon = json.loads((tmp_path / "daemon.json").read_text())
+    (record_file,) = (tmp_path / "daemons").iterdir()
+    daemon = json.loads(record_file.read_text())
+    assert record_file.name == f"{daemon['pid']}.json"
+    assert daemon["schema"] == "atlas-daemon/2" and "workers" not in daemon
     assert daemon["status"] == "stopped" and daemon["jobs_done"] == 1
     assert daemon["store_entries"] > 0
 
 
 def test_daemon_idle_exit_without_jobs(tmp_path):
-    assert serve(tmp_path, workers=2, idle_exit_s=0.3) == 0
-    assert json.loads((tmp_path / "daemon.json").read_text())["jobs_done"] == 0
+    assert serve(tmp_path, idle_exit_s=0.3) == 0
+    (record_file,) = (tmp_path / "daemons").iterdir()
+    assert json.loads(record_file.read_text())["jobs_done"] == 0
+
+
+def test_serve_has_no_workers_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--state", str(tmp_path / "state"), "--idle-exit", "0", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert not (tmp_path / "state").exists()
+
+
+def _submit_smoke_run(state, scenario: str) -> str:
+    params = {"scenario": scenario, "stage": "all", "scale": "smoke", "duration": 2.0}
+    return submit_job(state, "run", params).id
+
+
+def _serve_cli(state, env: dict, *extra: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--state", str(state), *extra],
+        cwd=_REPO_ROOT,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _log_and_engine_requests(state, job_id: str) -> tuple[str, int]:
+    job_dir = ServicePaths(state).job_dir(job_id)
+    result = json.loads((job_dir / "result.json").read_text())
+    assert result["status"] == "done", result["error"]
+    return (job_dir / "log.txt").read_text(), result["costs"]["engine_requests"]
+
+
+def test_two_daemons_on_one_state_directory_keep_each_jobs_log_and_costs(tmp_path, child_env):
+    """Two daemon processes share a queue; each job's log and costs equal its solo run's."""
+    from repro.engine.cache import shared_cache
+
+    scenarios = ("frame-offloading", "urllc-control")
+    shared = tmp_path / "shared"
+    jobs = {scenario: _submit_smoke_run(shared, scenario) for scenario in scenarios}
+    daemons = [_serve_cli(shared, child_env, "--max-jobs", "1", "--idle-exit", "2") for _ in range(2)]
+    for daemon in daemons:
+        _, err = daemon.communicate(timeout=240)
+        assert daemon.returncode == 0, err[-2000:]
+    records = [json.loads(path.read_text()) for path in (shared / "daemons").glob("*.json")]
+    assert len(records) == 2 and sum(record["jobs_done"] for record in records) == 2
+
+    for scenario, job_id in jobs.items():
+        shared_cache().clear()  # the solo job measures afresh, as in a new process
+        solo = tmp_path / f"solo-{scenario}"
+        solo_id = _submit_smoke_run(solo, scenario)
+        assert serve(solo, max_jobs=1, idle_exit_s=1.0) == 0
+        log, engine_requests = _log_and_engine_requests(shared, job_id)
+        assert (log, engine_requests) == _log_and_engine_requests(solo, solo_id)
+        assert engine_requests > 0
+        others = [name for name in scenarios if name != scenario]
+        assert f"[{scenario}]" in log and not any(name in log for name in others)
+
+
+def test_sigterm_lets_the_running_job_finish_and_exits_0(tmp_path, child_env):
+    state = tmp_path / "state"
+    job_id = _submit_smoke_run(state, "frame-offloading")
+    daemon = _serve_cli(state, child_env)
+    try:
+        job_file = ServicePaths(state).job_dir(job_id) / "job.json"
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline and daemon.poll() is None:
+            try:
+                if json.loads(job_file.read_text())["status"] == "running":
+                    break
+            except (OSError, ValueError):
+                pass
+            time.sleep(0.05)
+        else:
+            pytest.fail(f"the daemon never started the job: {daemon.communicate()[1][-2000:]}")
+        daemon.send_signal(signal.SIGTERM)
+        _, err = daemon.communicate(timeout=240)
+    finally:
+        daemon.kill()
+    assert daemon.returncode == 0, err[-2000:]
+    assert job_record(state, job_id)["status"] == "done"
+    (record_file,) = (state / "daemons").iterdir()
+    record = json.loads(record_file.read_text())
+    assert record["status"] == "stopped" and record["jobs_done"] == 1
 
 
 def test_list_jobs_merges_queue_and_executed(tmp_path):
     done = submit_job(tmp_path, "run", {"scenario": "frame-offloading", "stage": "1", "scale": "smoke"})
-    serve(tmp_path, workers=1, max_jobs=1, idle_exit_s=1.0)
+    serve(tmp_path, max_jobs=1, idle_exit_s=1.0)
     waiting = submit_job(tmp_path, "run", {"scenario": "embb-video"})
     records = {record["id"]: record for record in list_jobs(tmp_path)}
     assert records[done.id]["status"] == "done"
@@ -225,7 +353,7 @@ from repro.service import submit_job, job_record
 from repro.service.daemon import serve
 state = Path(sys.argv[1])
 job = submit_job(state, "eval", {"scenario": "frame-offloading", "seeds": [0]})
-serve(state, workers=1, max_jobs=1, idle_exit_s=1.0)
+serve(state, max_jobs=1, idle_exit_s=1.0)
 record = job_record(state, job.id)
 print(json.dumps({"id": job.id, "status": record["status"],
                   "costs": record["result"]["costs"]}))
