@@ -21,15 +21,13 @@ that need another value pass it as an override.
 
 from __future__ import annotations
 
-import io
-import sys
-from contextlib import nullcontext, redirect_stdout
+from contextlib import nullcontext
 
 from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingConfig
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
-from repro.engine.forkpool import available_parallelism, fork_map, pool_size
+from repro.engine.forkpool import fork_map
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.scenarios import collect_online_dataset
 from repro.scenarios import ScenarioSpec, SliceWorkload
@@ -427,11 +425,9 @@ def run_slices(
     it in slice order, so the output bytes are those of an in-process run.
     A store attached to the shared cache serves the workers too, and the
     pool folds their engine, cache and store counters into this process's,
-    so a ``--store`` run's cost ledger counts every slice.  Runs with a
-    ``tracer`` (service jobs, one ``job.slice`` span per slice) run the
-    slices in-process, one after another, because this process records the
-    spans and a forked worker's spans would not reach it; so do the runs
-    :func:`~repro.engine.forkpool.pool_size` keeps in-process.
+    so a ``--store`` run's cost ledger counts every slice.  A ``tracer``
+    (service jobs) records one ``job.slice`` span per slice from whichever
+    process ran it.
     """
     stages = check_run(spec, stage, faults)
 
@@ -446,22 +442,7 @@ def run_slices(
         learned = summary.get("stage3", summary.get("stage2", {})).get("_best_config")
         return {**jsonable(summary), "_config": learned}
 
-    def run_captured(workload: SliceWorkload) -> tuple[dict, str]:
-        with redirect_stdout(io.StringIO()) as output:
-            summary = run_slice(workload)
-        return summary, output.getvalue()
-
-    if tracer is not None:
-        workers = 1
-    else:
-        workers = pool_size(len(spec.slices), available_parallelism())
-    if workers < 2:
-        return [run_slice(workload) for workload in spec.slices]
-    summaries = []
-    for summary, output in fork_map(run_captured, spec.slices, workers):
-        sys.stdout.write(output)
-        summaries.append(summary)
-    return summaries
+    return list(fork_map(run_slice, spec.slices))
 
 
 def run_entry(

@@ -10,13 +10,7 @@ engine → stages → experiments) and ``docs/performance.md`` for the
 measurements behind that design.
 """
 
-from repro.engine.cache import (
-    STORE_ENV_VAR,
-    CacheStats,
-    MeasurementCache,
-    attach_shared_store,
-    shared_cache,
-)
+from repro.engine.cache import CacheStats, MeasurementCache, attach_shared_store, shared_cache
 from repro.engine.engine import MeasurementEngine, engine_telemetry
 from repro.engine.executors import EXECUTOR_KINDS, pool_diagnostics
 from repro.engine.forkpool import available_parallelism
@@ -29,7 +23,6 @@ __all__ = [
     "MeasurementCache",
     "MeasurementEngine",
     "MeasurementRequest",
-    "STORE_ENV_VAR",
     "attach_shared_store",
     "available_parallelism",
     "engine_telemetry",

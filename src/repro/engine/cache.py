@@ -26,10 +26,10 @@ Two tiers
     fault-fingerprint honesty from the key, and a stored entry is
     byte-identical to recomputation by construction.
     Attach a store to the process-wide cache with
-    :func:`attach_shared_store` or the ``ATLAS_STORE_DIR`` environment
-    variable; store failures (I/O errors, unencodable keys) degrade to
-    misses and are counted in ``stats.store_errors``, never raised into
-    the measurement path.
+    :func:`attach_shared_store` (fork-pool workers inherit it); store
+    failures (I/O errors, unencodable keys) degrade to misses and are
+    counted in ``stats.store_errors``, never raised into the measurement
+    path.
 """
 
 from __future__ import annotations
@@ -51,14 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CacheStats",
     "MeasurementCache",
-    "STORE_ENV_VAR",
     "attach_shared_store",
     "shared_cache",
 ]
-
-#: Environment variable naming a persistent-store directory to attach to the
-#: process-wide shared cache on first use (the daemon sets it for workers).
-STORE_ENV_VAR = "ATLAS_STORE_DIR"
 
 #: Default bound of the shared cache (LRU-evicted beyond this).
 DEFAULT_MAX_ENTRIES = 20_000
@@ -209,9 +204,6 @@ class MeasurementCache:
 #: The process-wide cache shared by engines built with ``cache=True``.
 _SHARED_CACHE = MeasurementCache()
 
-#: Whether the ATLAS_STORE_DIR auto-attach was already attempted.
-_ENV_STORE_CHECKED = False
-
 
 def attach_shared_store(store: "ResultStore | str | os.PathLike | None") -> "ResultStore | None":
     """Attach a persistent store to the process-wide cache (``None`` detaches).
@@ -229,19 +221,5 @@ def attach_shared_store(store: "ResultStore | str | os.PathLike | None") -> "Res
 
 
 def shared_cache() -> MeasurementCache:
-    """The process-wide measurement cache (engines default to it).
-
-    On first use, a persistent store is attached automatically when
-    :data:`STORE_ENV_VAR` names a directory — the mechanism by which every
-    engine in a service worker process shares the daemon's store.
-    """
-    global _ENV_STORE_CHECKED
-    if not _ENV_STORE_CHECKED:
-        _ENV_STORE_CHECKED = True
-        store_dir = os.environ.get(STORE_ENV_VAR)
-        if store_dir and _SHARED_CACHE.store is None:
-            try:
-                attach_shared_store(store_dir)
-            except OSError:
-                pass  # unusable store directory: run with memory only
+    """The process-wide measurement cache (engines default to it)."""
     return _SHARED_CACHE

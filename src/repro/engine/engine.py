@@ -165,11 +165,6 @@ class MeasurementEngine:
             return CacheStats()
         return self._cache.stats
 
-    def clear_cache(self) -> None:
-        """Drop the backing cache's entries (no-op when disabled)."""
-        if self._cache is not None:
-            self._cache.clear()
-
     def _cache_key(self, environment: Environment, request: MeasurementRequest) -> tuple:
         return (environment.fingerprint(), request.key())
 

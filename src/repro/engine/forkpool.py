@@ -20,26 +20,36 @@ pipeline per job.  :func:`fork_map` serves both:
   :class:`~repro.service.store.StoreStats` of every cache and store, so
   ledgers and traces read in the parent count the workers' measurements,
   cache hits and store traffic.  Sets created inside a worker die with it;
+* each job runs with its standard output captured, and the parent writes
+  that text when the job's result is due, so the output bytes are those of
+  an in-process run;
 * results come back in job order.
 
 Each worker works on its own forked copy of every cache: what one job puts
 in memory, a job in another worker can only read back through a store.
+A :class:`~repro.service.tracer.Tracer` open in the parent is inherited as
+well: it appends and flushes every record, so a worker's spans land in the
+same trace file, in the order the jobs finish.
 
-:func:`pool_size` and :func:`available_parallelism` hold the sizing rules
-the two callers share.
+:func:`fork_map` sizes the pool itself, one worker per usable core
+(:func:`available_parallelism`) and at most one per job, so callers pass
+only the function and the jobs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import multiprocessing
 import os
+import sys
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import redirect_stdout
 from typing import Callable, Iterable, Iterator, TypeVar
 
-__all__ = ["Counters", "available_parallelism", "fork_map", "pool_size"]
+__all__ = ["Counters", "available_parallelism", "fork_map"]
 
 Job = TypeVar("Job")
 Result = TypeVar("Result")
@@ -105,36 +115,24 @@ def available_parallelism() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def pool_size(n_jobs: int, cores: int) -> int:
-    """Workers of a fork pool over ``n_jobs`` jobs (1: run them in-process).
-
-    The pool gets min(``cores``, ``n_jobs``) workers, where ``cores`` is
-    the caller's bound: its usable cores, capped by any worker limit.  On a
-    platform without ``fork`` the jobs run in-process instead.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return max(1, min(cores, n_jobs))
-
-
-def fork_map(
-    function: Callable[[Job], Result], jobs: Iterable[Job], workers: int
-) -> Iterator[Result]:
+def fork_map(function: Callable[[Job], Result], jobs: Iterable[Job]) -> Iterator[Result]:
     """Yield ``function(job)`` for every job, in job order.
 
-    With ``workers`` of 2 or more, the first result requested forks a pool
-    of that many processes (at most one per job) for this call; see the
-    module docstring for what the workers inherit and what they send back.
-    The thread that iterates folds the counters.  Text this process has
-    buffered is written once: ``multiprocessing`` flushes the standard
-    streams before each fork.  With fewer workers the jobs run one after
-    another in this process, counting in place.  A job's exception reaches
+    The pool gets min(:func:`available_parallelism`, number of jobs)
+    workers.  With 2 or more, the first result requested forks it for this
+    call; see the module docstring for what the workers inherit and what
+    they send back.  The thread that iterates folds the counters and writes
+    each job's captured output to ``sys.stdout`` before yielding its result.
+    Text this process has buffered is written once: ``multiprocessing``
+    flushes the standard streams before each fork.  With fewer workers, or
+    on a platform without ``fork``, the jobs run one after another in this
+    process, counting and printing in place.  A job's exception reaches
     the caller when its result is due; the jobs still running finish first,
     and the rest are cancelled.
     """
     jobs = list(jobs)
-    workers = min(workers, len(jobs))
-    if workers < 2:
+    workers = min(available_parallelism(), len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         for job in jobs:
             yield function(job)
         return
@@ -145,9 +143,10 @@ def fork_map(
         initializer=_start_worker,
         initargs=(function, jobs, counters),
     ) as pool:
-        for result, deltas in pool.map(_run_job, range(len(jobs))):
+        for result, output, deltas in pool.map(_run_job, range(len(jobs))):
             for index, delta in deltas.items():
                 counters[index].add(delta)
+            sys.stdout.write(output)
             yield result
 
 
@@ -156,14 +155,15 @@ def _start_worker(function: Callable, jobs: list, counters: "list[Counters]") ->
     _WORKER = (function, jobs, counters)
 
 
-def _run_job(index: int) -> "tuple[object, dict[int, tuple]]":
-    """Run job ``index``; return its result and the changed counter sets' deltas."""
+def _run_job(index: int) -> "tuple[object, str, dict[int, tuple]]":
+    """Run job ``index``; return its result, its output and the changed counter sets' deltas."""
     function, jobs, counters = _WORKER
     before = [counter.counts() for counter in counters]
-    result = function(jobs[index])
+    with redirect_stdout(io.StringIO()) as output:
+        result = function(jobs[index])
     deltas = {}
     for position, (counter, old) in enumerate(zip(counters, before)):
         new = counter.counts()
         if new != old:
             deltas[position] = tuple(after - start for after, start in zip(new, old))
-    return result, deltas
+    return result, output.getvalue(), deltas

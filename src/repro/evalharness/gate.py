@@ -114,7 +114,7 @@ def check_determinism(
 ) -> list[GateFailure]:
     """Rerun every case's first seed and the pass's last replay; demand identical bytes.
 
-    A fresh :class:`EvalRunner` (same worker bound, no output directory)
+    A fresh :class:`EvalRunner` (same latency bias, no output directory)
     reruns every case's first seed and the pass's last replay; the
     canonical metric bytes of each rerun must match the original run
     exactly.
@@ -128,10 +128,7 @@ def check_determinism(
     leaks state through the process (legacy ``np.random`` draws, a mutated
     shared object) fails the check whether or not the pass was pooled.
     """
-    rerunner = EvalRunner(
-        max_workers=runner.max_workers,
-        latency_bias_ms=runner.latency_bias_ms,
-    )
+    rerunner = EvalRunner(latency_bias_ms=runner.latency_bias_ms)
     checked = [case_result for case_result in case_results if case_result.seed_results]
     if not checked:
         return []

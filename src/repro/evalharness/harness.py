@@ -34,7 +34,6 @@ def evaluate(
     scenario: str | None = None,
     seeds: Sequence[int] | None = None,
     out_dir: str | Path | None = None,
-    max_workers: int | None = None,
     latency_bias_ms: float = 0.0,
     determinism: bool = True,
     coverage: bool | None = None,
@@ -69,7 +68,6 @@ def evaluate(
 
     runner = EvalRunner(
         out_dir=out_dir,
-        max_workers=max_workers,
         latency_bias_ms=latency_bias_ms,
         store=store,
         tracer=tracer,

@@ -36,9 +36,9 @@ Scheduling
     runner pools too: each worker reads and writes the store through its
     own forked copy of the runner's cache, and the pool folds the workers'
     cache and store counters into the runner's, so a cost ledger reads the
-    same totals on both paths.  Runs with a real tracer, or on one usable
-    core, replay in-process instead, one after another
-    (:meth:`EvalRunner.replay_workers`).
+    same totals on both paths.  A tracer records one ``eval.seed`` span
+    per replay from whichever process ran it.  On one usable core the
+    replays run in-process instead, one after another.
 
 Fault injection
     ``latency_bias_ms`` adds a constant offset to every *real-network*
@@ -59,7 +59,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.engine.engine import MeasurementEngine
-from repro.engine.forkpool import available_parallelism, fork_map, pool_size
+from repro.engine.forkpool import fork_map
 from repro.engine.protocol import MeasurementRequest
 from repro.evalharness.dataset import EvalCase
 from repro.evalharness.scorers import (
@@ -195,8 +195,6 @@ class EvalRunner:
     ----------
     out_dir:
         Root of the run layout; ``None`` keeps results in memory only.
-    max_workers:
-        Size cap of the replay pool (1 replays in-process).
     latency_bias_ms:
         Fault-injection offset added to real-network latencies before
         scoring (gate self-tests only — see the module docstring).
@@ -215,13 +213,11 @@ class EvalRunner:
     def __init__(
         self,
         out_dir: str | Path | None = None,
-        max_workers: int | None = None,
         latency_bias_ms: float = 0.0,
         store=None,
         tracer=None,
     ) -> None:
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.max_workers = max_workers
         self.latency_bias_ms = float(latency_bias_ms)
         if store is not None:
             from repro.engine.cache import MeasurementCache
@@ -515,43 +511,23 @@ class EvalRunner:
         }
 
     # -------------------------------------------------------------- scheduling
-    def replay_workers(self, n_jobs: int) -> int:
-        """Size of the replay pool for a pass of ``n_jobs`` replays (1: in-process).
-
-        The pool gets min(usable cores, ``max_workers``, ``n_jobs``)
-        workers, with or without a store.  Runners with a real tracer (service
-        eval jobs) always replay in-process: this process records the
-        ``eval.seed`` spans, and a forked worker's spans would not reach it.
-        So do runners on a platform without ``fork``
-        (:func:`repro.engine.forkpool.pool_size`).
-        """
-        from repro.service.tracer import NullTracer
-
-        if not isinstance(self.tracer, NullTracer):
-            return 1
-        cores = available_parallelism()
-        if self.max_workers is not None:
-            cores = min(cores, self.max_workers)
-        return pool_size(n_jobs, cores)
-
     def run_seeds(self, jobs: Iterable[tuple[EvalCase, int]]) -> list[SeedRunResult]:
         """Replay ``(case, seed)`` jobs; results come back in job order.
 
-        With :meth:`replay_workers` above 1, each replay runs whole in a
-        worker of a fork pool started for this call
-        (:func:`repro.engine.forkpool.fork_map`), with this runner exactly
-        as it is (subclasses and patches included); engines built there run
-        every batch inline, and the engine telemetry and the cache and store
-        counters they move are folded into this process's.  Replays are pure
-        functions of ``(case, seed)``, so the run layout is the same on both
-        paths.  With a store, a measurement that one replay
+        Each replay runs whole in a worker of a fork pool started for this
+        call (:func:`repro.engine.forkpool.fork_map`, one worker per usable
+        core and replay), with this runner exactly as it is (subclasses and
+        patches included); engines built there run every batch inline, and
+        the engine telemetry and the cache and store counters they move are
+        folded into this process's.  Replays are pure functions of
+        ``(case, seed)``, so the run layout is the same pooled or
+        in-process.  With a store, a measurement that one replay
         reuses from another is served from memory, from the store or fresh,
         depending on which worker reached it first; the number of lookups,
         and every ledger identity (executed requests equal cache misses,
         cache store hits equal store hits) hold on both paths.
         """
-        jobs = list(jobs)
-        return list(fork_map(lambda job: self.run_seed(*job), jobs, self.replay_workers(len(jobs))))
+        return list(fork_map(lambda job: self.run_seed(*job), jobs))
 
     # ------------------------------------------------------------------ layout
     def run_case(self, case: EvalCase) -> CaseResult:

@@ -45,10 +45,6 @@ class StandardScaler:
         arr = np.atleast_2d(np.asarray(values, dtype=float))
         return (arr - self.mean_) / self.scale_
 
-    def fit_transform(self, values) -> np.ndarray:
-        """Equivalent to ``fit(values).transform(values)``."""
-        return self.fit(values).transform(values)
-
     def inverse_transform(self, values) -> np.ndarray:
         """Map standardised values back to the original units."""
         self._require_fitted()

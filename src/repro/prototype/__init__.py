@@ -23,7 +23,7 @@ from repro.prototype.domain_managers import (
     TransportDomainManager,
 )
 from repro.prototype.slice_manager import SLA, NetworkSlice, SliceManager
-from repro.prototype.telemetry import OnlineCollection, PerformanceLog
+from repro.prototype.telemetry import OnlineCollection
 from repro.prototype.testbed import RealNetwork, default_ground_truth, default_imperfections
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "NetworkSlice",
     "SliceManager",
     "OnlineCollection",
-    "PerformanceLog",
 ]

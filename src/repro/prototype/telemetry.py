@@ -1,25 +1,21 @@
-"""Telemetry: the online collection ``D_r`` and per-iteration performance logs.
+"""Telemetry: the online collection ``D_r``.
 
 Stage 1 needs a collection of slice performance samples measured on the real
 network under the currently deployed configuration (``D_r`` in Eq. 1); the
 paper stresses that this should impose minimal collection effort, e.g. by
-logging what the deployed method already achieves.  Stage 3 additionally logs
-the per-iteration resource usage and QoE so the regret metrics and the
-training-progress figures can be produced.  Both records can be saved to and
-loaded from JSON (the artifact uses pickle; JSON keeps the files readable).
+logging what the deployed method already achieves.  The collection can be
+saved to and loaded from JSON (the artifact uses pickle; JSON keeps the files
+readable).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.sim.config import SliceConfig
-
-__all__ = ["OnlineCollection", "IterationRecord", "PerformanceLog"]
+__all__ = ["OnlineCollection"]
 
 
 class OnlineCollection:
@@ -57,78 +53,3 @@ class OnlineCollection:
         """Read a collection previously written by :meth:`save`."""
         payload = json.loads(Path(path).read_text())
         return cls(payload["latencies_ms"])
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One learning iteration: the action taken and what it achieved."""
-
-    iteration: int
-    config: tuple[float, ...]
-    resource_usage: float
-    qoe: float
-    mean_latency_ms: float
-    stage: str = "online"
-
-    def to_slice_config(self) -> SliceConfig:
-        """Rebuild the :class:`SliceConfig` of this iteration."""
-        return SliceConfig.from_array(np.asarray(self.config))
-
-
-class PerformanceLog:
-    """Ordered log of :class:`IterationRecord` entries with JSON persistence."""
-
-    def __init__(self) -> None:
-        self._records: list[IterationRecord] = []
-
-    def record(
-        self,
-        iteration: int,
-        config: SliceConfig,
-        resource_usage: float,
-        qoe: float,
-        mean_latency_ms: float,
-        stage: str = "online",
-    ) -> IterationRecord:
-        """Append one iteration record and return it."""
-        entry = IterationRecord(
-            iteration=int(iteration),
-            config=tuple(float(v) for v in config.to_array()),
-            resource_usage=float(resource_usage),
-            qoe=float(qoe),
-            mean_latency_ms=float(mean_latency_ms),
-            stage=stage,
-        )
-        self._records.append(entry)
-        return entry
-
-    @property
-    def records(self) -> tuple[IterationRecord, ...]:
-        """All records in insertion order."""
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        """Number of logged iteration records."""
-        return len(self._records)
-
-    def usages(self) -> np.ndarray:
-        """Resource usage of every iteration, in order."""
-        return np.array([r.resource_usage for r in self._records], dtype=float)
-
-    def qoes(self) -> np.ndarray:
-        """QoE of every iteration, in order."""
-        return np.array([r.qoe for r in self._records], dtype=float)
-
-    # ------------------------------------------------------------ persistence
-    def save(self, path) -> None:
-        """Write the log to a JSON file."""
-        Path(path).write_text(json.dumps([asdict(r) for r in self._records]))
-
-    @classmethod
-    def load(cls, path) -> "PerformanceLog":
-        """Read a log previously written by :meth:`save`."""
-        log = cls()
-        for item in json.loads(Path(path).read_text()):
-            item["config"] = tuple(item["config"])
-            log._records.append(IterationRecord(**item))
-        return log

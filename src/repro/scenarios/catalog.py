@@ -158,26 +158,9 @@ class ScenarioSpec:
         return len(self.slices) > 1
 
     @property
-    def is_dynamic(self) -> bool:
-        """Whether any slice carries a (non-constant) traffic trace."""
-        return any(workload.trace is not None for workload in self.slices)
-
-    @property
-    def is_hostile(self) -> bool:
-        """Whether the entry injects faults (drift, storms, dropouts)."""
-        return self.faults is not None
-
-    @property
     def primary(self) -> SliceWorkload:
         """The first slice workload (the whole entry, for single-slice specs)."""
         return self.slices[0]
-
-    def slice_named(self, name: str) -> SliceWorkload:
-        """Look up a slice workload by name."""
-        for workload in self.slices:
-            if workload.name == name:
-                return workload
-        raise KeyError(f"scenario {self.name!r} has no slice named {name!r}")
 
     def replace(self, **changes) -> "ScenarioSpec":
         """Return a copy with some fields replaced (for derived entries)."""

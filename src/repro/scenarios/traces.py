@@ -56,10 +56,6 @@ class TrafficTrace:
         series = self.levels(horizon)
         return sum(series) / len(series)
 
-    def distinct_levels(self, horizon: int = 24) -> list[int]:
-        """Sorted distinct levels appearing within the first ``horizon`` steps."""
-        return sorted(set(self.levels(horizon)))
-
 
 @dataclass(frozen=True)
 class ConstantTrace(TrafficTrace):

@@ -34,14 +34,17 @@ Two job kinds execute through the existing measurement pipeline:
     driver's message.  Engines inside the stages use the process-wide
     shared cache, which the daemon backs with the persistent store, so
     repeated stage runs share measurements across jobs *and* daemon
-    restarts.  The slices run in-process, one after another, even where the
-    CLI would fork a slice pool: the job records a ``job.slice`` span per
-    slice, and a forked worker's spans would not reach its trace.
+    restarts.  A multi-slice entry forks a slice pool as ``run`` does (fork
+    workers inherit the attached store), and each slice records a
+    ``job.slice`` span from whichever process ran it, so pooled spans
+    arrive in the order the slices finish.
 ``eval``
     The evaluation harness (``group``/``scenario``/``seeds``/
     ``determinism``) with the job's own run layout; its engines use a
     store-backed cache, so a repeated eval case is served from disk with
-    ~zero recompute (the warm-restart contract of the service tests).
+    ~zero recompute (the warm-restart contract of the service tests).  The
+    replays fork a pool as ``eval`` does, and each records an ``eval.seed``
+    span.
 
 Per-job isolation: each job gets fresh environments (the stage/eval code
 constructs them per run), its own tracer, log and ledger, and failures are

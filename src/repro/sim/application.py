@@ -189,10 +189,6 @@ class OffloadingApplication:
         """Latencies (ms) of all frames that completed during the run."""
         return np.array([r.latency_ms for r in self.records if r.completed], dtype=float)
 
-    def all_latencies_ms(self) -> np.ndarray:
-        """Latencies of all generated frames; incomplete frames appear as ``nan``."""
-        return np.array([r.latency_ms for r in self.records], dtype=float)
-
     def stage_breakdown_ms(self) -> dict[str, float]:
         """Mean duration (ms) of every pipeline stage over completed frames."""
         breakdown: dict[str, list[float]] = {}

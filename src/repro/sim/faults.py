@@ -228,11 +228,6 @@ class FaultSchedule:
         severities = [storm.severity for storm in self.storms if storm.active(step)]
         return max(severities) if severities else 1.0
 
-    def imperfections_at(self, step: int, base):
-        """``base`` imperfections under the storm (if any) active at ``step``."""
-        severity = self.storm_severity(step)
-        return base.degraded(severity) if severity > 1.0 else base
-
     def dropped(self, step: int) -> bool:
         """Whether any dropout mask loses the telemetry of step ``step``."""
         return any(mask.dropped(step) for mask in self.dropouts)

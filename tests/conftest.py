@@ -74,17 +74,15 @@ def child_env() -> dict[str, str]:
 def replay_pool(monkeypatch) -> list[int]:
     """Run the test as if the host had two usable cores, even on a one-core host.
 
-    Eval runners and multi-slice ``run`` commands then fork two-worker
-    pools.  Returns the list that the size of every fork pool
-    (:func:`repro.engine.forkpool.fork_map`) started during the test is
-    appended to.
+    Every :func:`repro.engine.forkpool.fork_map` over two or more jobs (eval
+    passes, multi-slice runs, service jobs) then forks a two-worker pool;
+    patch ``repro.engine.forkpool.available_parallelism`` again to size it
+    otherwise.  Returns the list that the size of every fork pool started
+    during the test is appended to.
     """
-    import repro.core.atlas as atlas_module
     import repro.engine.forkpool as forkpool_module
-    import repro.evalharness.runner as runner_module
 
-    for module in (runner_module, atlas_module):
-        monkeypatch.setattr(module, "available_parallelism", lambda: 2)
+    monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 2)
     sizes: list[int] = []
 
     class RecordingPool(forkpool_module.ProcessPoolExecutor):

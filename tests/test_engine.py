@@ -402,28 +402,50 @@ class TestEngineTelemetry:
 
 
 class TestForkMap:
-    """The fork pool shared by eval replays and multi-slice runs."""
+    """The fork pool shared by eval replays, multi-slice runs and service jobs."""
 
     def test_results_come_back_in_job_order(self, replay_pool):
         def job(index):
             time.sleep(0.3 if index == 0 else 0.0)  # the first job finishes last
             return index, os.getpid()
 
-        results = list(fork_map(job, range(5), 2))
+        results = list(fork_map(job, range(5)))
         assert [index for index, _ in results] == list(range(5))
         assert os.getpid() not in {pid for _, pid in results}
         assert replay_pool == [2]
 
-    def test_text_buffered_before_the_fork_is_written_once(self, tmp_path, monkeypatch):
+    def test_printed_lines_reach_stdout_in_job_order(self, replay_pool, capsys):
+        parent = os.getpid()
+
+        def job(index):
+            time.sleep(0.3 if index == 0 else 0.0)  # the first job finishes last
+            where = "the parent" if os.getpid() == parent else "a worker"
+            print(f"job {index} ran in {where}")
+            return index
+
+        assert list(fork_map(job, range(3))) == [0, 1, 2]
+        assert capsys.readouterr().out == "".join(f"job {index} ran in a worker\n" for index in range(3))
+        assert replay_pool == [2]
+
+    def test_the_pool_has_one_worker_per_usable_core_and_job(self, replay_pool, monkeypatch):
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 3)
+        pids = list(fork_map(lambda _: os.getpid(), range(2)))
+        assert replay_pool == [2] and os.getpid() not in pids
+        assert list(fork_map(lambda _: os.getpid(), range(1))) == [os.getpid()]
+        assert replay_pool == [2]  # one job runs in-process
+
+    def test_text_buffered_before_the_fork_is_written_once(self, tmp_path, replay_pool, monkeypatch):
         path = tmp_path / "stdout.txt"
         with open(path, "w") as stdout:  # block-buffered, like a redirected CLI
             monkeypatch.setattr(sys, "stdout", stdout)
             print("printed before the fork")
-            assert list(fork_map(abs, [-1, -2], 2)) == [1, 2]
+            assert list(fork_map(abs, [-1, -2])) == [1, 2]
         assert path.read_text() == "printed before the fork\n"
+        assert replay_pool == [2]
 
-    def test_one_worker_runs_the_jobs_in_process(self, replay_pool):
-        results = list(fork_map(lambda index: (index, os.getpid()), range(3), 1))
+    def test_one_worker_runs_the_jobs_in_process(self, replay_pool, monkeypatch):
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 1)
+        results = list(fork_map(lambda index: (index, os.getpid()), range(3)))
         assert results == [(index, os.getpid()) for index in range(3)]
         assert replay_pool == []
 
@@ -436,15 +458,16 @@ class TestForkMap:
             return engine.executed_requests, pool_diagnostics()["pools_created"]
 
         before = engine_telemetry()["executed_requests"]
-        results = list(fork_map(job, range(2), 2))
+        results = list(fork_map(job, range(2)))
         assert results == [(64, 0)] * 2
         assert engine_telemetry()["executed_requests"] - before == 128
         assert replay_pool == [2]
 
-    @pytest.mark.parametrize("workers, pools", [(2, [2]), (1, [])], ids=["pooled", "inline"])
+    @pytest.mark.parametrize("cores, pools", [(2, [2]), (1, [])], ids=["pooled", "inline"])
     def test_counters_from_before_the_fork_count_each_job_once_in_job_order(
-        self, tmp_path, replay_pool, simulator, default_config, workers, pools
+        self, tmp_path, replay_pool, monkeypatch, simulator, default_config, cores, pools
     ):
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: cores)
         requests = _requests(default_config, n=6, duration=1.0)
         store = ResultStore(tmp_path / "store")
         cache = MeasurementCache(store=store)
@@ -469,7 +492,7 @@ class TestForkMap:
         jobs = [requests[0:3], requests[3:4], requests[4:6]]
         start = counts()
         totals = [(0,) * len(part) for part in start]
-        for delta in fork_map(job, jobs, workers):
+        for delta in fork_map(job, jobs):
             totals = [tuple(a + b for a, b in zip(*pair)) for pair in zip(totals, delta)]
             # A job's counts arrive with its result: once job k is yielded,
             # the parent's counters have moved by jobs 0..k exactly.
@@ -486,8 +509,9 @@ class TestForkMap:
         assert dict(zip(engine_telemetry(), totals[2]))["executed_requests"] == 4
 
     def test_more_workers_than_cores_racing_on_one_store_keep_the_ledger_exact(
-        self, tmp_path, replay_pool, simulator, default_config
+        self, tmp_path, replay_pool, monkeypatch, simulator, default_config
     ):
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 8)
         store = ResultStore(tmp_path / "store")
         cache = MeasurementCache(store=store)
         requests = _requests(default_config, n=4, duration=1.0)
@@ -502,7 +526,7 @@ class TestForkMap:
             return [results[order.index(position)] for position in range(4)]
 
         ledger = CostLedger(cache=cache, store=store)
-        for results in fork_map(job, range(16), 8):
+        for results in fork_map(job, range(16)):
             assert all(_results_equal(a, b) for a, b in zip(results, reference))
         costs = ledger.finish()
         assert replay_pool == [8]
@@ -531,7 +555,7 @@ class TestForkMap:
         parents = [counters for counters in forkpool_module._live_counters() if counters is not _TELEMETRY]
         before = [counters.counts() for counters in parents]
         executed = engine_telemetry()["executed_requests"]
-        pids = list(fork_map(job, range(6), 2))
+        pids = list(fork_map(job, range(6)))
         assert [counters.counts() for counters in parents] == before
         assert engine_telemetry()["executed_requests"] - executed == 2 * len(set(pids))
         assert replay_pool == [2]

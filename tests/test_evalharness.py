@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-import repro.evalharness.runner as runner_module
+import repro.engine.forkpool as forkpool_module
 from repro.engine.engine import engine_telemetry
 from repro.evalharness import (
     DEFAULT_CASES_PATH,
@@ -266,7 +266,7 @@ class TestRunnerDeterminism:
 
 
 class TestReplayPool:
-    """Pooled replays: the in-process bytes and ledgers, in-process traces."""
+    """Pooled replays: the in-process bytes, ledgers and spans."""
 
     # A static case, a hostile case and the multi-slice case, two seeds each.
     CASES = (
@@ -282,16 +282,11 @@ class TestReplayPool:
         results = runner.run_cases(self.CASES)
         return results, engine_telemetry()["executed_requests"] - before
 
-    def test_pool_size(self, replay_pool):
-        assert EvalRunner().replay_workers(6) == 2
-        assert EvalRunner(max_workers=1).replay_workers(6) == 1
-        assert EvalRunner().replay_workers(1) == 1
-
     def test_pooled_run_matches_the_in_process_run(self, tmp_path, replay_pool, monkeypatch):
-        pooled, pooled_executed = self.run(EvalRunner(max_workers=2, out_dir=tmp_path / "pooled"))
+        pooled, pooled_executed = self.run(EvalRunner(out_dir=tmp_path / "pooled"))
         assert replay_pool == [2]
-        monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
-        local, local_executed = self.run(EvalRunner(max_workers=2, out_dir=tmp_path / "local"))
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 1)
+        local, local_executed = self.run(EvalRunner(out_dir=tmp_path / "local"))
         assert replay_pool == [2]
 
         assert canonical_results_bytes(build_report(pooled)) == canonical_results_bytes(
@@ -312,12 +307,12 @@ class TestReplayPool:
         store = ResultStore(tmp_path / "store")
         passes = {}
         for temperature in ("cold", "warm"):
-            runner = EvalRunner(max_workers=2, store=store, out_dir=tmp_path / temperature)
+            runner = EvalRunner(store=store, out_dir=tmp_path / temperature)
             ledger = CostLedger(cache=runner.cache, store=store)
             results, executed = self.run(runner)
             passes[temperature] = results, executed, ledger.finish()
         assert replay_pool == [2, 2]
-        monkeypatch.setattr(runner_module, "available_parallelism", lambda: 1)
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 1)
         local, requests = self.run(EvalRunner(out_dir=tmp_path / "local"))
         assert replay_pool == [2, 2]
 
@@ -341,12 +336,15 @@ class TestReplayPool:
         _, warm_executed, warm = passes["warm"]
         assert warm_executed == warm["cache"]["misses"] == 0
 
-    def test_traced_runner_stays_in_process_with_a_span_per_replay(self, tmp_path, replay_pool):
+    def test_traced_runner_pools_with_a_span_per_replay(self, tmp_path, replay_pool):
         with Tracer(tmp_path / "trace.jsonl") as tracer:
-            self.run(EvalRunner(max_workers=2, tracer=tracer))
+            self.run(EvalRunner(tracer=tracer))
         spans = [
             record for record in read_trace(tmp_path / "trace.jsonl")
             if record["kind"] == "span" and record["name"] == "eval.seed"
         ]
-        assert [(span["attrs"]["case"], span["attrs"]["seed"]) for span in spans] == self.JOBS
-        assert replay_pool == []
+        # Workers write their spans as their replays finish, so compare multisets.
+        replays = sorted((span["attrs"]["case"], span["attrs"]["seed"]) for span in spans)
+        assert replays == sorted(self.JOBS)
+        assert all(span["status"] == "ok" for span in spans)
+        assert replay_pool == [2]

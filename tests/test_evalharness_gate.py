@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.engine.forkpool as forkpool_module
 import repro.evalharness.gate as gate_module
 from repro.evalharness import (
     REPORT_SCHEMA,
@@ -101,8 +102,8 @@ class TestDeterminismCheck:
         results = runner.run_cases([small_case()])
         assert check_determinism(runner, results) == []
 
-    @pytest.mark.parametrize("max_workers, pools", [(2, [2, 2]), (1, [])], ids=["pooled", "in-process"])
-    def test_detects_a_nondeterministic_replay(self, monkeypatch, replay_pool, max_workers, pools):
+    @pytest.mark.parametrize("cores, pools", [(2, [2, 2]), (1, [])], ids=["pooled", "in-process"])
+    def test_detects_a_nondeterministic_replay(self, monkeypatch, replay_pool, cores, pools):
         """Mutation smoke: break replay determinism, the gate must notice.
 
         Three cases, so on the pooled path the rerun forks the replay pool
@@ -114,7 +115,8 @@ class TestDeterminismCheck:
                 return shifted(super().run_seed(case, seed), 0.5)  # numerics drift on rerun
 
         cases = [small_case(), small_case(scenario="embb-video"), small_case(scenario="embb-bursty")]
-        runner = EvalRunner(max_workers=max_workers)
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: cores)
+        runner = EvalRunner()
         results = runner.run_cases(cases)
         monkeypatch.setattr(gate_module, "EvalRunner", DriftingRunner)
         failures = check_determinism(runner, results)
@@ -124,7 +126,7 @@ class TestDeterminismCheck:
         assert "no longer deterministic" in failures[0].message
 
     @pytest.mark.parametrize(
-        "cases, max_workers, pools",
+        "cases, cores, pools",
         [
             ([small_case(seeds=(0, 1))], 2, [2]),
             ([small_case(), small_case(scenario="embb-video"), small_case(scenario="embb-bursty")],
@@ -134,7 +136,7 @@ class TestDeterminismCheck:
         ids=["pooled-one-case", "pooled", "in-process"],
     )
     def test_detects_state_leaked_through_the_process(
-        self, monkeypatch, replay_pool, cases, max_workers, pools
+        self, monkeypatch, replay_pool, cases, cores, pools
     ):
         """Mutation smoke: a replay that reads state its process carries over.
 
@@ -148,7 +150,8 @@ class TestDeterminismCheck:
                 return shifted(super().run_seed(case, seed), np.random.random())
 
         monkeypatch.setattr(gate_module, "EvalRunner", LeakingRunner)
-        runner = LeakingRunner(max_workers=max_workers)
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: cores)
+        runner = LeakingRunner()
         failures = check_determinism(runner, runner.run_cases(cases))
         assert replay_pool == pools
         assert failures and all(failure.kind == "determinism" for failure in failures)

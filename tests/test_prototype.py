@@ -11,7 +11,7 @@ from repro.prototype.domain_managers import (
     TransportDomainManager,
 )
 from repro.prototype.slice_manager import SLA, NetworkSlice, SliceManager
-from repro.prototype.telemetry import OnlineCollection, PerformanceLog
+from repro.prototype.telemetry import OnlineCollection
 from repro.prototype.testbed import RealNetwork, default_ground_truth, default_imperfections
 from repro.sim.config import MIN_DOWNLINK_PRBS, MIN_UPLINK_PRBS, SliceConfig
 from repro.sim.scenario import Scenario
@@ -191,21 +191,3 @@ class TestTelemetry:
         collection.save(path)
         loaded = OnlineCollection.load(path)
         assert np.allclose(loaded.samples(), collection.samples())
-
-    def test_performance_log_records_and_extracts_series(self, default_config):
-        log = PerformanceLog()
-        log.record(1, default_config, 0.3, 0.92, 250.0, stage="online")
-        log.record(2, default_config, 0.25, 0.88, 280.0)
-        assert len(log) == 2
-        assert np.allclose(log.usages(), [0.3, 0.25])
-        assert np.allclose(log.qoes(), [0.92, 0.88])
-        assert log.records[0].to_slice_config() == default_config
-
-    def test_performance_log_save_load_round_trip(self, tmp_path, default_config):
-        log = PerformanceLog()
-        log.record(1, default_config, 0.3, 0.92, 250.0)
-        path = tmp_path / "log.json"
-        log.save(path)
-        loaded = PerformanceLog.load(path)
-        assert len(loaded) == 1
-        assert loaded.records[0].qoe == pytest.approx(0.92)

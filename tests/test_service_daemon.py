@@ -8,6 +8,7 @@ agreeing.
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.forkpool as forkpool_module
 from repro.cli import main
 from repro.core.atlas import run_slices
 from repro.experiments.scale import get_scale
@@ -80,8 +82,6 @@ def test_queued_record_with_an_old_executor_field_runs_as_without_it(tmp_path, k
 
     Nothing reads the field, so one value per job kind covers it.
     """
-    import os
-
     from repro.engine.cache import shared_cache
 
     paths = ServicePaths(tmp_path)
@@ -201,6 +201,25 @@ def test_tracer_span_event_round_trip(tmp_path):
     assert doomed["status"] == "error" and doomed["attrs"]["error"] == "RuntimeError"
 
 
+def test_fork_workers_racing_on_one_tracer_write_every_record_whole(tmp_path, replay_pool, monkeypatch):
+    """More workers than cores append spans to one trace file; none is torn or lost."""
+    monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 8)
+    path = tmp_path / "trace.jsonl"
+    with Tracer(path) as tracer:
+
+        def job(index):
+            for step in range(50):
+                with tracer.span("work", job=index, step=step, pad="x" * 200):
+                    pass
+            return os.getpid()
+
+        pids = list(forkpool_module.fork_map(job, range(16)))
+    assert replay_pool == [8] and os.getpid() not in pids
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    steps = sorted((record["attrs"]["job"], record["attrs"]["step"]) for record in records)
+    assert steps == [(index, step) for index in range(16) for step in range(50)]
+
+
 def test_read_trace_tolerates_torn_trailing_line(tmp_path):
     path = tmp_path / "trace.jsonl"
     with Tracer(path) as tracer:
@@ -259,6 +278,59 @@ def test_serve_has_no_workers_flag(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
     assert not (tmp_path / "state").exists()
+
+
+def _serve_job(state, kind: str, params: dict) -> tuple[dict, Path]:
+    """Serve one job from a fresh ``state`` with a daemon in this process: its result and directory."""
+    from repro.engine.cache import shared_cache
+
+    shared_cache().clear()  # the job measures afresh, as in a new process
+    job_id = submit_job(state, kind, params).id
+    assert serve(state, max_jobs=1, idle_exit_s=1.0) == 0
+    job_dir = ServicePaths(state).job_dir(job_id)
+    result = json.loads((job_dir / "result.json").read_text())
+    assert result["status"] == "done", result["error"]
+    return result, job_dir
+
+
+def _span_attrs(job_dir: Path, name: str) -> list[dict]:
+    records = read_trace(job_dir / "trace.jsonl")
+    return [record["attrs"] for record in records if record["kind"] == "span" and record["name"] == name]
+
+
+def test_multi_slice_run_job_pools_like_run_and_matches_the_one_core_job(
+    tmp_path, replay_pool, monkeypatch
+):
+    params = {"scenario": "mixed-enterprise", "stage": "all", "scale": "smoke", "duration": 2.0}
+    names = [workload.name for workload in get_scenario("mixed-enterprise").slices]
+    pooled, pooled_dir = _serve_job(tmp_path / "pooled", "run", params)
+    assert replay_pool == [2]
+    # Workers write their spans as their slices finish, so compare multisets.
+    assert sorted(attrs["slice"] for attrs in _span_attrs(pooled_dir, "job.slice")) == sorted(names)
+    assert len(names) == 4
+
+    monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: 1)
+    local, local_dir = _serve_job(tmp_path / "local", "run", params)
+    assert replay_pool == [2]
+    assert [attrs["slice"] for attrs in _span_attrs(local_dir, "job.slice")] == names
+    assert pooled["summary"] == local["summary"]
+    assert (pooled_dir / "log.txt").read_text() == (local_dir / "log.txt").read_text()
+    assert pooled["costs"]["engine_requests"] == local["costs"]["engine_requests"] > 0
+
+
+def test_eval_job_pools_like_eval_and_matches_the_one_core_job(tmp_path, replay_pool, monkeypatch):
+    params = {"group": "static", "seeds": [0]}
+    jobs = {}
+    for cores, pools in ((2, [2]), (1, [2])):
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda cores=cores: cores)
+        result, job_dir = _serve_job(tmp_path / f"cores-{cores}", "eval", params)
+        assert replay_pool == pools
+        report = json.loads((job_dir / "eval" / "EVAL_report.json").read_text())
+        replays = sorted((attrs["case"], attrs["seed"]) for attrs in _span_attrs(job_dir, "eval.seed"))
+        assert replays == sorted((entry["case"], 0) for entry in report["results"])
+        jobs[cores] = report["results"], result["costs"]["engine_requests"]
+    assert len(jobs[2][0]) == 4 and jobs[2][1] > 0
+    assert jobs[2] == jobs[1]
 
 
 def _submit_smoke_run(state, scenario: str) -> str:
