@@ -353,9 +353,6 @@ class OnlineConfigurationLearner:
         self._residual.fit(np.array(self._residual_inputs), np.array(self._residual_targets))
         return residual
 
-    # Backwards-compatible internal alias.
-    _update_residual = observe_residual
-
     def drop_residual_observations(self, count: int) -> int:
         """Discard the most recent residual observations and refit.
 

@@ -9,7 +9,7 @@ sum, clipped to ``[0, 1]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,20 +77,6 @@ class OfflinePolicy:
         estimate = self.qoe_model.mean_predict(features)
         return np.clip(np.asarray(estimate, dtype=float).ravel(), 0.0, 1.0)
 
-    def sample_qoe(self, normalized_actions) -> np.ndarray:
-        """One Thompson-sampling draw of the QoE estimate."""
-        features = self.features(normalized_actions)
-        draw = self.qoe_model.sample_predict(features)
-        return np.clip(np.asarray(draw, dtype=float).ravel(), 0.0, 1.0)
-
-    def predict_qoe_with_uncertainty(
-        self, normalized_actions, n_samples: int = 16
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Monte-Carlo mean and standard deviation of the QoE estimate."""
-        features = self.features(normalized_actions)
-        mean, std = self.qoe_model.predict(features, n_samples=n_samples)
-        return np.clip(mean, 0.0, 1.0), np.asarray(std, dtype=float)
-
 
 @dataclass
 class OnlinePolicy:
@@ -101,7 +87,6 @@ class OnlinePolicy:
     best_config: SliceConfig | None = None
     best_qoe: float = 0.0
     best_usage: float = 1.0
-    observations: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
     def predict_qoe(self, normalized_actions, return_std: bool = False):
         """Online QoE estimate ``Q = Q_s + G`` (and the GP's std if requested)."""
@@ -112,16 +97,3 @@ class OnlinePolicy:
         if return_std:
             return combined, residual_std
         return combined
-
-    def predict_residual(self, normalized_actions, return_std: bool = False):
-        """The GP's estimate of the sim-to-real QoE difference ``G``."""
-        actions = np.atleast_2d(np.asarray(normalized_actions, dtype=float))
-        return self.residual_model.predict(actions, return_std=return_std)
-
-    def record_observation(self, normalized_action, residual: float) -> None:
-        """Store one online observation of the sim-to-real difference and refit the GP."""
-        action = np.asarray(normalized_action, dtype=float).ravel()
-        self.observations.append((action, float(residual)))
-        inputs = np.array([obs[0] for obs in self.observations])
-        targets = np.array([obs[1] for obs in self.observations])
-        self.residual_model.fit(inputs, targets)

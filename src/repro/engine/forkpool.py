@@ -23,6 +23,9 @@ pipeline per job.  :func:`fork_map` serves both:
 * each job runs with its standard output captured, and the parent writes
   that text when the job's result is due, so the output bytes are those of
   an in-process run;
+* a job that raises sends its exception back with its output and counter
+  deltas, and the parent folds and writes those before raising it, as an
+  in-process run would have counted and printed them;
 * results come back in job order.
 
 Each worker works on its own forked copy of every cache: what one job puts
@@ -127,8 +130,8 @@ def fork_map(function: Callable[[Job], Result], jobs: Iterable[Job]) -> Iterator
     flushes the standard streams before each fork.  With fewer workers, or
     on a platform without ``fork``, the jobs run one after another in this
     process, counting and printing in place.  A job's exception reaches
-    the caller when its result is due; the jobs still running finish first,
-    and the rest are cancelled.
+    the caller when its result is due, after its counts and output; the
+    jobs still running finish first, and the rest are cancelled.
     """
     jobs = list(jobs)
     workers = min(available_parallelism(), len(jobs))
@@ -143,10 +146,13 @@ def fork_map(function: Callable[[Job], Result], jobs: Iterable[Job]) -> Iterator
         initializer=_start_worker,
         initargs=(function, jobs, counters),
     ) as pool:
-        for result, output, deltas in pool.map(_run_job, range(len(jobs))):
+        for result, error, output, deltas in pool.map(_run_job, range(len(jobs))):
             for index, delta in deltas.items():
                 counters[index].add(delta)
             sys.stdout.write(output)
+            if error is not None:
+                pool.shutdown(cancel_futures=True)
+                raise error
             yield result
 
 
@@ -155,15 +161,23 @@ def _start_worker(function: Callable, jobs: list, counters: "list[Counters]") ->
     _WORKER = (function, jobs, counters)
 
 
-def _run_job(index: int) -> "tuple[object, str, dict[int, tuple]]":
-    """Run job ``index``; return its result, its output and the changed counter sets' deltas."""
+def _run_job(index: int) -> "tuple[object, BaseException | None, str, dict[int, tuple]]":
+    """Run job ``index``; return its result or exception, its output and the changed counter sets' deltas."""
     function, jobs, counters = _WORKER
     before = [counter.counts() for counter in counters]
     with redirect_stdout(io.StringIO()) as output:
-        result = function(jobs[index])
+        try:
+            result, error = function(jobs[index]), None
+        except Exception as exc:
+            # Unpickled in the parent as ``exc``, caused by the worker's
+            # traceback; imported here so that runs that raise nothing do not
+            # load the module.
+            from multiprocessing.pool import ExceptionWithTraceback
+
+            result, error = None, ExceptionWithTraceback(exc, exc.__traceback__)
     deltas = {}
     for position, (counter, old) in enumerate(zip(counters, before)):
         new = counter.counts()
         if new != old:
             deltas[position] = tuple(after - start for after, start in zip(new, old))
-    return result, output.getvalue(), deltas
+    return result, error, output.getvalue(), deltas

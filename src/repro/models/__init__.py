@@ -7,7 +7,7 @@ same models are implemented here on top of numpy/scipy:
 
 * :class:`~repro.models.mlp.MLPRegressor` — deterministic multi-layer
   perceptron with manual backpropagation and an Adam optimiser (used by the
-  DLDA baseline and as the deterministic core of the BNN).
+  DLDA baseline).
 * :class:`~repro.models.bnn.BayesianNeuralNetwork` — variational Gaussian
   weight posterior trained with Bayes-by-Backprop; supports single-draw
   function sampling for Thompson sampling and Monte-Carlo mean/std

@@ -11,40 +11,73 @@ Thompson sampling (Sec. 4.2, "Parallel Thompson Sampling") requires drawing
 *one* function realisation from the posterior and evaluating it on tens of
 thousands of candidate points with a single forward pass — this is provided
 by :meth:`BayesianNeuralNetwork.sample_function`.
+
+Every per-parameter quantity is a flat vector laid out layer by layer,
+weight before bias.  The variational means ``mu`` and the ``rho`` are the
+two rows of one ``(2, n_params)`` block, which the optimiser updates in one
+pass; the per-layer ``weight_mu``, ``bias_rho``, ... are views of it.  A fit
+allocates the vectors of a gradient step once and fills them in place at
+every step, with the same floating-point operations, in the same order, as
+the textbook expressions in the comments.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.models.mlp import relu, relu_grad
 from repro.models.optimizers import make_optimizer
 from repro.models.scaler import StandardScaler
 
 __all__ = ["BayesianNeuralNetwork", "softplus", "softplus_grad"]
 
 
-def softplus(values: np.ndarray) -> np.ndarray:
-    """Numerically stable ``log(1 + exp(x))``."""
-    return np.logaddexp(0.0, values)
+def softplus(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable ``log(1 + exp(x))``, into ``out`` if given."""
+    return np.logaddexp(0.0, values, out=out)
 
 
-def softplus_grad(values: np.ndarray) -> np.ndarray:
-    """Derivative of softplus, i.e. the logistic sigmoid."""
-    return 1.0 / (1.0 + np.exp(-values))
+def softplus_grad(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of softplus, i.e. the logistic sigmoid, into ``out`` if given."""
+    # 1 / (1 + exp(-x))
+    out = np.negative(values, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def _sum_draws(stack: np.ndarray) -> np.ndarray:
-    """Sum a per-draw stack over its leading axis as a running total from zero.
+def _sum_draws(stack: np.ndarray, out: np.ndarray) -> None:
+    """Sum a per-draw stack over its leading axis into ``out``, as a running total from zero.
 
     ``np.sum(stack, axis=0)`` switches to pairwise summation for some shapes
     (e.g. eight or more draws of a one-output bias), which changes the last
     bits; adding the draws one after another in draw order never does.
     """
-    total = np.zeros(stack.shape[1:])
+    out[...] = 0.0
     for draw in stack:
-        total += draw
-    return total
+        out += draw
+
+
+def _forward(
+    inputs: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Forward pass for a weight stack ``(S, fan_in, fan_out)`` or one weight set.
+
+    ``inputs`` is ``(n, input_dim)``; with stacked weights every activation,
+    and the output, gains a leading draw axis ``S``.  Returns the output and
+    each layer's input, ``inputs`` first.  Each layer adds its bias and
+    applies the ReLU in place, so a hidden activation is positive exactly
+    where its pre-activation was.
+    """
+    activations = [inputs]
+    hidden = inputs
+    last = len(weights) - 1
+    for index, (weight, bias) in enumerate(zip(weights, biases)):
+        hidden = hidden @ weight
+        hidden += bias[..., None, :]
+        if index < last:
+            np.maximum(hidden, 0.0, out=hidden)  # ReLU
+            activations.append(hidden)
+    return hidden, activations
 
 
 class _SampledNetwork:
@@ -70,12 +103,8 @@ class _SampledNetwork:
     def __call__(self, inputs) -> np.ndarray:
         """Evaluate the sampled network on a batch of features."""
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
-        hidden = self._x_scaler.transform(x)
-        last = len(self._weights) - 1
-        for index, (weight, bias) in enumerate(zip(self._weights, self._biases)):
-            pre = hidden @ weight + bias
-            hidden = pre if index == last else relu(pre)
-        result = self._y_scaler.inverse_transform(hidden)
+        output, _ = _forward(self._x_scaler.transform(x), self._weights, self._biases)
+        result = self._y_scaler.inverse_transform(output)
         return result[:, 0] if result.shape[1] == 1 else result
 
 
@@ -132,7 +161,7 @@ class BayesianNeuralNetwork:
         self._x_scaler = StandardScaler()
         self._y_scaler = StandardScaler()
         self._init_parameters()
-        self._optimizer = make_optimizer(optimizer, [self._mu, self._rho], learning_rate)
+        self._optimizer = make_optimizer(optimizer, [self._params], learning_rate)
         self.loss_history: list[float] = []
         self._fitted = False
 
@@ -155,8 +184,9 @@ class BayesianNeuralNetwork:
             )
             offset = weight_end + fan_out
         self._n_params = offset
-        self._mu = np.zeros(offset)
-        self._rho = np.full(offset, -4.0)  # softplus(-4) ~ 0.018: small initial posterior std
+        self._params = np.zeros((2, offset))
+        self._mu, self._rho = self._params  # row views of the optimiser's one parameter
+        self._rho[...] = -4.0  # softplus(-4) ~ 0.018: small initial posterior std
         for weight_mu in self.weight_mu:
             limit = np.sqrt(2.0 / weight_mu.shape[0])
             weight_mu[...] = self._rng.normal(0.0, limit, size=weight_mu.shape)
@@ -193,79 +223,79 @@ class BayesianNeuralNetwork:
         return self._layers(self._rho)[1]
 
     # --------------------------------------------------------------- internals
-    def _sample_layer_weights(
-        self, n_draws: int, sigma: np.ndarray | None = None
-    ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-        """Draw ``n_draws`` weight sets via the reparameterisation trick.
+    def _draw(self, sigma: np.ndarray, noise: np.ndarray, drawn: np.ndarray) -> None:
+        """Fill ``noise`` with standard normals and ``drawn`` with ``mu + sigma * noise``.
 
-        Returns per-layer stacks of weights ``(S, fan_in, fan_out)`` and
-        biases ``(S, fan_out)``, plus the ``(S, n_params)`` noise that
-        produced them.  The noise comes from one ``standard_normal`` call
-        laid out draw-major, then layer by layer, weight before bias: the
-        order a loop over draws and layers would consume the generator in.
+        Both are ``(S, n_params)``: ``S`` weight draws by the
+        reparameterisation trick.  The noise comes from one
+        ``standard_normal`` call laid out draw-major, then layer by layer,
+        weight before bias: the order a loop over draws and layers would
+        consume the generator in.
         """
-        if sigma is None:
-            sigma = softplus(self._rho)
-        noise = self._rng.standard_normal((n_draws, self._n_params))
-        weights, biases = self._layers(self._mu + sigma * noise)
-        return weights, biases, noise
+        self._rng.standard_normal(out=noise)
+        np.multiply(sigma, noise, out=drawn)
+        drawn += self._mu
 
-    def _forward(
-        self, inputs: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
-    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """Forward pass for a weight stack ``(S, fan_in, fan_out)`` or one weight set.
-
-        ``inputs`` is ``(n, input_dim)``; with stacked weights every
-        activation, and the output, gains a leading draw axis ``S``.
-        """
-        activations = [inputs]
-        pre_activations = []
-        hidden = inputs
-        last = len(weights) - 1
-        for index, (weight, bias) in enumerate(zip(weights, biases)):
-            pre = hidden @ weight + bias[..., None, :]
-            pre_activations.append(pre)
-            hidden = pre if index == last else relu(pre)
-            activations.append(hidden)
-        return hidden, activations, pre_activations
+    def _sample_layer_weights(self, n_draws: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Draw ``n_draws`` weight sets: per-layer stacks ``(S, fan_in, fan_out)`` and ``(S, fan_out)``."""
+        noise, drawn = np.empty((2, n_draws, self._n_params))
+        self._draw(softplus(self._rho), noise, drawn)
+        return self._layers(drawn)
 
     def _backward(
         self,
         output_grad: np.ndarray,
         weights: list[np.ndarray],
         activations: list[np.ndarray],
-        pre_activations: list[np.ndarray],
-    ) -> np.ndarray:
-        """Per-draw data-term gradients w.r.t. the drawn weights, ``(S, n_params)``."""
-        grads = np.empty((len(output_grad), self._n_params))
-        weight_grads, bias_grads = self._layers(grads)
+        weight_grads: list[np.ndarray],
+        bias_grads: list[np.ndarray],
+    ) -> None:
+        """Per-draw data-term gradients w.r.t. the drawn weights.
+
+        Writes them into ``weight_grads`` and ``bias_grads``, the per-layer
+        views of one ``(S, n_params)`` array.
+        """
         grad = output_grad
         for index in range(len(weights) - 1, -1, -1):
             weight_grads[index][...] = np.swapaxes(activations[index], -1, -2) @ grad
             bias_grads[index][...] = grad.sum(axis=-2)
             if index > 0:
-                grad = (grad @ np.swapaxes(weights[index], -1, -2)) * relu_grad(
-                    pre_activations[index - 1]
-                )
-        return grads
+                grad = grad @ np.swapaxes(weights[index], -1, -2)
+                grad *= activations[index] > 0.0  # the ReLU's derivative
 
     def _kl_term_and_grads(
-        self, sigma: np.ndarray, sigma_grad: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Closed-form KL(q || prior) and its gradients w.r.t. mu and rho.
+        self, sigma: np.ndarray, sigma_grad: np.ndarray, terms: np.ndarray, grads: np.ndarray
+    ) -> float:
+        """Closed-form KL(q || prior); fills ``grads`` with its gradients.
 
-        Takes ``softplus(rho)`` and its derivative as computed for the step,
-        so neither is evaluated twice.  The KL is summed per layer's weights,
-        then biases, in layer order.
+        Row 0 of the ``(2, n_params)`` ``grads`` receives the gradient
+        w.r.t. mu and row 1 the one w.r.t. rho.  Takes ``softplus(rho)`` and
+        its derivative as computed for the step, so neither is evaluated
+        twice, and uses ``terms`` as scratch space.  The KL is summed per
+        layer's weights, then biases, in layer order.
         """
         prior_var = self.prior_sigma**2
-        terms = np.log(self.prior_sigma / sigma) + (sigma**2 + self._mu**2) / (2.0 * prior_var) - 0.5
+        mu_grad, rho_grad = grads
+        # terms = log(prior_sigma / sigma) + (sigma**2 + mu**2) / (2 prior_var) - 0.5
+        np.divide(self.prior_sigma, sigma, out=terms)
+        np.log(terms, out=terms)
+        np.square(sigma, out=mu_grad)
+        np.square(self._mu, out=rho_grad)
+        mu_grad += rho_grad
+        mu_grad /= 2.0 * prior_var
+        terms += mu_grad
+        terms -= 0.5
         kl_total = 0.0
         for weight, _, bias in self._segments:
-            kl_total += float(np.sum(terms[weight]))
-            kl_total += float(np.sum(terms[bias]))
-        rho_grad = (sigma / prior_var - 1.0 / sigma) * sigma_grad
-        return kl_total, self._mu / prior_var, rho_grad
+            kl_total += float(terms[weight].sum())
+            kl_total += float(terms[bias].sum())
+        np.divide(self._mu, prior_var, out=mu_grad)
+        # rho_grad = (sigma / prior_var - 1 / sigma) * sigma_grad
+        np.divide(sigma, prior_var, out=rho_grad)
+        np.divide(1.0, sigma, out=terms)
+        rho_grad -= terms
+        rho_grad *= sigma_grad
+        return kl_total
 
     # -------------------------------------------------------------------- API
     def fit(
@@ -293,6 +323,13 @@ class BayesianNeuralNetwork:
         noise_var = self.noise_sigma**2
 
         scale = 1.0 / self.n_mc_samples
+        # The step's per-parameter vectors, allocated once and filled in place
+        # at every step.
+        sigma, sigma_grad, kl_terms = np.empty((3, self._n_params))
+        noise, drawn, draw_grads = np.empty((3, self.n_mc_samples, self._n_params))
+        kl_grad, step_grad = np.empty((2, 2, self._n_params))
+        weights, biases = self._layers(drawn)
+        weight_grads, bias_grads = self._layers(draw_grads)
         for _ in range(epochs):
             order = self._rng.permutation(n_samples)
             epoch_loss = 0.0
@@ -303,23 +340,25 @@ class BayesianNeuralNetwork:
 
                 # One step: all n_mc_samples draws go through the network as
                 # one stack, then their gradients are summed over the draw axis.
-                sigma = softplus(self._rho)
-                sigma_grad = softplus_grad(self._rho)
-                weights, biases, noise = self._sample_layer_weights(self.n_mc_samples, sigma)
-                prediction, activations, pre_activations = self._forward(
-                    batch_x, weights, biases
-                )
+                softplus(self._rho, out=sigma)
+                softplus_grad(self._rho, out=sigma_grad)
+                self._draw(sigma, noise, drawn)
+                prediction, activations = _forward(batch_x, weights, biases)
                 error = prediction - batch_y
                 nll = np.sum(error**2, axis=(1, 2)) / (2.0 * noise_var)
                 output_grad = error / noise_var / len(batch_x) * n_samples / n_batches
-                data_grad = self._backward(output_grad, weights, activations, pre_activations)
-                kl, kl_mu_grad, kl_rho_grad = self._kl_term_and_grads(sigma, sigma_grad)
-                self._optimizer.step(
-                    [
-                        scale * _sum_draws(data_grad) + kl_weight * kl_mu_grad,
-                        scale * _sum_draws(data_grad * noise * sigma_grad) + kl_weight * kl_rho_grad,
-                    ]
-                )
+                self._backward(output_grad, weights, activations, weight_grads, bias_grads)
+                kl = self._kl_term_and_grads(sigma, sigma_grad, kl_terms, kl_grad)
+                # step_grad = scale * [sum of draw_grads, sum of draw_grads * noise * sigma_grad]
+                #             + kl_weight * kl_grad, rows w.r.t. mu and rho.
+                _sum_draws(draw_grads, out=step_grad[0])
+                draw_grads *= noise
+                draw_grads *= sigma_grad
+                _sum_draws(draw_grads, out=step_grad[1])
+                step_grad *= scale
+                kl_grad *= kl_weight
+                step_grad += kl_grad
+                self._optimizer.step([step_grad])
                 # Python's sum adds the draws' losses left to right from zero.
                 epoch_loss += sum(nll.tolist()) * scale + kl_weight * kl
             self.loss_history.append(epoch_loss / n_samples)
@@ -331,8 +370,8 @@ class BayesianNeuralNetwork:
         self._require_fitted()
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         x_std = self._x_scaler.transform(x)
-        weights, biases, _ = self._sample_layer_weights(n_samples)
-        draws, _, _ = self._forward(x_std, weights, biases)
+        weights, biases = self._sample_layer_weights(n_samples)
+        draws, _ = _forward(x_std, weights, biases)
         mean_std_units = draws.mean(axis=0)
         std_std_units = draws.std(axis=0)
         mean = self._y_scaler.inverse_transform(mean_std_units)
@@ -344,7 +383,7 @@ class BayesianNeuralNetwork:
     def sample_function(self) -> _SampledNetwork:
         """Draw one deterministic function from the posterior (Thompson sampling)."""
         self._require_fitted()
-        weights, biases, _ = self._sample_layer_weights(1)
+        weights, biases = self._sample_layer_weights(1)
         return _SampledNetwork(
             [weight[0] for weight in weights],
             [bias[0] for bias in biases],
@@ -361,7 +400,7 @@ class BayesianNeuralNetwork:
         self._require_fitted()
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         x_std = self._x_scaler.transform(x)
-        prediction, _, _ = self._forward(x_std, self.weight_mu, self.bias_mu)
+        prediction, _ = _forward(x_std, self.weight_mu, self.bias_mu)
         result = self._y_scaler.inverse_transform(prediction)
         return result[:, 0] if self.output_dim == 1 else result
 

@@ -5,14 +5,24 @@ uses for the online learning stage (Sec. 7.3): Matérn kernel with
 ``nu = 2.5``, target normalisation, and marginal-likelihood hyper-parameter
 fitting.  The model stays small (hundreds of online transitions at most),
 so the O(n^3) Cholesky factorisation is not a concern.
+
+A fit evaluates the log marginal likelihood about a hundred times, so the
+training points' squared distances are computed once per fit, and the
+factorisation and solves call LAPACK's ``dpotrf``, ``dpotrs`` and ``dtrtrs``
+directly: the routines ``scipy.linalg.cholesky``, ``cho_solve`` and
+``solve_triangular`` call, without their per-call argument checks.  A fit
+checks its data for finiteness once, and ``predict`` checks the
+cross-covariances it solves for, so non-finite data raise ``ValueError``
+where the SciPy wrappers raised it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg import lapack
 
-from repro.models.kernels import ConstantKernel, Kernel, Matern52Kernel, ProductKernel
+from repro.models.kernels import ConstantKernel, Kernel, Matern52Kernel, ProductKernel, _pairwise_sq_dists
 from repro.models.scaler import StandardScaler
 
 __all__ = ["GaussianProcessRegressor"]
@@ -56,6 +66,7 @@ class GaussianProcessRegressor:
         self.n_restarts = max(0, int(n_restarts))
         self._rng = np.random.default_rng(seed)
         self._x_train: np.ndarray | None = None
+        self._sq_dists: np.ndarray | None = None
         self._y_train: np.ndarray | None = None
         self._y_scaler = StandardScaler()
         self._cholesky: np.ndarray | None = None
@@ -63,19 +74,22 @@ class GaussianProcessRegressor:
         self.log_marginal_likelihood_: float | None = None
 
     # --------------------------------------------------------------- internals
+    def _gram_cholesky(self) -> tuple[np.ndarray, int]:
+        """Lower Cholesky factor of the training Gram matrix plus noise, and LAPACK's ``info``."""
+        gram = self.kernel.of_sq_dists(self._sq_dists)
+        gram.flat[:: len(gram) + 1] += self.noise  # the diagonal
+        return lapack.dpotrf(gram, lower=True)
+
     def _neg_log_marginal_likelihood(self, log_params: np.ndarray) -> float:
         self.kernel.set_log_params(log_params)
-        gram = self.kernel(self._x_train, self._x_train)
-        gram[np.diag_indices_from(gram)] += self.noise
-        try:
-            chol = linalg.cholesky(gram, lower=True)
-        except linalg.LinAlgError:
+        chol, info = self._gram_cholesky()
+        if info > 0:  # not positive definite
             return 1e25
-        alpha = linalg.cho_solve((chol, True), self._y_train)
+        alpha, _ = lapack.dpotrs(chol, self._y_train, lower=True)
         n = len(self._y_train)
         lml = (
             -0.5 * float(self._y_train @ alpha)
-            - float(np.sum(np.log(np.diag(chol))))
+            - float(np.log(chol.diagonal()).sum())
             - 0.5 * n * np.log(2.0 * np.pi)
         )
         return -lml
@@ -104,10 +118,11 @@ class GaussianProcessRegressor:
         self.log_marginal_likelihood_ = -float(best_value)
 
     def _factorize(self) -> None:
-        gram = self.kernel(self._x_train, self._x_train)
-        gram[np.diag_indices_from(gram)] += self.noise
-        self._cholesky = linalg.cholesky(gram, lower=True)
-        self._alpha = linalg.cho_solve((self._cholesky, True), self._y_train)
+        chol, info = self._gram_cholesky()
+        if info > 0:
+            raise linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        self._cholesky = chol
+        self._alpha, _ = lapack.dpotrs(chol, self._y_train, lower=True)
 
     # -------------------------------------------------------------------- API
     def fit(self, inputs, targets) -> "GaussianProcessRegressor":
@@ -119,11 +134,14 @@ class GaussianProcessRegressor:
         if len(x) == 0:
             raise ValueError("cannot fit a GP on an empty dataset")
         self._x_train = x
+        self._sq_dists = _pairwise_sq_dists(x, x)
         if self.normalize_y:
             self._y_scaler.fit(y.reshape(-1, 1))
             self._y_train = self._y_scaler.transform(y.reshape(-1, 1)).ravel()
         else:
             self._y_train = y
+        if not (np.isfinite(self._sq_dists).all() and np.isfinite(self._y_train).all()):
+            raise ValueError("inputs and targets must be finite")
         if self.optimize_hyperparameters and len(x) >= 3:
             self._fit_hyperparameters()
         self._factorize()
@@ -151,33 +169,12 @@ class GaussianProcessRegressor:
             mean = mean_std_units
         if not return_std:
             return mean
-        solved = linalg.solve_triangular(self._cholesky, cross.T, lower=True)
+        if not np.isfinite(cross).all():
+            raise ValueError("inputs must be finite")
+        solved, _ = lapack.dtrtrs(self._cholesky, cross.T, lower=True)
         variance = self.kernel.diag(x) + self.noise - np.sum(solved**2, axis=0)
         variance = np.maximum(variance, 1e-12)
         std = np.sqrt(variance)
         if self.normalize_y:
             std = self._y_scaler.inverse_transform_std(std.reshape(-1, 1)).ravel()
         return mean, std
-
-    def sample_y(self, inputs, n_samples: int = 1, seed: int | None = None) -> np.ndarray:
-        """Draw joint posterior function samples at ``inputs``.
-
-        Returns an array of shape ``(n_samples, len(inputs))``; used for
-        Thompson sampling with GP surrogates.
-        """
-        x = np.atleast_2d(np.asarray(inputs, dtype=float))
-        rng = np.random.default_rng(seed) if seed is not None else self._rng
-        if not self.is_fitted:
-            cov = self.kernel(x, x) + self.noise * np.eye(len(x))
-            mean = np.zeros(len(x))
-        else:
-            cross = self.kernel(x, self._x_train)
-            mean = cross @ self._alpha
-            solved = linalg.solve_triangular(self._cholesky, cross.T, lower=True)
-            cov = self.kernel(x, x) + self.noise * np.eye(len(x)) - solved.T @ solved
-        cov = 0.5 * (cov + cov.T)
-        cov[np.diag_indices_from(cov)] += 1e-8
-        draws = rng.multivariate_normal(mean, cov, size=n_samples)
-        if self.is_fitted and self.normalize_y:
-            draws = self._y_scaler.inverse_transform(draws.reshape(-1, 1)).reshape(n_samples, -1)
-        return draws

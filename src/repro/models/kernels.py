@@ -6,6 +6,12 @@ signal variance: ``ConstantKernel() * Matern52Kernel()``, the default of
 :class:`~repro.models.gp.GaussianProcessRegressor`.  The kernels are
 implemented here with log-parameterised hyper-parameters so they can be
 optimised by maximising the marginal likelihood.
+
+Every kernel here is a function of the squared Euclidean distance between
+two points, so each implements only :meth:`Kernel.of_sq_dists`, and
+``kernel(x1, x2)`` is ``kernel.of_sq_dists(_pairwise_sq_dists(x1, x2))``.
+A GP fit computes its training points' squared distances once and evaluates
+the kernel on them at every hyper-parameter trial.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ class Kernel:
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Evaluate the kernel matrix between two point sets."""
+        return self.of_sq_dists(_pairwise_sq_dists(np.atleast_2d(x1), np.atleast_2d(x2)))
+
+    def of_sq_dists(self, sq_dists: np.ndarray) -> np.ndarray:
+        """Evaluate the kernel on a matrix of squared distances."""
         raise NotImplementedError
 
     def diag(self, x: np.ndarray) -> np.ndarray:
@@ -69,10 +79,9 @@ class Matern52Kernel(Kernel):
             raise ValueError("length_scale must be positive")
         self.length_scale = float(length_scale)
 
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        sq = _pairwise_sq_dists(np.atleast_2d(x1), np.atleast_2d(x2))
-        dist = np.sqrt(sq)
+    def of_sq_dists(self, sq_dists: np.ndarray) -> np.ndarray:
+        """Evaluate the kernel on a matrix of squared distances."""
+        dist = np.sqrt(sq_dists)
         scaled = np.sqrt(5.0) * dist / self.length_scale
         return (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
 
@@ -97,9 +106,9 @@ class ConstantKernel(Kernel):
             raise ValueError("constant must be positive")
         self.constant = float(constant)
 
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        return np.full((len(np.atleast_2d(x1)), len(np.atleast_2d(x2))), self.constant)
+    def of_sq_dists(self, sq_dists: np.ndarray) -> np.ndarray:
+        """Evaluate the kernel on a matrix of squared distances."""
+        return np.full(sq_dists.shape, self.constant)
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         """Diagonal of the kernel matrix of ``points``."""
@@ -121,9 +130,9 @@ class ProductKernel(Kernel):
         self.left = left
         self.right = right
 
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Evaluate the kernel matrix between two point sets."""
-        return self.left(x1, x2) * self.right(x1, x2)
+    def of_sq_dists(self, sq_dists: np.ndarray) -> np.ndarray:
+        """Evaluate the kernel on a matrix of squared distances."""
+        return self.left.of_sq_dists(sq_dists) * self.right.of_sq_dists(sq_dists)
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         """Diagonal of the kernel matrix of ``points``."""

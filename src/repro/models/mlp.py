@@ -2,9 +2,8 @@
 
 This is the deterministic counterpart of the Bayesian neural network used by
 Atlas.  It backs the DLDA baseline (teacher/student DNNs of [Shi et al.,
-NSDI'21]) and provides the forward/backward machinery reused by the BNN.
-Inputs and targets are standardised internally so callers can pass raw
-network configurations and latencies/QoEs.
+NSDI'21]).  Inputs and targets are standardised internally so callers can
+pass raw network configurations and latencies/QoEs.
 """
 
 from __future__ import annotations

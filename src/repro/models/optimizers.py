@@ -3,7 +3,10 @@
 The paper uses Adadelta with a StepLR schedule; both Adam and Adadelta are
 provided here and either can be selected when constructing a model.  The
 optimisers operate on flat lists of numpy parameter arrays, which is how the
-manual-backprop models store their weights.
+manual-backprop models store their weights.  A step updates each array in
+place with the same floating-point operations, in the same order, as the
+textbook update in its comment, writing intermediate values into scratch
+arrays that persist between steps.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ class AdamOptimizer:
         self.epsilon = epsilon
         self._m = [np.zeros_like(p) for p in parameters]
         self._v = [np.zeros_like(p) for p in parameters]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in parameters]
         self._step = 0
 
     def step(self, gradients: list[np.ndarray]) -> None:
@@ -40,14 +44,26 @@ class AdamOptimizer:
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
-        for param, grad, m, v in zip(self.parameters, gradients, self._m, self._v):
+        for param, grad, m, v, (update, denom) in zip(
+            self.parameters, gradients, self._m, self._v, self._scratch
+        ):
+            # m = beta1 * m + (1 - beta1) * grad
+            # v = beta2 * v + (1 - beta2) * grad * grad
+            # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + epsilon)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            np.multiply(grad, 1.0 - self.beta2, out=denom)
+            denom *= grad
+            v += denom
+            np.divide(m, bias1, out=update)
+            update *= self.learning_rate
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            update /= denom
+            param -= update
 
 
 class AdadeltaOptimizer:
@@ -66,20 +82,35 @@ class AdadeltaOptimizer:
         self.epsilon = epsilon
         self._avg_sq_grad = [np.zeros_like(p) for p in parameters]
         self._avg_sq_delta = [np.zeros_like(p) for p in parameters]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in parameters]
 
     def step(self, gradients: list[np.ndarray]) -> None:
         """Apply one in-place update from ``gradients`` (same order as parameters)."""
         if len(gradients) != len(self.parameters):
             raise ValueError("gradient list length does not match parameter list length")
-        for param, grad, sq_grad, sq_delta in zip(
-            self.parameters, gradients, self._avg_sq_grad, self._avg_sq_delta
+        for param, grad, sq_grad, sq_delta, (delta, temp) in zip(
+            self.parameters, gradients, self._avg_sq_grad, self._avg_sq_delta, self._scratch
         ):
+            # sq_grad = rho * sq_grad + (1 - rho) * grad * grad
+            # delta = grad * sqrt(sq_delta + epsilon) / sqrt(sq_grad + epsilon)
+            # sq_delta = rho * sq_delta + (1 - rho) * delta * delta
+            # param -= learning_rate * delta
             sq_grad *= self.rho
-            sq_grad += (1.0 - self.rho) * grad * grad
-            delta = grad * np.sqrt(sq_delta + self.epsilon) / np.sqrt(sq_grad + self.epsilon)
+            np.multiply(grad, 1.0 - self.rho, out=temp)
+            temp *= grad
+            sq_grad += temp
+            np.add(sq_delta, self.epsilon, out=delta)
+            np.sqrt(delta, out=delta)
+            delta *= grad
+            np.add(sq_grad, self.epsilon, out=temp)
+            np.sqrt(temp, out=temp)
+            delta /= temp
             sq_delta *= self.rho
-            sq_delta += (1.0 - self.rho) * delta * delta
-            param -= self.learning_rate * delta
+            np.multiply(delta, 1.0 - self.rho, out=temp)
+            temp *= delta
+            sq_delta += temp
+            np.multiply(delta, self.learning_rate, out=temp)
+            param -= temp
 
 
 def make_optimizer(name: str, parameters: list[np.ndarray], learning_rate: float):

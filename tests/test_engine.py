@@ -32,7 +32,7 @@ from repro.engine import (
 import repro.engine.forkpool as forkpool_module
 from repro.engine.engine import _TELEMETRY
 from repro.engine.executors import EXECUTOR_KINDS, VectorizedExecutor, pool_diagnostics
-from repro.engine.forkpool import fork_map
+from repro.engine.forkpool import Counters, fork_map
 from repro.prototype.testbed import RealNetwork
 from repro.service.costs import CostLedger
 from repro.service.store import ResultStore
@@ -401,6 +401,11 @@ class TestEngineTelemetry:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+@dataclass
+class _Tally(Counters):
+    bumps: int = 0
+
+
 class TestForkMap:
     """The fork pool shared by eval replays, multi-slice runs and service jobs."""
 
@@ -462,6 +467,29 @@ class TestForkMap:
         assert results == [(64, 0)] * 2
         assert engine_telemetry()["executed_requests"] - before == 128
         assert replay_pool == [2]
+
+    @pytest.mark.parametrize("cores, pools", [(2, [2]), (1, [])], ids=["pooled", "inline"])
+    def test_a_failing_job_keeps_what_it_printed_and_counted(
+        self, replay_pool, monkeypatch, capsys, cores, pools
+    ):
+        monkeypatch.setattr(forkpool_module, "available_parallelism", lambda: cores)
+        tally = _Tally()
+
+        def job(index):
+            print(f"job {index} started")
+            tally.bumps += 1
+            if index == 1:
+                raise LookupError(f"job {index} failed")
+            return index
+
+        results = []
+        with pytest.raises(LookupError, match="job 1 failed"):
+            for result in fork_map(job, range(3)):
+                results.append(result)
+        assert results == [0]
+        assert capsys.readouterr().out == "job 0 started\njob 1 started\n"
+        assert tally.bumps == 2
+        assert replay_pool == pools
 
     @pytest.mark.parametrize("cores, pools", [(2, [2]), (1, [])], ids=["pooled", "inline"])
     def test_counters_from_before_the_fork_count_each_job_once_in_job_order(

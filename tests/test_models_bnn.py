@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.models.bnn import BayesianNeuralNetwork, softplus, softplus_grad
-from repro.models.optimizers import make_optimizer
+from repro.models.optimizers import AdadeltaOptimizer, AdamOptimizer
 
 
 class TestSoftplus:
@@ -181,6 +181,49 @@ def _reference_kl(model):
     return (kl_total, *grads)
 
 
+class _ReferenceAdam:
+    """Adam as the textbook writes it, one temporary array per expression."""
+
+    def __init__(self, parameters, learning_rate):
+        self.parameters, self.learning_rate = parameters, learning_rate
+        self.m = [np.zeros_like(p) for p in parameters]
+        self.v = [np.zeros_like(p) for p in parameters]
+        self.t = 0
+
+    def step(self, gradients):
+        self.t += 1
+        bias1, bias2 = 1.0 - 0.9**self.t, 1.0 - 0.999**self.t
+        for param, grad, m, v in zip(self.parameters, gradients, self.m, self.v):
+            m *= 0.9
+            m += (1.0 - 0.9) * grad
+            v *= 0.999
+            v += (1.0 - 0.999) * grad * grad
+            param -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)
+
+
+class _ReferenceAdadelta:
+    """Adadelta as the textbook writes it, one temporary array per expression."""
+
+    def __init__(self, parameters, learning_rate):
+        self.parameters, self.learning_rate = parameters, learning_rate
+        self.sq_grad = [np.zeros_like(p) for p in parameters]
+        self.sq_delta = [np.zeros_like(p) for p in parameters]
+
+    def step(self, gradients):
+        for param, grad, sq_grad, sq_delta in zip(
+            self.parameters, gradients, self.sq_grad, self.sq_delta
+        ):
+            sq_grad *= 0.9
+            sq_grad += (1.0 - 0.9) * grad * grad
+            delta = grad * np.sqrt(sq_delta + 1e-6) / np.sqrt(sq_grad + 1e-6)
+            sq_delta *= 0.9
+            sq_delta += (1.0 - 0.9) * delta * delta
+            param -= self.learning_rate * delta
+
+
+_REFERENCE_OPTIMIZERS = {AdamOptimizer: _ReferenceAdam, AdadeltaOptimizer: _ReferenceAdadelta}
+
+
 def _reference_fit(model, inputs, targets, epochs, batch_size):
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).reshape(len(x), -1)
@@ -192,10 +235,11 @@ def _reference_fit(model, inputs, targets, epochs, batch_size):
     n_batches = int(np.ceil(n_samples / batch_size))
     kl_weight = 1.0 / n_samples
     noise_var = model.noise_sigma**2
-    # Adam over one array per layer and kind, as the model used to hold them;
-    # the views write through to the model's parameters.
-    optimizer = make_optimizer(
-        "adam", model.weight_mu + model.bias_mu + model.weight_rho + model.bias_rho, 1e-2
+    # The optimiser the model names, over one array per layer and kind, as the
+    # model used to hold them; the views write through to its parameters.
+    optimizer = _REFERENCE_OPTIMIZERS[type(model._optimizer)](
+        model.weight_mu + model.bias_mu + model.weight_rho + model.bias_rho,
+        model._optimizer.learning_rate,
     )
     for _ in range(epochs):
         order = model._rng.permutation(n_samples)
@@ -265,7 +309,8 @@ class TestStackedDrawsMatchPerDrawLoop:
     # Eight draws is where np.sum would turn pairwise on a one-output bias.
     @pytest.mark.parametrize("n_mc_samples", [1, 2, 3, 8])
     @pytest.mark.parametrize("output_dim", [1, 2])
-    def test_fit_and_predict_are_bitwise_equal(self, n_mc_samples, output_dim):
+    @pytest.mark.parametrize("optimizer", ["adam", "adadelta"])
+    def test_fit_and_predict_are_bitwise_equal(self, n_mc_samples, output_dim, optimizer):
         rng = np.random.default_rng(10 * n_mc_samples + output_dim)
         x = rng.uniform(-1, 1, size=(45, 3))
         y = np.column_stack([np.sin(2.0 * x[:, 0]) + x[:, 1], x[:, 2] ** 2])[:, :output_dim]
@@ -276,6 +321,7 @@ class TestStackedDrawsMatchPerDrawLoop:
                 hidden_layers=(12, 7),
                 output_dim=output_dim,
                 n_mc_samples=n_mc_samples,
+                optimizer=optimizer,
                 seed=4,
             )
 

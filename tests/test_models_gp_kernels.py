@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import linalg, optimize
 
 from repro.models.gp import GaussianProcessRegressor
 from repro.models.kernels import ConstantKernel, Matern52Kernel, ProductKernel
+from repro.models.scaler import StandardScaler
 
 
 class TestKernels:
@@ -96,20 +98,6 @@ class TestGaussianProcessRegressor:
         assert fitted_error <= fixed_error * 1.5
         assert fitted.log_marginal_likelihood_ is not None
 
-    def test_sample_y_shape_and_consistency_with_posterior(self):
-        x = np.linspace(0, 1, 8).reshape(-1, 1)
-        y = x[:, 0] ** 2
-        gp = GaussianProcessRegressor(seed=4).fit(x, y)
-        draws = gp.sample_y(x, n_samples=20, seed=7)
-        assert draws.shape == (20, 8)
-        mean = gp.predict(x)
-        assert np.mean(np.abs(draws.mean(axis=0) - mean)) < 0.3
-
-    def test_sample_y_from_prior(self):
-        gp = GaussianProcessRegressor(seed=5)
-        draws = gp.sample_y(np.zeros((4, 2)), n_samples=3, seed=1)
-        assert draws.shape == (3, 4)
-
     def test_normalised_targets_recover_offset(self):
         x = np.linspace(0, 1, 15).reshape(-1, 1)
         y = 100.0 + np.sin(3 * x[:, 0])
@@ -124,3 +112,110 @@ class TestGaussianProcessRegressor:
         gp = GaussianProcessRegressor(noise=1e-2, seed=8).fit(x, y)
         mean, std = gp.predict(x, return_std=True)
         assert np.all(np.isfinite(mean)) and np.all(std > 0)
+
+
+# --------------------------------------------------------------------------
+# Oracle: the GP as it was before fits reused one distance matrix and called
+# LAPACK directly.  It builds the Gram matrix from the points at every
+# evaluation, with the kernels' own expressions, and goes through
+# scipy.linalg's checked wrappers; the regressor must match it bit for bit.
+def _reference_kernel(kernel, x1, x2):
+    sq = np.sum(x1**2, axis=1)[:, None] + np.sum(x2**2, axis=1)[None, :] - 2.0 * (x1 @ x2.T)
+    scaled = np.sqrt(5.0) * np.sqrt(np.maximum(sq, 0.0)) / kernel.right.length_scale
+    matern = (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
+    return np.full((len(x1), len(x2)), kernel.left.constant) * matern
+
+
+def _reference_fit_predict(x, y, probe, normalize_y, seed):
+    kernel, noise, rng = ConstantKernel(1.0) * Matern52Kernel(1.0), 1e-4, np.random.default_rng(seed)
+    scaler = StandardScaler()
+    y_train = scaler.fit(y.reshape(-1, 1)).transform(y.reshape(-1, 1)).ravel() if normalize_y else y
+
+    def neg_log_marginal_likelihood(log_params):
+        kernel.set_log_params(log_params)
+        gram = _reference_kernel(kernel, x, x)
+        gram[np.diag_indices_from(gram)] += noise
+        try:
+            chol = linalg.cholesky(gram, lower=True)
+        except linalg.LinAlgError:
+            return 1e25
+        alpha = linalg.cho_solve((chol, True), y_train)
+        lml = (
+            -0.5 * float(y_train @ alpha)
+            - float(np.sum(np.log(np.diag(chol))))
+            - 0.5 * len(y_train) * np.log(2.0 * np.pi)
+        )
+        return -lml
+
+    lml = None
+    if len(x) >= 3:
+        bounds = kernel.bounds()
+        best_params = kernel.get_log_params()
+        best_value = neg_log_marginal_likelihood(best_params)
+        starts = [best_params] + [np.array([rng.uniform(lo, hi) for lo, hi in bounds]) for _ in range(2)]
+        for start in starts:
+            result = optimize.minimize(
+                neg_log_marginal_likelihood, start, method="L-BFGS-B", bounds=bounds, options={"maxiter": 60}
+            )
+            if result.fun < best_value:
+                best_value, best_params = result.fun, result.x
+        kernel.set_log_params(best_params)
+        lml = -float(best_value)
+    gram = _reference_kernel(kernel, x, x)
+    gram[np.diag_indices_from(gram)] += noise
+    chol = linalg.cholesky(gram, lower=True)
+    alpha = linalg.cho_solve((chol, True), y_train)
+
+    cross = _reference_kernel(kernel, probe, x)
+    mean = cross @ alpha
+    solved = linalg.solve_triangular(chol, cross.T, lower=True)
+    std = np.sqrt(np.maximum(kernel.diag(probe) + noise - np.sum(solved**2, axis=0), 1e-12))
+    if normalize_y:
+        mean = scaler.inverse_transform(mean.reshape(-1, 1)).ravel()
+        std = scaler.inverse_transform_std(std.reshape(-1, 1)).ravel()
+    return kernel.get_log_params(), lml, mean, std
+
+
+class TestGaussianProcessMatchesReference:
+    # Fits on fewer than three points skip the hyper-parameter search.
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 8, 25])
+    @pytest.mark.parametrize("normalize_y", [True, False], ids=["normalized", "raw"])
+    def test_fit_and_predict_are_bitwise_equal(self, n_points, normalize_y):
+        rng = np.random.default_rng(n_points)
+        x = rng.uniform(0, 1, size=(n_points, 3))
+        y = np.sin(3.0 * x[:, 0]) + x[:, 1] - 0.4 + 0.05 * rng.standard_normal(n_points)
+        probe = rng.uniform(-0.5, 1.5, size=(30, 3))
+        gp = GaussianProcessRegressor(normalize_y=normalize_y, seed=7).fit(x, y)
+        log_params, lml, mean, std = _reference_fit_predict(x, y, probe, normalize_y, seed=7)
+
+        assert gp.kernel.get_log_params().tobytes() == log_params.tobytes()
+        assert gp.log_marginal_likelihood_ == lml
+        got_mean, got_std = gp.predict(probe, return_std=True)
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_std.tobytes() == std.tobytes()
+        assert gp.predict(probe).tobytes() == mean.tobytes()
+
+    def test_a_gram_matrix_that_is_not_positive_definite_scores_1e25(self):
+        x = np.array([[0.1, 0.2], [0.1, 0.2], [0.7, 0.5]])  # a duplicated row
+        gp = GaussianProcessRegressor(seed=0).fit(x, [0.3, 0.3, -0.2])
+        gp.noise = 0.0
+        assert gp._neg_log_marginal_likelihood(np.zeros(2)) == 1e25
+        with pytest.raises(linalg.LinAlgError):
+            gp._factorize()
+
+    @pytest.mark.parametrize("n_points", [2, 5])
+    @pytest.mark.parametrize("where", ["inputs", "targets"])
+    def test_non_finite_data_raises(self, n_points, where):
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(0, 1, size=(n_points, 2)), rng.normal(size=n_points)
+        if where == "inputs":
+            x[1, 0] = np.nan
+        else:
+            y[1] = np.nan
+        with pytest.raises(ValueError):
+            GaussianProcessRegressor(seed=0).fit(x, y)
+
+    def test_predicting_std_at_a_non_finite_input_raises(self):
+        gp = GaussianProcessRegressor(seed=0).fit(np.array([[0.0], [0.5], [1.0]]), [0.1, 0.4, 0.2])
+        with pytest.raises(ValueError):
+            gp.predict(np.array([[np.nan]]), return_std=True)
