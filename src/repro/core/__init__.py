@@ -6,6 +6,8 @@
   GP-UCB and the clipped randomized GP-UCB (cRGP-UCB) of stage 3.
 * :mod:`repro.core.penalty` — the adaptive Lagrangian penalisation of the
   SLA constraint (Eqs. 8–9 and 14–15).
+* :mod:`repro.core.search` — the batch Thompson-sampling loop that stages 1
+  and 2 share.
 * :mod:`repro.core.simulator_learning` — stage 1, the learning-based
   simulator (Alg. 1).
 * :mod:`repro.core.offline_training` — stage 2, offline policy training in

@@ -13,14 +13,13 @@ where ``D_r`` is the online latency collection from the real network and
   thousands of collections the search accumulates),
 * (parallel) Thompson sampling: one posterior function draw scores tens of
   thousands of candidates per query slot, and
-* parallel queries per iteration: the queries of one iteration are submitted
-  as one batch to the :class:`~repro.engine.engine.MeasurementEngine`, which
-  executes them in one vectorized pass.  The surrogate is only refreshed
-  between iterations, so the algorithmic behaviour is independent of how
-  the batch is executed.
+* parallel queries per iteration, measured as one engine batch.
 
-A GP + expected-improvement variant is provided for the "GP" comparison of
-Fig. 8 and Table 4.
+The loop is :class:`~repro.core.search.BatchThompsonSearch`, shared with
+stage 2; this stage supplies the feasible pool, the weighted score, the
+request and the KL fold, and measures the original parameters (seed 0)
+first.  A GP + expected-improvement selection replaces the posterior draws
+for the "GP" comparison of Fig. 8 and Table 4.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.acquisition import expected_improvement
+from repro.core.search import BatchThompsonSearch, mean_per_iteration
 from repro.core.spaces import SimulationParameterSpace
 from repro.engine import MeasurementEngine, MeasurementRequest
 from repro.metrics.kl import histogram_kl_divergence
@@ -107,17 +107,7 @@ class ParameterSearchResult:
 
     def weighted_discrepancy_per_iteration(self) -> np.ndarray:
         """Mean weighted discrepancy of the queries of each iteration (Fig. 8)."""
-        if not self.history:
-            return np.zeros(0)
-        iterations = sorted({r.iteration for r in self.history})
-        return np.array(
-            [
-                np.mean(
-                    [r.weighted_discrepancy for r in self.history if r.iteration == iteration]
-                )
-                for iteration in iterations
-            ]
-        )
+        return mean_per_iteration(self.history, "weighted_discrepancy")
 
     def best_so_far(self) -> np.ndarray:
         """Running minimum of the weighted discrepancy ("Best" curves of Fig. 8)."""
@@ -131,7 +121,7 @@ class ParameterSearchResult:
         return 1.0 - self.best_discrepancy / self.original_discrepancy
 
 
-class SimulatorParameterSearch:
+class SimulatorParameterSearch(BatchThompsonSearch):
     """Bayesian-optimisation search over simulation parameters (Alg. 1)."""
 
     def __init__(
@@ -144,71 +134,72 @@ class SimulatorParameterSearch:
         traffic: int = 1,
         engine: MeasurementEngine | None = None,
     ) -> None:
-        self.simulator = simulator
         self.real_collection = np.asarray(real_collection, dtype=float).ravel()
         if self.real_collection.size == 0:
             raise ValueError("the real-network collection D_r is empty")
+        config = config if config is not None else ParameterSearchConfig()
+        super().__init__(simulator, traffic, config, engine)
         self.deployed_config = deployed_config
         self.space = space if space is not None else SimulationParameterSpace()
-        self.config = config if config is not None else ParameterSearchConfig()
-        self.traffic = int(traffic)
-        self.engine = engine if engine is not None else MeasurementEngine(simulator)
-        self._rng = np.random.default_rng(self.config.seed)
-        self._inputs: list[np.ndarray] = []   # normalised parameter vectors
-        self._targets: list[float] = []       # measured discrepancies
-        self._records: list[ParameterSearchRecord] = []
-        self._surrogate = self._build_surrogate()
-        self._evaluation_counter = 0
-
-    # --------------------------------------------------------------- surrogate
-    def _build_surrogate(self):
         if self.config.surrogate == "bnn":
-            return BayesianNeuralNetwork(
+            self._surrogate = BayesianNeuralNetwork(
                 input_dim=self.space.dim,
                 hidden_layers=self.config.bnn_hidden_layers,
                 seed=self.config.seed,
             )
-        return GaussianProcessRegressor(seed=self.config.seed)
-
-    def _refit_surrogate(self) -> None:
-        inputs = np.array(self._inputs)
-        targets = np.array(self._targets)
-        if self.config.surrogate == "bnn":
-            self._surrogate.fit(inputs, targets, epochs=self.config.surrogate_epochs)
         else:
-            self._surrogate.fit(inputs, targets)
+            self._surrogate = GaussianProcessRegressor(seed=self.config.seed)
+
+    # ------------------------------------------------------------------ hooks
+    def _pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pool = self.space.sample_feasible(self.config.candidate_pool, self._rng)
+        return pool, self.space.normalize(pool), self.space.parameter_distance(pool)
+
+    def _score(self, draw: np.ndarray, distances: np.ndarray) -> np.ndarray:
+        return draw + self.config.alpha * distances
+
+    def _request(self, candidate: np.ndarray, seed: int) -> MeasurementRequest:
+        return self._measurement(self.deployed_config, seed, self.space.to_parameters(candidate))
+
+    def _fold(self, iteration: int, requests: list[MeasurementRequest], results: list) -> None:
+        for request, result in zip(requests, results):
+            self._record(iteration, request.params, *self._discrepancy(request.params, result))
+
+    # ------------------------------------------------- GP/EI variant (Fig. 8)
+    def _acquire(self, features: np.ndarray, distances: np.ndarray) -> list[int]:
+        if self.config.surrogate == "bnn":
+            return super()._acquire(features, distances)
+        mean, std = self._surrogate.predict(features, return_std=True)
+        best_weighted = min(
+            r.weighted_discrepancy for r in self._records if np.isfinite(r.weighted_discrepancy)
+        )
+        # EI on the negated (minimisation) objective.
+        scores = expected_improvement(-self._score(mean, distances), std, best=-best_weighted)
+        order = np.argsort(-scores)
+        return [int(i) for i in order[: self.config.parallel_queries]]
+
+    def _refit(self) -> None:
+        if self.config.surrogate == "bnn":
+            super()._refit()
+        else:
+            self._surrogate.fit(np.array(self._inputs), np.array(self._targets))
 
     # -------------------------------------------------------------- evaluation
     def evaluate(self, parameters: SimulationParameters, seed: int | None = None) -> tuple[float, float]:
         """Measure the sim-to-real discrepancy and parameter distance of ``parameters``."""
         self._evaluation_counter += 1
         run_seed = seed if seed is not None else self._evaluation_counter
-        return self._evaluate_batch([parameters], [run_seed])[0]
+        [result] = self.engine.run_batch([self._measurement(self.deployed_config, run_seed, parameters)])
+        return self._discrepancy(parameters, result)
 
-    def _evaluate_batch(
-        self, candidates: list[SimulationParameters], seeds: list[int]
-    ) -> list[tuple[float, float]]:
-        """Measure a batch of candidate parameterisations through the engine."""
-        requests = [
-            MeasurementRequest(
-                config=self.deployed_config,
-                traffic=self.traffic,
-                duration=self.config.measurement_duration_s,
-                seed=seed,
-                params=candidate,
-            )
-            for candidate, seed in zip(candidates, seeds)
-        ]
-        collections = self.engine.collect_latencies_batch(requests)
-        scored = []
-        for candidate, latencies in zip(candidates, collections):
-            if latencies.size == 0:
-                discrepancy = float("inf")
-            else:
-                discrepancy = histogram_kl_divergence(self.real_collection, latencies)
-            distance = float(self.space.parameter_distance(candidate.to_array())[0])
-            scored.append((discrepancy, distance))
-        return scored
+    def _discrepancy(self, parameters: SimulationParameters, result) -> tuple[float, float]:
+        """KL divergence of ``D_r`` from the measured latencies, and the parameter distance."""
+        latencies = result.latencies_ms
+        if latencies.size == 0:
+            discrepancy = float("inf")
+        else:
+            discrepancy = histogram_kl_divergence(self.real_collection, latencies)
+        return discrepancy, float(self.space.parameter_distance(parameters.to_array())[0])
 
     def _record(self, iteration: int, parameters: SimulationParameters, discrepancy: float, distance: float) -> None:
         weighted = discrepancy + self.config.alpha * distance
@@ -221,43 +212,10 @@ class SimulatorParameterSearch:
                 weighted_discrepancy=weighted,
             )
         )
+        # Only finite discrepancies become surrogate targets.
         if np.isfinite(discrepancy):
             self._inputs.append(self.space.normalize(parameters.to_array())[0])
             self._targets.append(discrepancy)
-
-    # --------------------------------------------------------------- selection
-    def _select_candidates(self) -> list[SimulationParameters]:
-        pool = self.space.sample_feasible(self.config.candidate_pool, self._rng)
-        pool_unit = self.space.normalize(pool)
-        distances = self.space.parameter_distance(pool)
-        n_select = self.config.parallel_queries
-
-        if len(self._targets) < max(self.config.initial_random, 3):
-            chosen = self._rng.choice(len(pool), size=n_select, replace=False)
-            return [self.space.to_parameters(pool[i]) for i in chosen]
-
-        if self.config.surrogate == "bnn":
-            selected_indices: list[int] = []
-            for _ in range(n_select):
-                # One posterior draw per query slot: parallel Thompson sampling.
-                draw = self._surrogate.sample_predict(pool_unit)
-                weighted = np.asarray(draw).ravel() + self.config.alpha * distances
-                order = np.argsort(weighted)
-                for index in order:
-                    if index not in selected_indices:
-                        selected_indices.append(int(index))
-                        break
-        else:
-            mean, std = self._surrogate.predict(pool_unit, return_std=True)
-            weighted_mean = mean + self.config.alpha * distances
-            best_weighted = min(
-                r.weighted_discrepancy for r in self._records if np.isfinite(r.weighted_discrepancy)
-            )
-            # EI on the negated (minimisation) objective.
-            scores = expected_improvement(-weighted_mean, std, best=-best_weighted)
-            order = np.argsort(-scores)
-            selected_indices = [int(i) for i in order[:n_select]]
-        return [self.space.to_parameters(pool[i]) for i in selected_indices]
 
     # --------------------------------------------------------------------- run
     def run(self) -> ParameterSearchResult:
@@ -266,19 +224,7 @@ class SimulatorParameterSearch:
         original_discrepancy, original_distance = self.evaluate(original, seed=0)
         self._record(iteration=0, parameters=original, discrepancy=original_discrepancy,
                      distance=original_distance)
-
-        for iteration in range(1, self.config.iterations + 1):
-            candidates = self._select_candidates()
-            seeds = []
-            for _ in candidates:
-                self._evaluation_counter += 1
-                seeds.append(self._evaluation_counter)
-            for candidate, (discrepancy, distance) in zip(
-                candidates, self._evaluate_batch(candidates, seeds)
-            ):
-                self._record(iteration, candidate, discrepancy, distance)
-            if len(self._targets) >= 3:
-                self._refit_surrogate()
+        self._search()
 
         finite_records = [r for r in self._records if np.isfinite(r.weighted_discrepancy)]
         best = min(finite_records, key=lambda r: r.weighted_discrepancy)

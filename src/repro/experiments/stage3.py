@@ -12,6 +12,7 @@ at least 10 s.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,38 +344,42 @@ class ModelAblationResult:
     regrets: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
+#: The Fig. 23 variants, in their default order, and the stage-3 options each overrides.
+_MODEL_ABLATION_VARIANTS: dict[str, dict] = {
+    "ours": {},
+    "bnn": {"residual_model": "bnn"},
+    "bnn_contd": {"residual_model": "bnn_contd"},
+    "no_offline_acceleration": {"offline_acceleration": False},
+}
+
+
 def fig23_online_model_ablation(
     scale: ExperimentScale | None = None,
     sla: SLA | None = None,
-    variants: tuple[str, ...] = ("ours", "bnn", "bnn_contd", "no_offline_acceleration"),
+    variants: tuple[str, ...] = tuple(_MODEL_ABLATION_VARIANTS),
     offline_policy: OfflinePolicy | None = None,
 ) -> ModelAblationResult:
-    """Reproduce Fig. 23: GP residual + offline acceleration beats the alternatives."""
+    """Reproduce Fig. 23: GP residual + offline acceleration beats the alternatives.
+
+    Each variant is seeded by its position in the default ``variants``, and
+    ``bnn_contd`` retrains its own copy of the offline policy.
+    """
     scale = scale if scale is not None else get_scale()
     sla = sla if sla is not None else default_sla()
     simulator = _make_augmented_simulator()
     if offline_policy is None:
         offline_policy = train_offline_policy(scale, sla)
     result = ModelAblationResult()
-    for index, variant in enumerate(variants):
-        overrides: dict = {}
-        if variant == "ours":
-            pass
-        elif variant == "bnn":
-            overrides["residual_model"] = "bnn"
-        elif variant == "bnn_contd":
-            overrides["residual_model"] = "bnn_contd"
-        elif variant == "no_offline_acceleration":
-            overrides["offline_acceleration"] = False
-        else:
+    for variant in variants:
+        if variant not in _MODEL_ABLATION_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        real_network = make_real_network(seed=70 + index)
+        index = list(_MODEL_ABLATION_VARIANTS).index(variant)
         learner = OnlineConfigurationLearner(
-            offline_policy=offline_policy,
+            offline_policy=copy.deepcopy(offline_policy) if variant == "bnn_contd" else offline_policy,
             simulator=simulator,
-            real_network=real_network,
+            real_network=make_real_network(seed=70 + index),
             sla=sla,
-            config=_online_config(scale, seed=index, **overrides),
+            config=_online_config(scale, seed=index, **_MODEL_ABLATION_VARIANTS[variant]),
         )
         run = learner.run()
         result.regrets[variant] = {

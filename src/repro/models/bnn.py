@@ -191,6 +191,11 @@ class BayesianNeuralNetwork:
             limit = np.sqrt(2.0 / weight_mu.shape[0])
             weight_mu[...] = self._rng.normal(0.0, limit, size=weight_mu.shape)
 
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickled or copied model, with ``_mu`` and ``_rho`` viewing ``_params`` again."""
+        self.__dict__.update(state)
+        self._mu, self._rho = self._params
+
     def _layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer views of a flat ``(..., n_params)`` array.
 
@@ -239,7 +244,7 @@ class BayesianNeuralNetwork:
     def _sample_layer_weights(self, n_draws: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Draw ``n_draws`` weight sets: per-layer stacks ``(S, fan_in, fan_out)`` and ``(S, fan_out)``."""
         noise, drawn = np.empty((2, n_draws, self._n_params))
-        self._draw(softplus(self._rho), noise, drawn)
+        self._draw(self._sigma, noise, drawn)
         return self._layers(drawn)
 
     def _backward(
@@ -362,6 +367,7 @@ class BayesianNeuralNetwork:
                 # Python's sum adds the draws' losses left to right from zero.
                 epoch_loss += sum(nll.tolist()) * scale + kl_weight * kl
             self.loss_history.append(epoch_loss / n_samples)
+        self._sigma = softplus(self._rho)  # only a fit changes rho, so inference draws with this
         self._fitted = True
         return self
 

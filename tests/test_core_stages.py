@@ -12,11 +12,14 @@ import repro.core.atlas as atlas_module
 from repro.core.atlas import Atlas
 from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrainingConfig
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
+from repro.core.penalty import AdaptiveMultiplier
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
-from repro.core.spaces import SimulationParameterSpace
+from repro.core.spaces import ConfigurationSpace, SimulationParameterSpace
 from repro.experiments.scale import get_scale
 from repro.experiments.scenarios import default_deployed_config
 from repro.experiments.stage3 import fig24_stage_ablation
+from repro.models.bnn import BayesianNeuralNetwork
+from repro.models.gp import GaussianProcessRegressor
 from repro.prototype.slice_manager import SLA
 from repro.prototype.testbed import RealNetwork
 from repro.scenarios import get_scenario
@@ -154,6 +157,200 @@ class TestOfflineTraining:
             OfflineTrainingConfig(iterations=0)
         with pytest.raises(ValueError):
             OfflineTrainingConfig(parallel_queries=0)
+
+
+_LATENCIES = 80.0 + 5.0 * np.arange(40.0)
+
+
+class _StubResult:
+    def __init__(self, latencies_ms, qoe):
+        self.latencies_ms = latencies_ms
+        self._qoe = qoe
+
+    def qoe(self, threshold_ms):
+        return self._qoe
+
+
+class _StubEngine:
+    """Answers each batch at once and logs its seeds; ``empty_seeds`` measure no frames."""
+
+    def __init__(self, log, empty_seeds=()):
+        self.log = log
+        self.empty_seeds = set(empty_seeds)
+
+    @staticmethod
+    def qoe(seed):
+        return (seed % 7) / 7.0
+
+    def run_batch(self, requests):
+        self.log.append(("batch", [request.seed for request in requests]))
+        return [
+            _StubResult(
+                np.empty(0) if request.seed in self.empty_seeds else _LATENCIES + request.seed,
+                self.qoe(request.seed),
+            )
+            for request in requests
+        ]
+
+    def collect_latencies_batch(self, requests):
+        return [result.latencies_ms for result in self.run_batch(requests)]
+
+
+class _FlatUsageSpace(ConfigurationSpace):
+    """Every candidate uses nothing, so a constant QoE draw scores all of them alike."""
+
+    def resource_usage(self, points):
+        return np.zeros(len(np.atleast_2d(points)))
+
+
+@pytest.fixture
+def loop_log(monkeypatch):
+    """One ordered log of engine batches, BNN draws and fits, and multiplier updates.
+
+    The BNN spy does not train: every posterior draw is a constant 0, so all
+    candidates tie wherever the stage's score adds nothing of its own.
+    """
+    log = []
+
+    def fit(model, inputs, targets, epochs=150, **kwargs):
+        log.append(("fit", len(inputs), epochs))
+        return model
+
+    def sample_predict(model, inputs):
+        log.append(("draw", len(inputs)))
+        return np.zeros(len(inputs))
+
+    update = AdaptiveMultiplier.update
+
+    def spy_update(multiplier, qoe_estimate, requirement):
+        log.append(("update", qoe_estimate))
+        return update(multiplier, qoe_estimate, requirement)
+
+    monkeypatch.setattr(BayesianNeuralNetwork, "fit", fit)
+    monkeypatch.setattr(BayesianNeuralNetwork, "sample_predict", sample_predict)
+    monkeypatch.setattr(AdaptiveMultiplier, "update", spy_update)
+    return log
+
+
+def _draws_per_batch(log):
+    """The number of posterior draws that precede each engine batch."""
+    counts, draws = [], 0
+    for event in log:
+        if event[0] == "draw":
+            draws += 1
+        elif event[0] == "batch":
+            counts.append(draws)
+            draws = 0
+    return counts
+
+
+def _fits(log):
+    return [event[1:] for event in log if event[0] == "fit"]
+
+
+class TestBatchThompsonLoop:
+    """The contract of the one selection loop that stages 1 and 2 share."""
+
+    def _search(self, log, empty_seeds=(), **overrides):
+        defaults = dict(
+            iterations=4, initial_random=0, parallel_queries=3, candidate_pool=60,
+            surrogate_epochs=7, seed=0,
+        )
+        defaults.update(overrides)
+        return SimulatorParameterSearch(
+            simulator=_simulator(),
+            real_collection=_LATENCIES,
+            deployed_config=CONFIG,
+            config=ParameterSearchConfig(**defaults),
+            engine=_StubEngine(log, empty_seeds),
+        )
+
+    def _trainer(self, log, space=None, **overrides):
+        defaults = dict(
+            iterations=4, initial_random=0, parallel_queries=3, candidate_pool=60,
+            surrogate_epochs=5, seed=0,
+        )
+        defaults.update(overrides)
+        return OfflineConfigurationTrainer(
+            simulator=_simulator(),
+            sla=SLA_DEFAULT,
+            config=OfflineTrainingConfig(**defaults),
+            space=space,
+            engine=_StubEngine(log),
+        )
+
+    def test_stage1_seeds_the_original_with_0_and_counts_it(self, loop_log):
+        self._search(loop_log).run()
+        batches = [event[1] for event in loop_log if event[0] == "batch"]
+        assert batches == [[0], [2, 3, 4], [5, 6, 7], [8, 9, 10], [11, 12, 13]]
+
+    def test_stage2_seeds_its_first_batch_from_1(self, loop_log):
+        self._trainer(loop_log).run()
+        batches = [event[1] for event in loop_log if event[0] == "batch"]
+        assert batches == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
+
+    def test_stage1_random_phase_counts_finite_discrepancies_only(self, loop_log):
+        # The original is finite; seeds 2 and 3 measure no frames (infinite
+        # discrepancy), so only 3 finite targets exist after the third batch.
+        result = self._search(loop_log, empty_seeds={2, 3}, parallel_queries=2, initial_random=3).run()
+        assert [r.discrepancy for r in result.history[1:3]] == [float("inf")] * 2
+        assert _draws_per_batch(loop_log) == [0, 0, 0, 2, 2]
+        assert _fits(loop_log) == [(3, 7), (5, 7), (7, 7)]
+
+    def test_random_phase_lasts_until_initial_random_targets(self, loop_log):
+        self._trainer(loop_log, initial_random=7, parallel_queries=2, iterations=5).run()
+        assert _draws_per_batch(loop_log) == [0, 0, 0, 0, 2]
+
+    def test_stage1_draws_once_per_query_slot_with_distinct_picks_on_ties(self, loop_log):
+        search = self._search(loop_log, alpha=0.0)
+        result = search.run()
+        assert _draws_per_batch(loop_log) == [0, 0, 3, 3, 3]
+        assert all(draw == ("draw", 60) for draw in loop_log if draw[0] == "draw")
+        for iteration in range(1, 5):
+            picks = {r.parameters for r in result.history if r.iteration == iteration}
+            assert len(picks) == 3
+
+    def test_stage2_draws_once_per_query_slot_with_distinct_picks_on_ties(self, loop_log):
+        result = self._trainer(loop_log, space=_FlatUsageSpace()).run()
+        assert _draws_per_batch(loop_log) == [0, 3, 3, 3]
+        for iteration in range(1, 5):
+            picks = {r.config for r in result.history if r.iteration == iteration}
+            assert len(picks) == 3
+
+    def test_stage1_first_refit_comes_at_3_targets(self, loop_log):
+        self._search(loop_log, parallel_queries=1, iterations=3).run()
+        assert _fits(loop_log) == [(3, 7), (4, 7)]
+
+    def test_stage2_first_refit_comes_at_3_targets(self, loop_log):
+        self._trainer(loop_log, parallel_queries=1, iterations=4).run()
+        assert _fits(loop_log) == [(3, 5), (4, 5)]
+
+    def test_stage1_gp_variant_selects_by_expected_improvement(self, loop_log, monkeypatch):
+        fit = GaussianProcessRegressor.fit
+
+        def spy_fit(model, inputs, targets):
+            loop_log.append(("gp_fit", len(inputs)))
+            return fit(model, inputs, targets)
+
+        monkeypatch.setattr(GaussianProcessRegressor, "fit", spy_fit)
+        result = self._search(loop_log, surrogate="gp").run()
+        assert _draws_per_batch(loop_log) == [0] * 5
+        assert [event for event in loop_log if event[0] == "gp_fit"] == [("gp_fit", n) for n in (4, 7, 10, 13)]
+        for iteration in range(1, 5):
+            assert len({r.parameters for r in result.history if r.iteration == iteration}) == 3
+
+    def test_stage2_updates_the_multiplier_once_per_batch_before_the_refit(self, loop_log):
+        trainer = self._trainer(loop_log, parallel_queries=2)
+        result = trainer.run()
+        kinds = [event[0] for event in loop_log if event[0] != "draw"]
+        assert kinds == ["batch", "update", "batch", "update", "fit"] + ["batch", "update", "fit"] * 2
+        updates = [event[1] for event in loop_log if event[0] == "update"]
+        batches = [event[1] for event in loop_log if event[0] == "batch"]
+        assert updates == [float(np.mean([_StubEngine.qoe(s) for s in seeds])) for seeds in batches]
+        # Each query records the multiplier as it stood before its batch's update.
+        history = trainer.multiplier.history
+        assert [r.multiplier for r in result.history] == [history[r.iteration - 1] for r in result.history]
+        assert len(history) == 1 + 4
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ These run at the "smoke" scale — the goal is to verify every runner produces
 well-formed results; the benchmarks run them at a meaningful scale.
 """
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from repro.experiments import motivation, stage1, stage2, stage3
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
+from repro.experiments.scenarios import default_sla
 from repro.sim.parameters import SimulationParameters
 
 SMOKE = SCALES["smoke"]
@@ -184,6 +186,17 @@ class TestStage3Runners:
         assert set(result.regrets) == {"ours", "no_offline_acceleration"}
         for metrics in result.regrets.values():
             assert set(metrics) == {"avg_usage_regret", "avg_qoe_regret", "sla_violation_rate"}
+
+    def test_model_ablation_rows_do_not_depend_on_the_variant_order(self):
+        scale = dataclasses.replace(SMOKE, stage2_iterations=5, stage3_iterations=3)
+        policy = stage3.train_offline_policy(scale, default_sla())
+        params = policy.qoe_model._params.tobytes()
+        variants = ("bnn_contd", "no_offline_acceleration")
+        forward = stage3.fig23_online_model_ablation(scale, variants=variants, offline_policy=policy)
+        backward = stage3.fig23_online_model_ablation(scale, variants=variants[::-1], offline_policy=policy)
+        assert forward.regrets == backward.regrets
+        # bnn_contd retrains its own copy; the caller's policy stays as trained.
+        assert policy.qoe_model._params.tobytes() == params
 
     def test_stage_ablation(self):
         result = stage3.fig24_stage_ablation(SMOKE, variants=("ours", "no_stage3"))

@@ -1,6 +1,8 @@
 """Tests for the Bayesian neural network (Bayes-by-Backprop) surrogate."""
 
 import ast
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +348,53 @@ class TestStackedDrawsMatchPerDrawLoop:
             _reference_forward(oracle._x_scaler.transform(probe), weights, biases)[0]
         )
         _assert_bitwise_equal([draw], [expected[:, 0] if output_dim == 1 else expected])
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "adadelta"])
+def test_pickled_and_copied_models_keep_learning(optimizer):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1, 1, size=(60, 4))
+    model = BayesianNeuralNetwork(input_dim=4, hidden_layers=(16,), optimizer=optimizer, seed=5)
+    model.fit(x, x[:, 0] - x[:, 1] ** 2, epochs=20)
+    copies = [pickle.loads(pickle.dumps(model)), copy.deepcopy(model)]
+    new_targets = np.sin(3.0 * x[:, 2]) + x[:, 3]
+    for twin in [model, *copies]:
+        twin.fit(x, new_targets, epochs=15)
+    probe = rng.uniform(-1, 1, size=(25, 4))
+
+    def state(twin):
+        return [
+            twin._params.tobytes(),
+            twin.mean_predict(probe).tobytes(),
+            twin.sample_predict(probe).tobytes(),
+        ]
+
+    expected = state(model)
+    for twin in copies:
+        assert state(twin) == expected
+
+
+def test_draws_use_the_posterior_std_of_the_latest_fit():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1, 1, size=(40, 3))
+    probe = rng.uniform(-1.5, 1.5, size=(10, 3))
+    model = BayesianNeuralNetwork(input_dim=3, hidden_layers=(12,), seed=6)
+    model.fit(x, x[:, 0] * x[:, 1], epochs=10)
+    for _ in range(2):
+        state = model._rng.bit_generator.state
+        draw = model.sample_predict(probe)
+        mean, std = model.predict(probe, n_samples=4)
+        # The reference draws from the same generator state and takes
+        # softplus(rho) on the spot.
+        model._rng.bit_generator.state = state
+        weights, biases, _, _ = _reference_sample(model)
+        expected = model._y_scaler.inverse_transform(
+            _reference_forward(model._x_scaler.transform(probe), weights, biases)[0]
+        )
+        _assert_bitwise_equal([draw], [expected[:, 0]])
+        _assert_bitwise_equal([mean, std], _reference_predict(model, probe, 4))
+        # A continued fit on new targets, as the bnn_contd residual model does.
+        model.fit(x, np.cos(2.0 * x[:, 2]), epochs=10, reset_scalers=False)
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
