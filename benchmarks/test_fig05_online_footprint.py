@@ -9,13 +9,13 @@ from repro.experiments.motivation import fig5_online_footprint
 def test_fig05_online_footprint(benchmark, scale):
     result = run_once(benchmark, fig5_online_footprint, scale)
     rows = []
-    for method, series in result.methods.items():
+    for run in result.runs.values():
         rows.append(
             {
-                "method": method,
-                "mean_usage": float(np.mean(series["usage"])),
-                "mean_qoe": float(np.mean(series["qoe"])),
-                "qoe_violation_rate": result.violation_rate(method),
+                "method": run.method,
+                "mean_usage": float(np.mean(run.usages)),
+                "mean_qoe": float(np.mean(run.qoes)),
+                "qoe_violation_rate": run.sla_violation_rate,
             }
         )
     print_table("Fig. 5 — Footprint of online learning methods (QoE requirement 0.9)", rows)

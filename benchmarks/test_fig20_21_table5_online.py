@@ -25,10 +25,11 @@ def test_fig20_21_table5_online_comparison(benchmark, scale):
     runs = result.runs
     # Atlas has the lowest QoE regret of the online-from-scratch methods and a
     # low usage regret (paper: 63.9% / 85.7% regret reduction vs DLDA).  The
-    # ours-vs-DLDA gap needs the paper-scale horizon to show reliably (see
-    # EXPERIMENTS.md), so the assertions here cover the stable part of the
-    # ordering: Atlas beats the from-scratch online learners on QoE regret,
-    # is never dominated by DLDA on both regrets at once, and converges.
+    # reproduction does not show the ours-vs-DLDA gap yet, not even at the
+    # paper's 100-step horizon (ROADMAP item 8 measures it), so the
+    # assertions here cover the stable part of the ordering: Atlas beats the
+    # from-scratch online learners on QoE regret, is never dominated by DLDA
+    # on both regrets at once, and converges.
     assert runs["ours"].average_qoe_regret <= runs["baseline"].average_qoe_regret + 1e-9
     assert runs["ours"].average_qoe_regret <= runs["virtualedge"].average_qoe_regret + 1e-9
     if scale.name != "smoke":

@@ -10,13 +10,13 @@ def test_fig22_acquisition_ablation(benchmark, scale):
     acquisitions = ("crgp_ucb", "ei") if scale.name == "smoke" else ("crgp_ucb", "gp_ucb", "ei", "pi")
     result = run_once(benchmark, fig22_acquisition_ablation, scale, acquisitions=acquisitions)
     rows = []
-    for name, footprint in result.footprints.items():
+    for name, run in result.runs.items():
         rows.append(
             {
                 "acquisition": name,
-                "mean_usage": float(np.mean(footprint["usage"])),
-                "mean_qoe": float(np.mean(footprint["qoe"])),
-                "qoe_violation_rate": result.violation_rate(name),
+                "mean_usage": float(np.mean(run.usages)),
+                "mean_qoe": float(np.mean(run.qoes)),
+                "qoe_violation_rate": run.sla_violation_rate,
             }
         )
     print_table("Fig. 22 — Footprint under different acquisition functions", rows)

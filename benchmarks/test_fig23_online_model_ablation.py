@@ -13,15 +13,15 @@ def test_fig23_online_model_ablation(benchmark, scale):
     rows = [
         {
             "variant": variant,
-            "avg_usage_regret_percent": 100 * metrics["avg_usage_regret"],
-            "avg_qoe_regret": metrics["avg_qoe_regret"],
-            "sla_violation_rate": metrics["sla_violation_rate"],
+            "avg_usage_regret_percent": 100 * run.average_usage_regret,
+            "avg_qoe_regret": run.average_qoe_regret,
+            "sla_violation_rate": run.sla_violation_rate,
         }
-        for variant, metrics in result.regrets.items()
+        for variant, run in result.runs.items()
     ]
     print_table("Fig. 23 — Online approximation-function ablation", rows)
-    ours = result.regrets["ours"]
-    bnn = result.regrets["bnn"]
+    ours = result.runs["ours"]
+    bnn = result.runs["bnn"]
     # The GP residual model is more sample efficient than learning the
     # residual with a BNN from ~tens of online samples (paper: +96.5% QoE regret).
-    assert ours["avg_qoe_regret"] <= bnn["avg_qoe_regret"] + 0.1
+    assert ours.average_qoe_regret <= bnn.average_qoe_regret + 0.1

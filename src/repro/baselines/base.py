@@ -2,9 +2,10 @@
 
 All baselines record the same per-iteration quantities as Atlas' online
 stage so that Figs. 20–21, Table 5 and the dynamic-traffic experiments can
-compare them uniformly.  :class:`GPBaselineBookkeeping` additionally shares
-the measure-and-fold machinery of the GP-surrogate learners (GP-BO and
-VirtualEdge) so their per-iteration semantics cannot drift apart.
+compare them uniformly.  :class:`GPBaselineBookkeeping` is the base of the
+GP-surrogate learners (GP-BO and VirtualEdge): it builds their shared state
+and owns their measure-and-fold machinery, so their per-iteration semantics
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.penalty import AdaptiveMultiplier
+from repro.core.spaces import ConfigurationSpace
+from repro.engine import MeasurementEngine, MeasurementRequest
 from repro.metrics.regret import RegretTracker
+from repro.models.gp import GaussianProcessRegressor
+from repro.prototype.slice_manager import SLA
 from repro.sim.config import SliceConfig
 
 __all__ = ["BaselineIterationRecord", "BaselineResult", "GPBaselineBookkeeping"]
@@ -73,15 +79,59 @@ class BaselineResult:
 
 
 class GPBaselineBookkeeping:
-    """Shared measure-and-fold machinery of the GP-surrogate baselines.
+    """Base of the GP-surrogate baselines: shared state and measure-and-fold machinery.
 
-    Mixed into :class:`~repro.baselines.gp_bo.GPConfigurationOptimizer` and
-    :class:`~repro.baselines.virtualedge.VirtualEdge`, which both maintain a
-    GP over observed QoEs, an adaptive Lagrangian multiplier and the common
-    iteration history.  The host class provides ``engine``, ``traffic``,
-    ``space``, ``sla``, ``multiplier``, ``_model``, ``_inputs``, ``_qoes``
-    and a ``config`` with ``measurement_duration_s``.
+    :class:`~repro.baselines.gp_bo.GPConfigurationOptimizer` and
+    :class:`~repro.baselines.virtualedge.VirtualEdge` both maintain a GP over
+    observed QoEs, an adaptive Lagrangian multiplier and the common iteration
+    history.  A subclass names its configuration dataclass in
+    ``config_type``; the configuration supplies ``measurement_duration_s``,
+    ``multiplier_step`` and ``seed``.
+
+    Parameters
+    ----------
+    environment:
+        Anything exposing ``run(config, traffic=..., duration=..., seed=...)``
+        returning a :class:`~repro.sim.network.SimulationResult` — either the
+        simulator (offline comparators) or the real network (online learners).
+    sla, traffic:
+        The slice SLA and traffic level of the experiment.
+    config:
+        The learner's hyper-parameters (``config_type()`` when omitted).
     """
+
+    config_type: type
+
+    def __init__(
+        self,
+        environment,
+        sla: SLA,
+        traffic: int = 1,
+        config=None,
+        space: ConfigurationSpace | None = None,
+        engine: MeasurementEngine | None = None,
+    ) -> None:
+        self.environment = environment
+        self.sla = sla
+        self.traffic = int(traffic)
+        self.config = config if config is not None else self.config_type()
+        self.space = space if space is not None else ConfigurationSpace()
+        self.engine = engine if engine is not None else MeasurementEngine(environment)
+        self._rng = np.random.default_rng(self.config.seed)
+        self.multiplier = AdaptiveMultiplier(step_size=self.config.multiplier_step, initial=1.0)
+        self._model = GaussianProcessRegressor(seed=self.config.seed)
+        self._inputs: list[np.ndarray] = []
+        self._qoes: list[float] = []
+
+    def _measure(self, action: SliceConfig, seed: int) -> float:
+        """Measure ``action`` once with ``seed`` and return its QoE."""
+        result = self.engine.run(
+            action,
+            traffic=self.traffic,
+            duration=self.config.measurement_duration_s,
+            seed=seed,
+        )
+        return result.qoe(self.sla.latency_threshold_ms)
 
     def _measure_warmup(self, actions: "list[SliceConfig]") -> list:
         """Measure the result-independent warm-up ``actions`` as one engine batch.
@@ -90,8 +140,6 @@ class GPBaselineBookkeeping:
         the sequential per-iteration path, so batching changes throughput
         but not a single result.
         """
-        from repro.engine import MeasurementRequest
-
         return self.engine.run_batch(
             [
                 MeasurementRequest(

@@ -20,12 +20,7 @@ from repro.core.acquisition import (
     gp_ucb_beta,
     probability_of_improvement,
 )
-from repro.core.penalty import AdaptiveMultiplier
-from repro.core.spaces import ConfigurationSpace
-from repro.engine import MeasurementEngine
 from repro.metrics.regret import RegretTracker
-from repro.models.gp import GaussianProcessRegressor
-from repro.prototype.slice_manager import SLA
 from repro.sim.config import SliceConfig
 
 __all__ = ["GPOptimizerConfig", "GPConfigurationOptimizer"]
@@ -57,47 +52,12 @@ class GPOptimizerConfig:
 class GPConfigurationOptimizer(GPBaselineBookkeeping):
     """GP + classic-acquisition Bayesian optimisation of the slice configuration.
 
-    Parameters
-    ----------
-    environment:
-        Anything exposing ``run(config, traffic=..., duration=..., seed=...)``
-        returning a :class:`~repro.sim.network.SimulationResult` — either the
-        simulator (offline comparators) or the real network (the online
-        Baseline).
-    sla, traffic:
-        The slice SLA and traffic level of the experiment.
+    Pointed at the simulator it is an offline comparator; pointed at the
+    real network it is the online Baseline.  The constructor's parameters
+    are those of :class:`~repro.baselines.base.GPBaselineBookkeeping`.
     """
 
-    def __init__(
-        self,
-        environment,
-        sla: SLA,
-        traffic: int = 1,
-        config: GPOptimizerConfig | None = None,
-        space: ConfigurationSpace | None = None,
-        engine: MeasurementEngine | None = None,
-    ) -> None:
-        self.environment = environment
-        self.sla = sla
-        self.traffic = int(traffic)
-        self.config = config if config is not None else GPOptimizerConfig()
-        self.space = space if space is not None else ConfigurationSpace()
-        self.engine = engine if engine is not None else MeasurementEngine(environment)
-        self._rng = np.random.default_rng(self.config.seed)
-        self.multiplier = AdaptiveMultiplier(step_size=self.config.multiplier_step, initial=1.0)
-        self._model = GaussianProcessRegressor(seed=self.config.seed)
-        self._inputs: list[np.ndarray] = []
-        self._qoes: list[float] = []
-
-    # -------------------------------------------------------------- evaluation
-    def _evaluate(self, action: SliceConfig, seed: int) -> tuple[float, float]:
-        result = self.engine.run(
-            action,
-            traffic=self.traffic,
-            duration=self.config.measurement_duration_s,
-            seed=seed,
-        )
-        return action.resource_usage(), result.qoe(self.sla.latency_threshold_ms)
+    config_type = GPOptimizerConfig
 
     # --------------------------------------------------------------- selection
     def _select_action(self, iteration: int) -> SliceConfig:
@@ -155,7 +115,7 @@ class GPConfigurationOptimizer(GPBaselineBookkeeping):
             self._record(result, iteration, action, measurement.qoe(self.sla.latency_threshold_ms))
         for iteration in range(warm_iterations + 1, self.config.iterations + 1):
             action = self._select_action(iteration)
-            _, qoe = self._evaluate(action, seed=iteration)
+            qoe = self._measure(action, seed=iteration)
             self._record(result, iteration, action, qoe)
         result.regret.set_optimum_from_best()
         return result

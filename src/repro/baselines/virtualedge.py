@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import BaselineResult, GPBaselineBookkeeping
-from repro.core.penalty import AdaptiveMultiplier
-from repro.core.spaces import ConfigurationSpace
-from repro.engine import MeasurementEngine
 from repro.metrics.regret import RegretTracker
-from repro.models.gp import GaussianProcessRegressor
-from repro.prototype.slice_manager import SLA
 from repro.sim.config import SliceConfig
 
 __all__ = ["VirtualEdgeConfig", "VirtualEdge"]
@@ -52,37 +47,9 @@ class VirtualEdgeConfig:
 class VirtualEdge(GPBaselineBookkeeping):
     """GP-based predictive gradient descent on the slice configuration."""
 
-    def __init__(
-        self,
-        environment,
-        sla: SLA,
-        traffic: int = 1,
-        config: VirtualEdgeConfig | None = None,
-        space: ConfigurationSpace | None = None,
-        engine: MeasurementEngine | None = None,
-    ) -> None:
-        self.environment = environment
-        self.sla = sla
-        self.traffic = int(traffic)
-        self.config = config if config is not None else VirtualEdgeConfig()
-        self.space = space if space is not None else ConfigurationSpace()
-        self.engine = engine if engine is not None else MeasurementEngine(environment)
-        self._rng = np.random.default_rng(self.config.seed)
-        self.multiplier = AdaptiveMultiplier(step_size=self.config.multiplier_step, initial=1.0)
-        self._model = GaussianProcessRegressor(seed=self.config.seed)
-        self._inputs: list[np.ndarray] = []
-        self._qoes: list[float] = []
+    config_type = VirtualEdgeConfig
 
     # -------------------------------------------------------------- internals
-    def _evaluate(self, action: SliceConfig, seed: int) -> tuple[float, float]:
-        result = self.engine.run(
-            action,
-            traffic=self.traffic,
-            duration=self.config.measurement_duration_s,
-            seed=seed,
-        )
-        return action.resource_usage(), result.qoe(self.sla.latency_threshold_ms)
-
     def _objective(self, unit_points: np.ndarray) -> np.ndarray:
         """Penalised objective (Lagrangian) predicted by the GP at unit-cube points."""
         usage = self.space.resource_usage(self.space.denormalize(unit_points))
@@ -142,7 +109,7 @@ class VirtualEdge(GPBaselineBookkeeping):
             if iteration > self.config.initial_random and len(self._qoes) >= 3:
                 current_unit = self._gradient_step(current_unit)
             action = self.space.to_config(self.space.denormalize(current_unit)[0])
-            _, qoe = self._evaluate(action, seed=iteration)
+            qoe = self._measure(action, seed=iteration)
             self._record(result, iteration, action, qoe)
         result.regret.set_optimum_from_best()
         return result

@@ -4,8 +4,8 @@ Every simulator / real-network query in the reproduction flows through
 :class:`~repro.engine.engine.MeasurementEngine`, which batches requests,
 executes each batch inline in one vectorized pass and memoises results in a
 content-keyed cache.  :func:`~repro.engine.forkpool.fork_map` is the one
-parallelism level: it runs whole eval replays and slice pipelines side by
-side.  See ``docs/architecture.md`` for the architecture walkthrough (sim →
+parallelism level: it runs whole eval replays, slice pipelines and online
+figure jobs side by side.  See ``docs/architecture.md`` for the architecture walkthrough (sim →
 engine → stages → experiments) and ``docs/performance.md`` for the
 measurements behind that design.
 """

@@ -116,7 +116,7 @@ class MeasurementEngine:
     environment's ``run_requests`` hook
     (:class:`~repro.engine.executors.VectorizedExecutor`).  Parallelism
     lives one level up: :func:`repro.engine.forkpool.fork_map` runs whole
-    eval replays and slice pipelines side by side.
+    eval replays, slice pipelines and online figure jobs side by side.
 
     Parameters
     ----------

@@ -11,7 +11,7 @@ one by one, in order, in the calling process.
 
 Every engine runs its batches inline, in the process that submits them.
 The one parallelism level is :func:`repro.engine.forkpool.fork_map`, which
-runs whole eval replays and whole slice pipelines side by side.  An earlier
+runs whole eval replays, slice pipelines and online figure jobs side by side.  An earlier
 shard pool, which split one batch over worker processes, did not pay on a
 paper-scale stage-1 run, on evals or on the pipeline benchmark's workloads,
 and was removed.  It did pay on DLDA's grid sweep, the one batch of

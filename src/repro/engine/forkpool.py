@@ -1,10 +1,12 @@
 """Fork pools that run whole, independent jobs side by side.
 
-Two callers map whole jobs over the cores: the eval harness, one
+Three callers map whole jobs over the cores: the eval harness, one
 ``(case, seed)`` replay per job
-(:meth:`repro.evalharness.runner.EvalRunner.run_seeds`), and
+(:meth:`repro.evalharness.runner.EvalRunner.run_seeds`);
 ``python -m repro run`` on a multi-slice entry, one slice's stage 1→2→3
-pipeline per job.  :func:`fork_map` serves both:
+pipeline per job; and the online figure runners of
+:mod:`repro.experiments.stage3` and Fig. 5, one method, variant or
+(traffic level, method) pair per job.  :func:`fork_map` serves them all:
 
 * it forks a fresh pool for each call and hands the workers the job
   function and the job list through the pool initializer, so only job

@@ -8,13 +8,12 @@ violates the QoE requirement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.dlda import DLDA, DLDAConfig
-from repro.baselines.gp_bo import GPConfigurationOptimizer, GPOptimizerConfig
 from repro.engine import MeasurementEngine, MeasurementRequest
+from repro.engine.forkpool import fork_map
 from repro.experiments.scale import ExperimentScale, get_scale
 from repro.experiments.scenarios import (
     default_deployed_config,
@@ -22,6 +21,7 @@ from repro.experiments.scenarios import (
     make_real_network,
     make_simulator,
 )
+from repro.experiments.stage3 import OnlineComparisonResult, run_online_method
 from repro.metrics.kl import histogram_kl_divergence
 from repro.metrics.stats import empirical_cdf, summarize_latencies
 from repro.sim.config import SliceConfig
@@ -35,7 +35,6 @@ __all__ = [
     "fig3_latency_vs_traffic",
     "KLHeatmapResult",
     "fig4_kl_heatmap",
-    "OnlineFootprintResult",
     "fig5_online_footprint",
 ]
 
@@ -222,57 +221,22 @@ def fig4_kl_heatmap(scale: ExperimentScale | None = None) -> KLHeatmapResult:
 
 
 # ---------------------------------------------------------------------- Fig. 5
-@dataclass
-class OnlineFootprintResult:
-    """Footprint (usage, QoE) of DLDA and plain BO during online learning (Fig. 5)."""
+def fig5_online_footprint(scale: ExperimentScale | None = None) -> OnlineComparisonResult:
+    """Reproduce Fig. 5: footprint of DLDA and BO exploring the real network.
 
-    methods: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
-    qoe_requirement: float = 0.9
-
-    def violation_rate(self, method: str) -> float:
-        """Fraction of explored configurations violating the QoE requirement."""
-        qoes = self.methods[method]["qoe"]
-        if qoes.size == 0:
-            return 0.0
-        return float(np.mean(qoes < self.qoe_requirement))
-
-
-def fig5_online_footprint(scale: ExperimentScale | None = None) -> OnlineFootprintResult:
-    """Reproduce Fig. 5: footprint of DLDA and BO exploring the real network."""
+    Each method is one job of ``baseline_iterations`` online steps, keyed
+    ``"baseline"`` (plain BO: real network 2, seed 3) and ``"dlda"`` (real
+    network 3, seed 4).
+    """
     scale = scale if scale is not None else get_scale()
     sla = default_sla()
-    system = make_real_network(seed=2)
-    simulator = make_simulator(seed=0)
-
-    bo = GPConfigurationOptimizer(
-        environment=system,
-        sla=sla,
-        traffic=1,
-        config=GPOptimizerConfig(
-            iterations=scale.baseline_iterations,
-            initial_random=max(3, scale.baseline_iterations // 4),
-            candidate_pool=scale.stage3_candidate_pool,
-            measurement_duration_s=scale.measurement_duration_s,
-            seed=3,
+    jobs = (("baseline", 2, 3), ("dlda", 3, 4))
+    runs = fork_map(
+        lambda job: run_online_method(
+            job[0], make_real_network(seed=job[1]), 1, scale.baseline_iterations, job[2], None, scale, sla
         ),
+        jobs,
     )
-    bo_result = bo.run()
-
-    dlda = DLDA(
-        simulator=simulator,
-        sla=sla,
-        traffic=1,
-        config=DLDAConfig(
-            grid_points_per_dim=scale.dlda_grid_points,
-            selection_pool=scale.dlda_selection_pool,
-            online_iterations=scale.baseline_iterations,
-            measurement_duration_s=scale.measurement_duration_s,
-            seed=4,
-        ),
+    return OnlineComparisonResult(
+        runs={method: run for (method, _, _), run in zip(jobs, runs)}, qoe_requirement=sla.availability
     )
-    dlda_result = dlda.run_online(make_real_network(seed=3))
-
-    result = OnlineFootprintResult(qoe_requirement=sla.availability)
-    result.methods["BO"] = {"usage": bo_result.usages(), "qoe": bo_result.qoes()}
-    result.methods["DLDA"] = {"usage": dlda_result.usages(), "qoe": dlda_result.qoes()}
-    return result

@@ -485,7 +485,7 @@ class TestAtlasOrchestration:
 
     def test_stage2_ablation_uses_uninformed_policy(self):
         result = fig24_stage_ablation(SMOKE, variants=("no_stage2",))
-        usages = result.footprints["no_stage2"]["usage"]
+        usages = result.runs["no_stage2"].usages
         assert len(usages) == SMOKE.stage3_iterations
         # Stage 3 starts from the uninformed policy's deployed configuration.
         assert usages[0] == default_deployed_config().resource_usage()
@@ -496,6 +496,6 @@ class TestAtlasOrchestration:
 
         monkeypatch.setattr(OnlineConfigurationLearner, "run", learn)
         result = fig24_stage_ablation(SMOKE, variants=("no_stage3",))
-        usages = result.footprints["no_stage3"]["usage"]
+        usages = result.runs["no_stage3"].usages
         assert len(usages) == SMOKE.stage3_iterations
         assert np.all(usages == usages[0])  # the offline best, applied at every step

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.engine.forkpool as forkpool
 from repro.experiments import motivation, stage1, stage2, stage3
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 from repro.experiments.scenarios import default_sla
@@ -100,10 +101,10 @@ class TestMotivationRunners:
 
     def test_fig5_online_footprint(self):
         result = motivation.fig5_online_footprint(SMOKE)
-        assert set(result.methods) == {"BO", "DLDA"}
-        for series in result.methods.values():
-            assert len(series["usage"]) == SMOKE.baseline_iterations
-        assert 0.0 <= result.violation_rate("BO") <= 1.0
+        assert set(result.runs) == {"baseline", "dlda"}
+        for run in result.runs.values():
+            assert len(run.usages) == SMOKE.baseline_iterations
+        assert 0.0 <= result.runs["baseline"].sla_violation_rate <= 1.0
 
 
 class TestStage1Runners:
@@ -162,6 +163,28 @@ class TestStage2Runners:
         assert len(result.usage["ours"]) == 2
 
 
+#: A cut-down smoke scale for the tests that run a runner more than once.
+_CUT = dataclasses.replace(SMOKE, stage2_iterations=5, stage3_iterations=3, baseline_iterations=3)
+
+
+def _rows(result):
+    """Every row of an online runner's result: arrays as bytes, scalars as they are."""
+    if isinstance(result, stage3.DynamicTrafficResult):
+        return result.traffic_levels, result.usage_regret, result.qoe_regret
+    runs = {
+        name: (
+            run.method,
+            run.usages.tobytes(),
+            run.qoes.tobytes(),
+            run.average_usage_regret,
+            run.average_qoe_regret,
+            run.sla_violation_rate,
+        )
+        for name, run in result.runs.items()
+    }
+    return result.optimal_usage, result.optimal_qoe, runs
+
+
 class TestStage3Runners:
     def test_online_comparison_subset(self):
         result = stage3.fig20_21_table5_online_comparison(SMOKE, methods=("ours", "baseline"))
@@ -172,36 +195,61 @@ class TestStage3Runners:
             assert len(run.usages) == SMOKE.stage3_iterations
         assert result.optimal_usage > 0.0
 
-    def test_unknown_online_method_raises(self):
-        with pytest.raises(ValueError):
-            stage3.fig20_21_table5_online_comparison(SMOKE, methods=("alphazero",))
+    @pytest.mark.parametrize(
+        "runner, names",
+        [
+            (stage3.fig20_21_table5_online_comparison, {"methods": ("ours", "alphazero")}),
+            (stage3.fig22_acquisition_ablation, {"acquisitions": ("crgp_ucb", "typo")}),
+            (stage3.fig23_online_model_ablation, {"variants": ("ours", "typo")}),
+            (stage3.fig24_stage_ablation, {"variants": ("ours", "typo")}),
+            (stage3.fig25_26_dynamic_traffic, {"methods": ("ours", "alphazero")}),
+        ],
+    )
+    def test_unknown_names_raise_before_any_job_runs(self, runner, names, monkeypatch):
+        def run_nothing(*args, **kwargs):
+            raise AssertionError("a job or a policy training ran")
+
+        monkeypatch.setattr(stage3, "fork_map", run_nothing)
+        monkeypatch.setattr(stage3, "train_offline_policy", run_nothing)
+        with pytest.raises(ValueError, match="unknown"):
+            runner(SMOKE, **names)
 
     def test_acquisition_ablation(self):
         result = stage3.fig22_acquisition_ablation(SMOKE, acquisitions=("crgp_ucb", "ei"))
-        assert set(result.footprints) == {"crgp_ucb", "ei"}
-        assert 0.0 <= result.violation_rate("ei") <= 1.0
+        assert set(result.runs) == {"crgp_ucb", "ei"}
+        assert 0.0 <= result.runs["ei"].sla_violation_rate <= 1.0
 
     def test_model_ablation(self):
         result = stage3.fig23_online_model_ablation(SMOKE, variants=("ours", "no_offline_acceleration"))
-        assert set(result.regrets) == {"ours", "no_offline_acceleration"}
-        for metrics in result.regrets.values():
-            assert set(metrics) == {"avg_usage_regret", "avg_qoe_regret", "sla_violation_rate"}
+        assert set(result.runs) == {"ours", "no_offline_acceleration"}
+        for run in result.runs.values():
+            assert np.isfinite([run.average_usage_regret, run.average_qoe_regret]).all()
+            assert 0.0 <= run.sla_violation_rate <= 1.0
 
-    def test_model_ablation_rows_do_not_depend_on_the_variant_order(self):
-        scale = dataclasses.replace(SMOKE, stage2_iterations=5, stage3_iterations=3)
-        policy = stage3.train_offline_policy(scale, default_sla())
+    @pytest.mark.parametrize("cores, pools", [(1, []), (2, [2, 2])], ids=["in-process", "pooled"])
+    def test_model_ablation_rows_do_not_depend_on_the_variant_order(
+        self, replay_pool, monkeypatch, cores, pools
+    ):
+        monkeypatch.setattr(forkpool, "available_parallelism", lambda: cores)
+        policy = stage3.train_offline_policy(_CUT, default_sla())
         params = policy.qoe_model._params.tobytes()
         variants = ("bnn_contd", "no_offline_acceleration")
-        forward = stage3.fig23_online_model_ablation(scale, variants=variants, offline_policy=policy)
-        backward = stage3.fig23_online_model_ablation(scale, variants=variants[::-1], offline_policy=policy)
-        assert forward.regrets == backward.regrets
+        forward = stage3.fig23_online_model_ablation(_CUT, variants=variants, offline_policy=policy)
+        backward = stage3.fig23_online_model_ablation(_CUT, variants=variants[::-1], offline_policy=policy)
+        assert replay_pool == pools
+        assert _rows(forward)[2] == _rows(backward)[2]
         # bnn_contd retrains its own copy; the caller's policy stays as trained.
         assert policy.qoe_model._params.tobytes() == params
 
     def test_stage_ablation(self):
         result = stage3.fig24_stage_ablation(SMOKE, variants=("ours", "no_stage3"))
-        assert set(result.footprints) == {"ours", "no_stage3"}
-        assert result.mean_usage["no_stage3"] > 0.0
+        assert set(result.runs) == {"ours", "no_stage3"}
+        assert np.mean(result.runs["no_stage3"].usages) > 0.0
+
+    def test_stage_ablation_rows_do_not_depend_on_the_variant_subset(self):
+        full = _rows(stage3.fig24_stage_ablation(_CUT))[2]
+        alone = _rows(stage3.fig24_stage_ablation(_CUT, variants=("no_stage3",)))[2]
+        assert alone["no_stage3"] == full["no_stage3"]
 
     def test_dynamic_traffic(self):
         result = stage3.fig25_26_dynamic_traffic(
@@ -210,6 +258,29 @@ class TestStage3Runners:
         assert result.traffic_levels == [2]
         assert len(result.usage_regret["ours"]) == 1
         assert len(result.qoe_regret["dlda"]) == 1
+
+
+#: The six online figure runners, each with arguments that make two or more jobs.
+_ONLINE_RUNNERS = {
+    "fig5": lambda: motivation.fig5_online_footprint(_CUT),
+    "fig20_21": lambda: stage3.fig20_21_table5_online_comparison(_CUT),
+    "fig22": lambda: stage3.fig22_acquisition_ablation(_CUT),
+    "fig23": lambda: stage3.fig23_online_model_ablation(_CUT),
+    "fig24": lambda: stage3.fig24_stage_ablation(_CUT),
+    "fig25_26": lambda: stage3.fig25_26_dynamic_traffic(
+        _CUT, traffic_levels=(2, 3), methods=("ours", "dlda")
+    ),
+}
+
+
+@pytest.mark.parametrize("runner", list(_ONLINE_RUNNERS))
+def test_pooled_runner_matches_the_in_process_runner(runner, replay_pool, monkeypatch):
+    pooled = _rows(_ONLINE_RUNNERS[runner]())
+    assert replay_pool == [2]
+    monkeypatch.setattr(forkpool, "available_parallelism", lambda: 1)
+    in_process = _rows(_ONLINE_RUNNERS[runner]())
+    assert replay_pool == [2]
+    assert pooled == in_process
 
 
 _ONLINE_FIGURES = """
