@@ -5,9 +5,9 @@ Every simulator / real-network query in the reproduction flows through
 executes each batch inline in one vectorized pass and memoises results in a
 content-keyed cache.  :func:`~repro.engine.forkpool.fork_map` is the one
 parallelism level: it runs whole eval replays, slice pipelines and online
-figure jobs side by side.  See ``docs/architecture.md`` for the architecture walkthrough (sim →
-engine → stages → experiments) and ``docs/performance.md`` for the
-measurements behind that design.
+figure jobs side by side.  See ``docs/architecture.md`` for the
+architecture walkthrough (sim → engine → stages → experiments) and
+``docs/performance.md`` for the measurements behind that design.
 """
 
 from repro.engine.cache import CacheStats, MeasurementCache, attach_shared_store, shared_cache

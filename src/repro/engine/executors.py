@@ -11,13 +11,13 @@ one by one, in order, in the calling process.
 
 Every engine runs its batches inline, in the process that submits them.
 The one parallelism level is :func:`repro.engine.forkpool.fork_map`, which
-runs whole eval replays, slice pipelines and online figure jobs side by side.  An earlier
-shard pool, which split one batch over worker processes, did not pay on a
-paper-scale stage-1 run, on evals or on the pipeline benchmark's workloads,
-and was removed.  It did pay on DLDA's grid sweep, the one batch of
-hundreds of lanes, which runs 1.3–1.5× slower inline but moves none of the
-figure runners past their noise; ``docs/performance.md`` gives the
-measurements.
+runs whole eval replays, slice pipelines and online figure jobs side by
+side.  An earlier shard pool, which split one batch over worker processes,
+did not pay on a paper-scale stage-1 run, on evals or on the pipeline
+benchmark's workloads, and was removed.  It did pay on DLDA's grid sweep,
+the one batch of hundreds of lanes, which runs 1.3–1.5× slower inline but
+moves none of the figure runners past their noise; ``docs/performance.md``
+gives the measurements.
 """
 
 from __future__ import annotations

@@ -230,13 +230,12 @@ def fig5_online_footprint(scale: ExperimentScale | None = None) -> OnlineCompari
     """
     scale = scale if scale is not None else get_scale()
     sla = default_sla()
-    jobs = (("baseline", 2, 3), ("dlda", 3, 4))
-    runs = fork_map(
-        lambda job: run_online_method(
-            job[0], make_real_network(seed=job[1]), 1, scale.baseline_iterations, job[2], None, scale, sla
-        ),
-        jobs,
-    )
-    return OnlineComparisonResult(
-        runs={method: run for (method, _, _), run in zip(jobs, runs)}, qoe_requirement=sla.availability
-    )
+    seeds = {"baseline": (2, 3), "dlda": (3, 4)}  # method: (real network, learner)
+
+    def job(method: str):
+        network_seed, seed = seeds[method]
+        real_network = make_real_network(seed=network_seed)
+        return run_online_method(method, real_network, 1, scale.baseline_iterations, seed, None, scale, sla)
+
+    runs = fork_map(job, seeds)
+    return OnlineComparisonResult(runs=dict(zip(seeds, runs)), qoe_requirement=sla.availability)

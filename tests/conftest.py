@@ -76,8 +76,8 @@ def replay_pool(monkeypatch) -> list[int]:
 
     Every :func:`repro.engine.forkpool.fork_map` over two or more jobs (eval
     passes, multi-slice runs, service jobs, the online figure runners) then
-    forks a two-worker pool;
-    patch ``repro.engine.forkpool.available_parallelism`` again to size it
+    forks a two-worker pool; patch
+    ``repro.engine.forkpool.available_parallelism`` again to size it
     otherwise.  Returns the list that the size of every fork pool started
     during the test is appended to.
     """
